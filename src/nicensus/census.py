@@ -28,6 +28,7 @@ from .errors import (
     NIViolation,
     NonPositiveConstants,
     NotASubfield,
+    ParseError,
 )
 from .matrix import Mat
 from .poly import Poly
@@ -190,7 +191,7 @@ def get_spec(name):
             return _PLAIN_SPECS[base]()
         if arg is not None and base in _PARAMETRIC_SPECS:
             return _PARAMETRIC_SPECS[base](int(arg))
-    raise KeyError(f"unknown spec {name!r}; known: {', '.join(list_specs())}")
+    raise ParseError(f"unknown spec {name!r}; known: {', '.join(list_specs())}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,6 @@ fixed key order, so identical invocations are byte-identical.  Exact
 rationals are emitted as {"num": "...", "den": "..."} string pairs and
 never as floats.  Exit codes: 0 success, 2 definitive mathematical
 violation, 3 inconclusive-only statistical outcome, 4 usage error.
-
-The --threads flag is accepted for compatibility with parallel drivers;
-samples and enumeration blocks are assigned by global index, so the
-worker count cannot change any output (this implementation runs them
-sequentially).
 """
 
 from __future__ import annotations
@@ -177,7 +172,7 @@ def cmd_estimate(args):
     ctx = gf.parse_field_descriptor(args.q)
     spec = census.get_spec(args.spec)
     exact, bounds = _estimate_exact_and_bounds(spec.name, args.d, ctx, args.budget)
-    cfg = estimate.SampleConfig(seed=args.seed, n=args.n, streams=args.threads or 1)
+    cfg = estimate.SampleConfig(seed=args.seed, n=args.n)
     report = estimate.monte_carlo(spec.member, args.d, ctx, cfg, name=spec.name,
                                   exact=exact, bounds=bounds, budget=args.budget)
     result = {
@@ -554,8 +549,6 @@ def build_parser():
 
     def common(p, seed_default=42):
         p.add_argument("--json", metavar="PATH", help="write the JSON document here")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; outputs never depend on it")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration cap in cells (default 2^24 or NICENSUS_BUDGET)")
         p.add_argument("--seed", type=int, default=seed_default)
@@ -611,7 +604,7 @@ def build_parser():
 
 
 def _parameters_of(args):
-    skip = {"func", "command", "json", "csv", "threads"}
+    skip = {"func", "command", "json", "csv"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -633,7 +626,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         result, code, csv_rows = args.func(args)
-    except (ParseError, UnknownSuite, KeyError) as exc:
+    except (ParseError, UnknownSuite) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NIViolation as exc:

@@ -57,11 +57,6 @@ class TowerCtx:
         """Coordinates of an extension element in the power basis (row tuple)."""
         return self._coords[alpha]
 
-    def lift(self, alpha):
-        """Base-field preimage of an embedded element, or None."""
-        c = self._coords[alpha]
-        return c[0] if all(x == 0 for x in c[1:]) else None
-
 
 _tower_cache = {}
 
@@ -90,13 +85,8 @@ def make_tower(ext, base):
             val = ext.add(val, ext.mul(emb[c], e))
         coords[val] = combo
     assert len(coords) == ext.order
-    # minimal polynomial of gamma over the base: prod (t - gamma^(q^j))
-    conj = gamma
-    mp_ext = Poly.one(ext)
-    for _ in range(b):
-        mp_ext = mp_ext * Poly.make(ext, (ext.neg(conj), 1))
-        conj = ext.pow_elt(conj, base.order)
-    min_poly = poly.express_over_subfield(mp_ext, base)
+    # minimal polynomial of gamma over the base: the norm of t - gamma
+    min_poly = poly.norm(Poly(ext, (ext.neg(gamma), 1)), base)
     tower = TowerCtx(base=base, ext=ext, b=b, basis=basis, embed_table=emb,
                      min_poly=min_poly, _coords=coords, _rep_cache={},
                      _member_cache={})
@@ -184,17 +174,6 @@ def embed_poly(f, tower):
         raise FieldMismatch("polynomial is not over the tower's base field")
     table = tower.embed_table
     return Poly(tower.ext, tuple(table[c] for c in f.coeffs))
-
-
-def charpoly_norm(f, tower):
-    """prod over tau in Gal(K/F) of f^tau, re-expressed over the base field."""
-    q = tower.q
-    prod = f
-    conj = f
-    for _ in range(tower.b - 1):
-        conj = poly.galois_conjugate(conj, q, 1)
-        prod = prod * conj
-    return poly.express_over_subfield(prod, tower.base)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 Randomness comes from a counter-based construction: the j-th sample is a
 pure function of (seed, j), with words drawn from a SplitMix64-style
 finalizer over an inner counter.  Samples are therefore assigned by
-global index and the results cannot depend on how many workers consume
-the index range; the ``streams`` field of SampleConfig is carried for
-reporting but never influences a value.
+global index, so any partition of the index range gives the same results.
 
 Estimates use the Wilson score interval at 99% (well behaved near 0 and
 1, where several of the small-q bounds live).  Verdicts against theory
@@ -67,7 +65,6 @@ class SampleConfig:
 
     seed: int
     n: int
-    streams: int = 1
     target: str = "M"  # "M" or "GL"
 
     def __post_init__(self):

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
     DegreeMismatch,
-    FieldMismatch,
     NonPrimeCharacteristic,
     NotASubfield,
     ParseError,
@@ -47,36 +45,6 @@ def enumeration_budget(budget=None):
     return _DEFAULT_BUDGET
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def prime_factors(n):
-    """Sorted distinct prime factors of n >= 1 (trial division, desk scale)."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def factor_int(n):
     """Full factorization of n >= 1 as a dict prime -> exponent."""
     out = {}
@@ -92,8 +60,8 @@ def factor_int(n):
 
 
 # ---------------------------------------------------------------------------
-# Minimal polynomial arithmetic over Z/p, used only for modulus selection.
-# (The full poly module builds on FieldCtx, so it cannot be used here.)
+# Reduction modulo the field modulus, for FieldCtx._raw_mul.  Irreducibility
+# tests and modulus search go through ``poly`` over the prime field.
 # ---------------------------------------------------------------------------
 
 
@@ -101,17 +69,6 @@ def _pp_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
 
 
 def _pp_mod(a, m, p):
@@ -128,56 +85,11 @@ def _pp_mod(a, m, p):
     return _pp_trim(a)
 
 
-def _pp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # make b monic for the reduction step
-        lead = b[-1]
-        if lead != 1:
-            linv = pow(lead, p - 2, p)
-            b = [(c * linv) % p for c in b]
-        a, b = b, _pp_mod(a, b, p)
-    return a
+def _is_irreducible_over_prime_field(coeffs, p):
+    """Rabin test of a monic polynomial (coefficients low degree first) over F_p."""
+    from . import poly  # poly imports gf at module level
 
-
-def _pp_powmod_x(e, m, p):
-    """t**e mod m over Z/p (m monic)."""
-    result = [1]
-    base = _pp_mod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), m, p)
-        base = _pp_mod(_pp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pp_sub_x(a, p):
-    """a - t, normalized mod p."""
-    out = list(a)
-    while len(out) < 2:
-        out.append(0)
-    out[1] = (out[1] - 1) % p
-    return _pp_trim(out)
-
-
-def _pp_is_irreducible(f, p):
-    """Rabin test for a monic polynomial over Z/p."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    # t^(p^k) == t mod f
-    if _pp_sub_x(_pp_powmod_x(p ** k, f, p), p):
-        return False
-    for ell in prime_factors(k):
-        diff = _pp_sub_x(_pp_powmod_x(p ** (k // ell), f, p), p)
-        if not diff:
-            return False
-        if len(_pp_gcd(list(f), diff, p)) > 1:
-            return False
-    return True
+    return poly.is_irreducible(poly.Poly(field_create(p, 1), tuple(c % p for c in coeffs)))
 
 
 _canonical_modulus_cache = {}
@@ -196,11 +108,13 @@ def canonical_modulus(p, k):
         # t itself: F_p[t]/(t) = F_p
         mod = (0, 1)
     else:
+        # Constant term first in scan order; it starts at 1 because every
+        # candidate with constant term 0 is divisible by t.
         mod = None
-        for tail in itertools.product(range(p), repeat=k):
-            cand = list(tail) + [1]
-            if _pp_is_irreducible(cand, p):
-                mod = tuple(cand)
+        for tail in itertools.product(range(1, p), *(range(p),) * (k - 1)):
+            cand = tail + (1,)
+            if _is_irreducible_over_prime_field(cand, p):
+                mod = cand
                 break
         if mod is None:  # pragma: no cover - irreducibles always exist
             raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")
@@ -299,7 +213,7 @@ class FieldCtx:
 
     def _find_generator(self):
         n = self.order - 1
-        primes = prime_factors(n) if n > 1 else []
+        primes = factor_int(n)
         for g in range(1, self.order):
             if g == 0:
                 continue
@@ -407,11 +321,6 @@ class FieldCtx:
             raise NotASubfield(f"{q} is not a subfield order of F_{p}^{self.k}")
         return m
 
-    def frob(self, a, q):
-        """The q-power map a -> a**q (a field automorphism fixing F_q)."""
-        self.subfield_degree(q)
-        return self.pow_elt(a, q)
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k}, order={self.order})"
 
@@ -430,7 +339,7 @@ def field_create(p, k=1, modulus=None):
     """
     p = int(p)
     k = int(k)
-    if not is_prime(p):
+    if factor_int(p) != {p: 1}:
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if k < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
@@ -454,7 +363,7 @@ def field_create(p, k=1, modulus=None):
             raise DegreeMismatch(f"modulus degree {len(mod) - 1} != extension degree {k}")
         if mod[-1] != 1:
             raise ReducibleModulus("modulus must be monic")
-        if k >= 1 and not _pp_is_irreducible(list(mod), p):
+        if not _is_irreducible_over_prime_field(mod, p):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
     key = (p, k, mod)
     ctx = _field_cache.get(key)
@@ -498,83 +407,6 @@ def parse_field_descriptor(text):
     except ValueError:
         raise ParseError(f"bad field descriptor {text!r}", position=0)
     return field_create(p, k, mod)
-
-
-# ---------------------------------------------------------------------------
-# Wrapped elements (convenience surface; hot loops use raw ints)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FElt:
-    """A field element: a context plus its integer encoding."""
-
-    ctx: FieldCtx
-    value: int
-
-    @property
-    def coeffs(self):
-        return self.ctx.digits(self.value)
-
-    def _check(self, other):
-        if not isinstance(other, FElt):
-            raise TypeError(f"cannot combine FElt with {type(other).__name__}")
-        if other.ctx is not self.ctx:
-            raise FieldMismatch("elements of different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FElt(self.ctx, self.ctx.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FElt(self.ctx, self.ctx.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FElt(self.ctx, self.ctx.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FElt(self.ctx, self.ctx.div(self.value, other.value))
-
-    def __neg__(self):
-        return FElt(self.ctx, self.ctx.neg(self.value))
-
-    def __pow__(self, e):
-        return FElt(self.ctx, self.ctx.pow_elt(self.value, e))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FElt({self.value} in F_{self.ctx.order})"
-
-
-def frobenius(x, q):
-    """Apply the q-power Frobenius to x (FElt or int with ctx implied)."""
-    if isinstance(x, FElt):
-        return FElt(x.ctx, x.ctx.frob(x.value, q))
-    raise TypeError("frobenius expects an FElt; use ctx.frob for raw ints")
-
-
-def degree_over_subfield(x, q):
-    """Smallest e >= 1 with x**(q**e) == x; divides the extension degree."""
-    if isinstance(x, FElt):
-        ctx, val = x.ctx, x.value
-    else:
-        raise TypeError("degree_over_subfield expects an FElt")
-    m = ctx.subfield_degree(q)
-    bound = ctx.k // m
-    y = ctx.frob(val, q)
-    e = 1
-    while y != val:
-        y = ctx.frob(y, q)
-        e += 1
-        if e > bound:  # pragma: no cover - orbit length always divides
-            raise AssertionError("Frobenius orbit exceeded extension degree")
-    return e
 
 
 # ---------------------------------------------------------------------------

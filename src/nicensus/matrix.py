@@ -111,11 +111,6 @@ class Mat:
             out.append(tuple(row))
         return Mat(ctx, n, tuple(out))
 
-    def scale_by(self, c):
-        mul = self.ctx.mul
-        c = int(c)
-        return Mat(self.ctx, self.n, tuple(tuple(mul(c, a) for a in r) for r in self.rows))
-
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
@@ -463,11 +458,6 @@ def fitting_decompose(M):
         x_inv=_restrict(M, inv_basis),
         x_nil=_restrict(M, nil_basis),
     )
-
-
-def invertible_part_dim(M):
-    """dim V_inv(X) = rank of X^n."""
-    return rank(M ** M.n)
 
 
 def is_nilpotent(M):

@@ -60,13 +60,6 @@ class Poly:
         """The polynomial t."""
         return Poly(ctx, (0, 1))
 
-    @staticmethod
-    def from_roots(ctx, roots):
-        out = Poly.one(ctx)
-        for r in roots:
-            out = out * Poly.make(ctx, (ctx.neg(r), 1))
-        return out
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -86,9 +79,6 @@ class Poly:
     @property
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def _chk(self, other):
         if not isinstance(other, Poly):
@@ -285,7 +275,7 @@ def is_irreducible(f):
     t = Poly.x(ctx)
     if not (pow_mod(t, q ** m, fm) - (t % fm)).is_zero:
         return False
-    for ell in gf.prime_factors(m):
+    for ell in gf.factor_int(m):
         d = pow_mod(t, q ** (m // ell), fm) - (t % fm)
         if d.is_zero:
             return False
@@ -573,6 +563,22 @@ def embed_into_extension(f, ext):
     return Poly(ext, tuple(table[c] for c in f.coeffs))
 
 
+def norm(f, base):
+    """prod over tau in Gal(K/F) of f^tau, rewritten over F.
+
+    K is f's field and F = ``base`` one of its subfields; the product of
+    the b = [K:F] conjugates under coefficientwise x -> x**q has its
+    coefficients in F.
+    """
+    ext = f.ctx
+    q = base.order
+    conj = prod = f
+    for _ in range(ext.k // base.k - 1):
+        conj = galois_conjugate(conj, q, 1)
+        prod = prod * conj
+    return express_over_subfield(prod, base)
+
+
 def galois_orbit_product(g, b, base_ctx=None):
     """prod over tau in Gal(K/F) of g^tau, coerced to coefficients in F.
 
@@ -593,13 +599,7 @@ def galois_orbit_product(g, b, base_ctx=None):
         raise FieldMismatch("base field has the wrong order for this tower")
     q = base_ctx.order
     length = galois_orbit_length(g, q)
-    prod = g
-    conj = g
-    for _ in range(b - 1):
-        conj = galois_conjugate(conj, q, 1)
-        prod = prod * conj
-    over_base = express_over_subfield(prod, base_ctx)
-    return OrbitProduct(poly=over_base, orbit_length=length, is_irreducible=(length == b))
+    return OrbitProduct(poly=norm(g, base_ctx), orbit_length=length, is_irreducible=(length == b))
 
 
 def count_regular_orbit_irr(r, b, q, budget=None):
@@ -650,7 +650,7 @@ def regular_orbit_report(r, b, q, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# Text / JSON forms
+# Text form
 # ---------------------------------------------------------------------------
 
 
@@ -716,11 +716,3 @@ def parse_poly(text, ctx):
     for e, c in coeffs.items():
         out[e] = c
     return Poly(ctx, _trim(out))
-
-
-def poly_to_json(f):
-    return list(f.coeffs)
-
-
-def poly_from_json(data, ctx):
-    return Poly.make(ctx, data)

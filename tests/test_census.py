@@ -18,6 +18,7 @@ from nicensus.errors import (
     IndexOutOfRange,
     NIViolation,
     NonPositiveConstants,
+    ParseError,
 )
 from nicensus.matrix import Mat
 
@@ -203,9 +204,9 @@ def test_ni_verify_finds_violations():
 
 
 def test_get_spec_errors_and_listing():
-    with pytest.raises(KeyError):
+    with pytest.raises(ParseError):
         get_spec("no-such-spec")
-    with pytest.raises(KeyError):
+    with pytest.raises(ParseError):
         get_spec("has-eigenvalue")  # parameter required
     assert "all" in census.list_specs()
 

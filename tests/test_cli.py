@@ -2,7 +2,9 @@
 
 import json
 
-from nicensus import cli
+import pytest
+
+from nicensus import census, cli
 
 
 def run_cli(argv, capsys):
@@ -143,9 +145,11 @@ def test_json_file_output(tmp_path, capsys):
     assert path.read_text().strip() == out.strip()
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    base = ["estimate", "--spec", "invertible", "--d", "2", "--q", "3",
-            "--n", "500", "--seed", "4"]
-    _, a = run_cli(base, capsys)
-    _, b = run_cli(base + ["--threads", "8"], capsys)
-    assert json.loads(a)["result"] == json.loads(b)["result"]
+def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(census, "census_exact", broken)
+    with pytest.raises(KeyError):
+        cli.main(["census", "--spec", "all", "--d", "2", "--q", "2"])
+    assert capsys.readouterr().out == ""

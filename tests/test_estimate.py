@@ -20,10 +20,6 @@ def test_sample_determinism():
     a = [sample_matrix(3, F3, 42, j) for j in range(50)]
     b = [sample_matrix(3, F3, 42, j) for j in range(50)]
     assert a == b
-    # stream count is reporting-only; estimates depend on (seed, n) alone
-    r1 = monte_carlo(matrix.is_invertible, 2, F2, SampleConfig(seed=9, n=4000, streams=1))
-    r4 = monte_carlo(matrix.is_invertible, 2, F2, SampleConfig(seed=9, n=4000, streams=4))
-    assert r1.estimate == r4.estimate and r1.successes == r4.successes
 
 
 def test_different_seeds_differ():
