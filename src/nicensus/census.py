@@ -27,7 +27,6 @@ from .errors import (
     IndexOutOfRange,
     NIViolation,
     NonPositiveConstants,
-    NotASubfield,
     ParseError,
 )
 from .matrix import Mat
@@ -69,14 +68,12 @@ class NISubsetSpec:
 
     ``member`` must depend only on the invertible part and be invariant
     under conjugation (that is what ``ni_verify`` audits).
-    ``closed_form_ni`` optionally gives |N_i| / |GL(i,q)| as an exact
-    rational in (i, q) when a closed form is known; ``contains_nilpotents``
-    may be None, in which case it is derived from member(0).
+    ``contains_nilpotents`` may be None, in which case it is derived
+    from member(0).
     """
 
     name: str
     member: callable
-    closed_form_ni: callable = None
     contains_nilpotents: bool = None
 
 
@@ -129,35 +126,14 @@ def _make_member_pc_large_degree(b):
     return member
 
 
-def _pc_large_degree_closed_form(b):
-    def closed(i, q_ext):
-        # q_ext = q**b must hold for the field the census runs over
-        q = round(q_ext ** (1 / b))
-        if q ** b != q_ext:
-            raise NotASubfield(f"{q_ext} is not a b={b} power of a prime power")
-        total = Fraction(0)
-        for r in range(i // 2 + 1, i + 1):
-            n_irr = poly.irr_count(b * r, q)
-            if b * r == 1:
-                n_irr -= 1  # t contributes no invertible members
-            total += Fraction(b * n_irr, q ** (b * r) - 1)
-        return total
-    return closed
-
-
 _SPEC_PATTERN = re.compile(r"^([a-z0-9-]+)(?:\(([-0-9]+)\))?$")
 
 _PLAIN_SPECS = {
-    "all": lambda: NISubsetSpec(
-        "all", _member_all,
-        closed_form_ni=lambda i, q: Fraction(1),
-        contains_nilpotents=True),
+    "all": lambda: NISubsetSpec("all", _member_all, contains_nilpotents=True),
     "invertible": lambda: NISubsetSpec(
         "invertible", _member_invertible, contains_nilpotents=False),
     "nilpotent-complement": lambda: NISubsetSpec(
-        "nilpotent-complement", _member_not_nilpotent,
-        closed_form_ni=lambda i, q: Fraction(1),
-        contains_nilpotents=False),
+        "nilpotent-complement", _member_not_nilpotent, contains_nilpotents=False),
     "primary-cyclic-some-f-not-t": lambda: NISubsetSpec(
         "primary-cyclic-some-f-not-t", _member_pc_some_f,
         contains_nilpotents=False),
@@ -171,7 +147,6 @@ _PARAMETRIC_SPECS = {
         f"has-eigenvalue({arg})", _make_member_eigenvalue(arg)),
     "pc-large-degree": lambda arg: NISubsetSpec(
         f"pc-large-degree({arg})", _make_member_pc_large_degree(arg),
-        closed_form_ni=_pc_large_degree_closed_form(arg),
         contains_nilpotents=False),
 }
 

@@ -12,9 +12,11 @@ K-dimension of the invertible part, such that the blown-up matrix is
 f-primary cyclic.  ``pc_membership`` evaluates that definition directly
 on the blow-up and returns witnesses; ``pc_member_charpoly`` is the fast
 equivalent route that only reads the charpoly over K (factor of degree
-r > inv_dim/2, not t, with a full Galois orbit) and memoizes decisions
-per charpoly.  The two routes are cross-checked by ``proposition_check``
-and by exhaustive tests.
+r > inv_dim/2, not t, with a full Galois orbit).  Such a factor has
+multiplicity 1 and is alone in its distinct-degree block, so the fast
+route needs no equal-degree split and no enumeration of irreducibles.
+The two routes are cross-checked by ``proposition_check`` and by
+exhaustive and sampled tests.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ class TowerCtx:
     ext: gf.FieldCtx
     b: int
     basis: tuple          # power basis elements of ext
-    embed_table: tuple    # base value -> ext value
     min_poly: Poly        # minimal polynomial of the generator over base
     _coords: dict         # ext value -> tuple of b base values
     _rep_cache: dict      # ext value -> Mat over base
-    _member_cache: dict   # charpoly coeffs over ext -> bool
 
     @property
     def q(self):
@@ -87,9 +87,8 @@ def make_tower(ext, base):
     assert len(coords) == ext.order
     # minimal polynomial of gamma over the base: the norm of t - gamma
     min_poly = poly.norm(Poly(ext, (ext.neg(gamma), 1)), base)
-    tower = TowerCtx(base=base, ext=ext, b=b, basis=basis, embed_table=emb,
-                     min_poly=min_poly, _coords=coords, _rep_cache={},
-                     _member_cache={})
+    tower = TowerCtx(base=base, ext=ext, b=b, basis=basis, min_poly=min_poly,
+                     _coords=coords, _rep_cache={})
     _tower_cache[key] = tower
     return tower
 
@@ -168,14 +167,6 @@ def blow_up(X, tower):
     return Mat(tower.base, b * c, tuple(rows))
 
 
-def embed_poly(f, tower):
-    """Rewrite a base-field polynomial over the extension field."""
-    if f.ctx is not tower.base:
-        raise FieldMismatch("polynomial is not over the tower's base field")
-    table = tower.embed_table
-    return Poly(tower.ext, tuple(table[c] for c in f.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Large-degree primary cyclic membership
 # ---------------------------------------------------------------------------
@@ -242,7 +233,7 @@ def pc_membership(X, tower):
 
 def _galois_representative(f, cp_ext, tower, r):
     """The unique degree-r factor of f over K that divides the charpoly over K."""
-    f_ext = embed_poly(f, tower)
+    f_ext = poly.embed_into_extension(f, tower.ext)
     for g, _ in poly.factorize(f_ext).factors:
         if g.degree == r and g.divides(cp_ext):
             return g
@@ -252,32 +243,19 @@ def _galois_representative(f, cp_ext, tower, r):
 def pc_member_charpoly(X, tower):
     """Fast membership: read everything off the charpoly over K.
 
-    Membership only depends on the charpoly of X over K: strip the
-    t-part to find inv_dim, then look for an irreducible factor g != t
-    of degree r > inv_dim/2 whose Galois orbit over F_q has full length
-    b (so its orbit product is irreducible of degree b*r over F_q).
-    Decisions are memoized per charpoly on the tower.
+    Membership only depends on the charpoly of X over K: stripping the
+    t-part leaves a polynomial of degree inv_dim, and X is a member when
+    it has an irreducible factor g of degree r > inv_dim/2 whose Galois
+    orbit over F_q has full length b (so its norm is irreducible of
+    degree b*r over F_q).  Such a g has multiplicity 1 and is the only
+    factor in its distinct-degree block, so ``poly.large_factor`` finds
+    it without an equal-degree split.
     """
     if X.ctx is not tower.ext:
         raise FieldMismatch("matrix is not over the tower's extension field")
     coeffs = matrix.charpoly(X).coeffs
-    cache = tower._member_cache
-    hit = cache.get(coeffs)
-    if hit is not None:
-        return hit
-    inv_dim = len(coeffs) - 1 - _t_multiplicity(coeffs)
-    decision = False
-    if inv_dim:
-        q = tower.q
-        b = tower.b
-        for g, _ in poly.factorize(Poly(tower.ext, coeffs)).factors:
-            if g.coeffs == (0, 1) or 2 * g.degree <= inv_dim:
-                continue
-            if poly.galois_orbit_length(g, q) == b:
-                decision = True
-                break
-    cache[coeffs] = decision
-    return decision
+    g = poly.large_factor(Poly(tower.ext, coeffs[_t_multiplicity(coeffs):]))
+    return g is not None and poly.galois_orbit_length(g, tower.q) == tower.b
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +305,7 @@ def proposition_check(X, f, tower):
         r = f.degree // b
         cp_ext = matrix.charpoly(X)
         mp_ext = matrix.minpoly(X)
-        for g, _ in poly.factorize(embed_poly(f, tower)).factors:
+        for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
             if g.degree != r:
                 continue
             m_g = poly.multiplicity_in(g, cp_ext)

@@ -6,9 +6,10 @@ vectors in base ``p``, low-degree digit first (so the prime subfield is
 tables; every element operation is a pure function of ints, which keeps
 the exhaustive-enumeration and sampling loops fast.
 
-Fields of order up to 256 get full addition/multiplication tables;
-fields up to 2**16 get discrete log/exp tables; anything larger falls
-back to direct polynomial arithmetic (still exact, just slower).
+Fields up to 2**16 get discrete log/exp tables, and those of order up
+to 256 also get full addition/multiplication tables (the products read
+off the log tables); anything larger falls back to direct polynomial
+arithmetic (still exact, just slower).
 Enumeration-style helpers refuse fields beyond 2**20 elements.
 """
 
@@ -223,27 +224,28 @@ class FieldCtx:
 
     def _build_tables(self):
         q = self.order
+        if q > _LOG_TABLE_MAX:
+            return
+        g = self._find_generator()
+        n = q - 1
+        exp = [1] * n
+        log = [0] * q
+        acc = 1
+        for i in range(n):
+            exp[i] = acc
+            log[acc] = i
+            acc = self._raw_mul(acc, g)
+        self._exp = exp
+        self._log = log
         if q <= _FULL_TABLE_MAX:
+            # Products and inverses are read off exp/log, so the whole
+            # build costs q - 1 calls of _raw_mul.
             add = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
             self.add_rows = add
-            self.mul_rows = mul
             self.neg_table = [add[a].index(0) for a in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = mul[a].index(1)
-            self.inv_table = inv
-        elif q <= _LOG_TABLE_MAX:
-            g = self._find_generator()
-            exp = [1] * (q - 1)
-            log = [0] * q
-            acc = 1
-            for i in range(q - 1):
-                exp[i] = acc
-                log[acc] = i
-                acc = self._raw_mul(acc, g)
-            self._exp = exp
-            self._log = log
+            self.mul_rows = [[0] * q] + [
+                [0] + [exp[(la + lb) % n] for lb in log[1:]] for la in log[1:]]
+            self.inv_table = [0] + [exp[-la % n] for la in log[1:]]
 
     # -- element operations ---------------------------------------------------
 

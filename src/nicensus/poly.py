@@ -4,7 +4,9 @@ Coefficients are stored low degree first as a tuple of element ints;
 the zero polynomial is the empty tuple (degree -1).  Everything here is
 deterministic: factorization runs squarefree split, then distinct-degree
 split, then trial division against canonically ordered irreducibles, so
-repeated runs produce identical factor orderings.
+repeated runs produce identical factor orderings.  ``large_factor``
+stops after the first two splits, which already isolate a factor of
+more than half the degree.
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
@@ -19,7 +21,6 @@ from .errors import (
     BudgetExceeded,
     FieldMismatch,
     NotASubfield,
-    NotIrreducible,
     ParseError,
     ZeroPolynomial,
 )
@@ -482,6 +483,24 @@ def factorize(f, budget=None):
     return fac
 
 
+def large_factor(f):
+    """The monic irreducible factor of f of degree > deg f / 2, or None.
+
+    Such a factor has multiplicity 1 and no other factor of its degree
+    fits beside it, so it is a whole block of the squarefree split
+    followed by the distinct-degree split: no equal-degree split runs.
+    """
+    if f.is_zero:
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    n = f.degree
+    for block, mult in _squarefree_blocks(f.monic()):
+        if mult == 1 and 2 * block.degree > n:
+            for d, dd_block in _distinct_degree_blocks(block):
+                if 2 * d > n:
+                    return dd_block
+    return None
+
+
 def multiplicity_in(f, g):
     """Multiplicity of f in g by repeated exact division."""
     if f.degree < 1:
@@ -537,15 +556,6 @@ def galois_orbit_length(g, q):
     return length
 
 
-@dataclass(frozen=True)
-class OrbitProduct:
-    """Product of all Galois conjugates of g, re-expressed over the base field."""
-
-    poly: Poly  # over the base field
-    orbit_length: int
-    is_irreducible: bool  # full orbit <=> irreducible product
-
-
 def express_over_subfield(f, sub):
     """Rewrite f (whose coefficients lie in the embedded subfield) over ``sub``."""
     ext = f.ctx
@@ -577,29 +587,6 @@ def norm(f, base):
         conj = galois_conjugate(conj, q, 1)
         prod = prod * conj
     return express_over_subfield(prod, base)
-
-
-def galois_orbit_product(g, b, base_ctx=None):
-    """prod over tau in Gal(K/F) of g^tau, coerced to coefficients in F.
-
-    g must be monic irreducible over K = F_{q^b}; F = F_q is the index-b
-    subfield (canonical modulus unless ``base_ctx`` is supplied).  The
-    product is irreducible over F exactly when the orbit of g has full
-    length b; shorter orbits give a proper power, flagged accordingly.
-    """
-    ctx = g.ctx
-    if b < 1 or ctx.k % b != 0:
-        raise NotASubfield(f"no index-{b} subfield of F_{ctx.order}")
-    if not (g.is_monic and is_irreducible(g)):
-        raise NotIrreducible("orbit products are defined for monic irreducibles")
-    sub_k = ctx.k // b
-    if base_ctx is None:
-        base_ctx = gf.field_create(ctx.p, sub_k)
-    elif base_ctx.order != ctx.p ** sub_k:
-        raise FieldMismatch("base field has the wrong order for this tower")
-    q = base_ctx.order
-    length = galois_orbit_length(g, q)
-    return OrbitProduct(poly=norm(g, base_ctx), orbit_length=length, is_irreducible=(length == b))
 
 
 def count_regular_orbit_irr(r, b, q, budget=None):

@@ -236,18 +236,12 @@ def thm_pc_m_bound(c, q, b):
     return l2 - (l2 + 3) * Fraction(1, c) - (2 * (1 - Fraction(1, c))) / half_pow
 
 
-def per_dim_closed_form(i, q, b):
-    """|N_i| / |GL(i, q^b)| for the large-degree family: sum over r > i/2."""
-    if i < 1:
-        raise RangeError("per-dimension closed form needs i >= 1")
-    return sum((_pc_r_true(q, b, r) for r in range(i // 2 + 1, i + 1)), Fraction(0))
-
-
 def thm_pc_m_exact(c, q, b):
     """Exact proportion of the large-degree family in all of M(c, q^b).
 
-    Assembles the flag sum with the per-dimension closed forms (empty at
-    i = 0: the family excludes nilpotents) and converts to a proportion
+    Assembles the flag sum with the per-dimension closed forms
+    |N_i| / |GL(i, q^b)| = ``ngl_exact(i, q, b)`` (empty at i = 0: the
+    family excludes nilpotents) and converts to a proportion
     of the full algebra by the omega factor.  The i = 1 term uses the
     genuine membership proportion b*|Irr_b(q)|/(q^b - 1), i.e. the
     proportion of field elements of degree exactly b, not 1.
@@ -257,7 +251,7 @@ def thm_pc_m_exact(c, q, b):
     total = Fraction(0)
     for i in range(1, c + 1):
         weight = Fraction(1, qb ** (c - i)) / omega(c - i, qb)
-        total += weight * per_dim_closed_form(i, q, b)
+        total += weight * ngl_exact(i, q, b)
     return total * omega(c, qb)
 
 

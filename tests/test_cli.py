@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nicensus import census, cli
+from nicensus import census, cli, estimate
 
 
 def run_cli(argv, capsys):
@@ -99,6 +99,21 @@ def test_estimate_pc_large_degree_attaches_bound(capsys):
     assert doc["result"]["bounds"][0]["verdict"] == "holds"
 
 
+def test_estimate_pc_large_degree_over_large_field_decides(capsys):
+    # 4x4 over F_2^14: every sample is decided, so no error exit
+    code, out = run_cli(["estimate", "--spec", "pc-large-degree(2)", "--d", "4",
+                         "--q", "2^14", "--n", "100", "--seed", "42"], capsys)
+    assert code in (0, 3)
+    assert json.loads(out)["result"]["n"] == 100
+
+
+def test_estimate_rejects_tower_degree_flag(capsys):
+    code = cli.main(["estimate", "--spec", "pc-large-degree(2)", "--d", "2",
+                     "--q", "2^2", "--n", "10", "--b", "2"])
+    capsys.readouterr()
+    assert code == 4
+
+
 def test_quokka_single_r(capsys):
     code, out = run_cli(["quokka", "--c", "2", "--q", "2", "--b", "1", "--r", "2"], capsys)
     assert code == 0
@@ -112,6 +127,20 @@ def test_verify_fast_suite(capsys):
     doc = json.loads(out)
     assert doc["result"]["failed"] == 0
     assert doc["result"]["passed"] == 5
+
+
+def test_verify_thm15_samples_at_seed(monkeypatch, capsys):
+    seen = []
+
+    def record(instances, n, seed, budget=None):
+        seen.append(seed)
+        return []
+
+    monkeypatch.setattr(estimate, "compare", record)
+    code, out = run_cli(["verify", "--suite", "thm15", "--seed", "7"], capsys)
+    assert code == 0
+    assert seen == [7]
+    assert json.loads(out)["manifest"]["seed"] == 7
 
 
 def test_unknown_suite_exit_4(capsys):

@@ -101,6 +101,23 @@ def test_fast_route_equals_direct_route_exhaustive():
             assert embed.pc_member_charpoly(X, TOWER) == embed.pc_membership(X, TOWER).member
 
 
+@pytest.mark.parametrize("tower_text", ["4/2", "9/3"])
+@pytest.mark.parametrize("c", [3, 4])
+def test_fast_route_equals_direct_route_sampled(tower_text, c):
+    tower = embed.parse_tower(tower_text)
+    for j in range(200):
+        X = estimate.sample_matrix(c, tower.ext, 42, j)
+        assert embed.pc_member_charpoly(X, tower) == embed.pc_membership(X, tower).member
+
+
+def test_fast_route_needs_no_irreducible_enumeration():
+    # Over F_2^14 the equal-degree split by trial division ran out of
+    # enumeration budget on this sample; the fast route never enumerates.
+    ext = gf.field_create(2, 14)
+    X = estimate.sample_matrix(4, ext, 42, 3)
+    assert embed.pc_member_charpoly(X, embed.tower_for(ext, 2)) is False
+
+
 def test_membership_depends_only_on_invertible_part():
     for idx in range(256):
         X = matrix.matrix_from_index(F4, 2, idx)

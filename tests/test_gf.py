@@ -39,11 +39,12 @@ def test_field_axioms_exhaustive(p, k):
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
 
 
-@pytest.mark.parametrize("p,k", [(2, 10), (3, 6), (2, 17), (5, 8)])
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (5, 8)])
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0), st.integers(min_value=0), st.integers(min_value=0))
 def test_field_axioms_sampled(p, k, a, b, c):
-    # log-table tier (F_2^10, F_3^6) and raw tier (F_2^17, F_5^8): too big to exhaust
+    # full-table tier (F_2^8, F_3^5), log-table tier (F_2^10, F_3^6) and raw
+    # tier (F_2^17, F_5^8): too big to exhaust
     ctx = gf.field_create(p, k)
     a, b, c = a % ctx.order, b % ctx.order, c % ctx.order
     assert ctx.add(a, 0) == a and ctx.mul(a, 1) == a

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from nicensus import gf, poly
-from nicensus.errors import NotASubfield, NotIrreducible, ParseError, ZeroPolynomial
+from nicensus.errors import NotASubfield, ParseError, ZeroPolynomial
 from nicensus.poly import Poly
 
 F2 = gf.field_create(2)
@@ -33,6 +33,15 @@ def test_factorize_recompose_exhaustive(ctx):
         # factors pairwise distinct and canonically sorted
         keys = [g.canonical_key() for g, _ in fac.factors]
         assert keys == sorted(keys) and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("ctx,max_deg", [(F2, 7), (F3, 5), (F4, 4)], ids=["F2", "F3", "F4"])
+def test_large_factor_agrees_with_factorize(ctx, max_deg):
+    for deg in range(1, max_deg + 1):
+        for tail in itertools.product(range(ctx.order), repeat=deg):
+            f = Poly(ctx, tail + (1,))
+            large = [g for g, _ in poly.factorize(f).factors if 2 * g.degree > deg]
+            assert poly.large_factor(f) == (large[0] if large else None)
 
 
 def test_factorize_examples():
@@ -105,19 +114,17 @@ def test_galois_conjugate_examples():
 
 def test_orbit_product_examples():
     g = Poly.make(F4, (2, 1))  # t + lam
-    op = poly.galois_orbit_product(g, 2)
-    assert op.poly == Poly.make(F2, (1, 1, 1))
-    assert op.orbit_length == 2 and op.is_irreducible
+    assert poly.norm(g, F2) == Poly.make(F2, (1, 1, 1))
+    assert poly.galois_orbit_length(g, 2) == 2 and poly.is_irreducible(poly.norm(g, F2))
     # trivial tower: b = 1 keeps g
-    op1 = poly.galois_orbit_product(Poly.make(F2, (1, 1, 1)), 1)
-    assert op1.poly == Poly.make(F2, (1, 1, 1)) and op1.is_irreducible
-    # stabilized orbit gives a proper power, flagged not irreducible
+    g1 = Poly.make(F2, (1, 1, 1))
+    assert poly.norm(g1, F2) == g1 and poly.galois_orbit_length(g1, 2) == 1
+    assert poly.is_irreducible(poly.norm(g1, F2))
+    # stabilized orbit gives a proper power, which is not irreducible
     h = poly.embed_into_extension(Poly.make(F2, (1, 1)), F4)  # t + 1 over F_4
-    op2 = poly.galois_orbit_product(h, 2)
-    assert op2.orbit_length == 1 and not op2.is_irreducible
-    assert op2.poly == Poly.make(F2, (1, 1)) ** 2
-    with pytest.raises(NotIrreducible):
-        poly.galois_orbit_product(Poly.make(F4, (0, 0, 1)), 2)  # t^2 reducible
+    assert poly.galois_orbit_length(h, 2) == 1
+    assert not poly.is_irreducible(poly.norm(h, F2))
+    assert poly.norm(h, F2) == Poly.make(F2, (1, 1)) ** 2
 
 
 @pytest.mark.parametrize("p,b,r", [
@@ -130,12 +137,11 @@ def test_orbit_products_land_in_irr_br(p, b, r):
     base = gf.field_create(p, 1)
     full = 0
     for g in poly.irr_enumerate(r, ext):
-        op = poly.galois_orbit_product(g, b, base_ctx=base)
-        assert op.poly.degree == b * r
-        assert op.is_irreducible == (op.orbit_length == b)
-        if op.is_irreducible:
-            assert poly.is_irreducible(op.poly)
-            full += 1
+        nm = poly.norm(g, base)
+        full_orbit = poly.galois_orbit_length(g, q) == b
+        assert nm.degree == b * r
+        assert poly.is_irreducible(nm) == full_orbit
+        full += full_orbit
     assert full == poly.count_regular_orbit_irr(r, b, q)
 
 

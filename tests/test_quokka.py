@@ -163,7 +163,7 @@ def test_per_dim_closed_form_matches_gl_enumeration():
             gl += 1
             if embed.pc_membership(M, tower).member:
                 members += 1
-        assert Fraction(members, gl) == quokka.per_dim_closed_form(i, 2, 2)
+        assert Fraction(members, gl) == ngl_exact(i, 2, 2)
 
 
 def test_thm_verdicts_hold():
