@@ -46,17 +46,18 @@ class SampleStream:
         self._base = _mix64((seed & _MASK64) + _GAMMA * (index + 1))
         self._w = 0
 
-    def word(self):
-        self._w += 1
-        return _mix64(self._base + _GAMMA * self._w)
-
-    def below(self, bound):
-        """Uniform int in [0, bound) by rejection (no modulo bias)."""
+    def below(self, bound, count):
+        """``count`` uniform ints in [0, bound), by rejection (no modulo bias)."""
         limit = _MASK64 + 1 - (_MASK64 + 1) % bound
-        while True:
-            w = self.word()
-            if w < limit:
-                return w % bound
+        base, w = self._base, self._w
+        out = []
+        while len(out) < count:
+            w += 1
+            z = _mix64(base + _GAMMA * w)
+            if z < limit:
+                out.append(z % bound)
+        self._w = w
+        return out
 
 
 @dataclass(frozen=True)
@@ -74,21 +75,22 @@ class SampleConfig:
             raise ValueError("target must be 'M' or 'GL'")
 
 
+def _draw_matrix(stream, d, ctx):
+    """The next d x d matrix of ``stream``, entries row by row."""
+    words = stream.below(ctx.order, d * d)
+    return Mat(ctx, d, tuple(tuple(words[i:i + d]) for i in range(0, d * d, d)))
+
+
 def sample_matrix(d, ctx, seed, index):
     """Uniform sample from M(d, q); a pure function of (seed, index)."""
-    stream = SampleStream(seed, index)
-    q = ctx.order
-    rows = tuple(tuple(stream.below(q) for _ in range(d)) for _ in range(d))
-    return Mat(ctx, d, rows)
+    return _draw_matrix(SampleStream(seed, index), d, ctx)
 
 
 def sample_gl(d, ctx, seed, index):
     """Uniform sample from GL(d, q) by rejection (expected < 4 attempts)."""
     stream = SampleStream(seed, index)
-    q = ctx.order
     while True:
-        rows = tuple(tuple(stream.below(q) for _ in range(d)) for _ in range(d))
-        M = Mat(ctx, d, rows)
+        M = _draw_matrix(stream, d, ctx)
         if matrix.is_invertible(M):
             return M
 

@@ -11,6 +11,11 @@ to 256 also get full addition/multiplication tables (the products read
 off the log tables); anything larger falls back to direct polynomial
 arithmetic (still exact, just slower).
 Enumeration-style helpers refuse fields beyond 2**20 elements.
+
+Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
+adds ``c * src[j]`` to ``dst[off + j]`` in place with the tier's table
+lookups hoisted out of the loop; the polynomial, charpoly and sampling
+loops run on coefficient lists through it.
 """
 
 from __future__ import annotations
@@ -139,7 +144,7 @@ class FieldCtx:
     __slots__ = (
         "p", "k", "order", "modulus", "uid",
         "add_rows", "mul_rows", "neg_table", "inv_table",
-        "_exp", "_log",
+        "_exp", "_log", "axpy",
     )
 
     def __init__(self, p, k, modulus):
@@ -155,6 +160,7 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._build_tables()
+        self.axpy = self._row_kernel()
 
     # -- encoding ----------------------------------------------------------
 
@@ -216,8 +222,6 @@ class FieldCtx:
         n = self.order - 1
         primes = factor_int(n)
         for g in range(1, self.order):
-            if g == 0:
-                continue
             if all(self._raw_pow(g, n // ell) != 1 for ell in primes):
                 return g
         raise AssertionError("multiplicative group has a generator")
@@ -239,13 +243,48 @@ class FieldCtx:
         self._log = log
         if q <= _FULL_TABLE_MAX:
             # Products and inverses are read off exp/log, so the whole
-            # build costs q - 1 calls of _raw_mul.
-            add = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
+            # build costs q - 1 calls of _raw_mul.  Sums are digit-wise mod
+            # p: each pass prepends one low digit to the table so far.
+            p = self.p
+            digit_sum = [[(x + y) % p for y in range(p)] for x in range(p)]
+            add = [[0]]
+            for _ in range(self.k):
+                add = [[lo_sum + p * s for s in hi_row for lo_sum in digit_sum[lo]]
+                       for hi_row in add for lo in range(p)]
             self.add_rows = add
             self.neg_table = [add[a].index(0) for a in range(q)]
             self.mul_rows = [[0] * q] + [
                 [0] + [exp[(la + lb) % n] for lb in log[1:]] for la in log[1:]]
             self.inv_table = [0] + [exp[-la % n] for la in log[1:]]
+
+    def _row_kernel(self):
+        """The tier's ``axpy(dst, off, c, src)``: dst[off + j] += c * src[j]."""
+        if self.mul_rows is not None:
+            mul_rows, add_rows = self.mul_rows, self.add_rows
+            if self.p == 2:
+                def axpy(dst, off, c, src):
+                    row = mul_rows[c]
+                    for j, s in enumerate(src, off):
+                        dst[j] ^= row[s]
+            else:
+                def axpy(dst, off, c, src):
+                    row = mul_rows[c]
+                    for j, s in enumerate(src, off):
+                        dst[j] = add_rows[dst[j]][row[s]]
+        elif self._exp is not None and self.p == 2:
+            exp, log = self._exp * 2, self._log  # exp doubled: no reduction mod q - 1
+            def axpy(dst, off, c, src):
+                if c:
+                    lc = log[c]
+                    for j, s in enumerate(src, off):
+                        if s:
+                            dst[j] ^= exp[lc + log[s]]
+        else:
+            add, mul = self.add, self.mul
+            def axpy(dst, off, c, src):
+                for j, s in enumerate(src, off):
+                    dst[j] = add(dst[j], mul(c, s))
+        return axpy
 
     # -- element operations ---------------------------------------------------
 

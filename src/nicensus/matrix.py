@@ -82,34 +82,9 @@ class Mat:
             tuple(add(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
-    def __sub__(self, other):
-        other = self._chk(other)
-        sub = self.ctx.sub
-        return Mat(self.ctx, self.n, tuple(
-            tuple(sub(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __neg__(self):
-        neg = self.ctx.neg
-        return Mat(self.ctx, self.n, tuple(tuple(neg(a) for a in r) for r in self.rows))
-
     def __mul__(self, other):
         other = self._chk(other)
-        ctx = self.ctx
-        n = self.n
-        add, mul = ctx.add, ctx.mul
-        bcols = tuple(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for col in bcols:
-                acc = 0
-                for a, b in zip(ra, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat(ctx, n, tuple(out))
+        return Mat(self.ctx, self.n, tuple(other.apply_to_row(ra) for ra in self.rows))
 
     def __pow__(self, e):
         if e < 0:
@@ -132,14 +107,11 @@ class Mat:
 
     def apply_to_row(self, v):
         """v X for a row vector v (sequence of n element ints)."""
-        ctx = self.ctx
-        add, mul = ctx.add, ctx.mul
+        axpy = self.ctx.axpy
         out = [0] * self.n
         for vi, row in zip(v, self.rows):
             if vi:
-                for j, a in enumerate(row):
-                    if a:
-                        out[j] = add(out[j], mul(vi, a))
+                axpy(out, 0, vi, row)
         return tuple(out)
 
     def __str__(self):
@@ -164,7 +136,7 @@ def _rref_in_place(rows, ctx, n_pivot_cols=None):
     width = len(rows[0])
     if n_pivot_cols is None:
         n_pivot_cols = width
-    inv, mul, sub = ctx.inv, ctx.mul, ctx.sub
+    inv, mul, neg, axpy = ctx.inv, ctx.mul, ctx.neg, ctx.axpy
     pivots = []
     r = 0
     for col in range(n_pivot_cols):
@@ -182,9 +154,7 @@ def _rref_in_place(rows, ctx, n_pivot_cols=None):
             rows[r] = [mul(linv, a) for a in rows[r]]
         for i in range(m):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(ri, rr)]
+                axpy(rows[i], 0, neg(rows[i][col]), rows[r])
         pivots.append(col)
         r += 1
         if r == m:
@@ -255,21 +225,18 @@ class RowBasis:
 
     def coords(self, v):
         """x with x B = v, or None when v is outside the row space."""
-        ctx = self.ctx
-        add, mul, sub = ctx.add, ctx.mul, ctx.sub
+        neg, axpy = self.ctx.neg, self.ctx.axpy
         y = [v[c] for c in self.pivots]
         resid = list(v)
         for yi, row in zip(y, self.rref):
             if yi:
-                resid = [sub(a, mul(yi, b)) for a, b in zip(resid, row)]
+                axpy(resid, 0, neg(yi), row)
         if any(resid):
             return None
         out = [0] * self.m
         for yi, trow in zip(y, self.transform):
             if yi:
-                for j, t in enumerate(trow):
-                    if t:
-                        out[j] = add(out[j], mul(yi, t))
+                axpy(out, 0, yi, trow)
         return tuple(out)
 
 
@@ -285,7 +252,7 @@ def charpoly(M):
     if n == 0:
         return Poly.one(ctx)
     A = [list(r) for r in M.rows]
-    add, sub, mul, inv = ctx.add, ctx.sub, ctx.mul, ctx.inv
+    mul, neg, axpy = ctx.mul, ctx.neg, ctx.axpy
     # similarity reduction to upper Hessenberg form
     for j in range(n - 2):
         piv = None
@@ -299,34 +266,28 @@ def charpoly(M):
             A[piv], A[j + 1] = A[j + 1], A[piv]
             for row in A:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        pinv = inv(A[j + 1][j])
+        pinv = ctx.inv(A[j + 1][j])
+        # Row i -= f_i * row j+1 for every i > j+1, then column j+1 +=
+        # f_i * column i to keep the matrix similar.  The eliminations
+        # commute and leave column j alone, so the column operations can
+        # follow all the row operations; they run on column j+1 as a list.
+        factors = []
         for i in range(j + 2, n):
-            a = A[i][j]
-            if a:
-                f = mul(a, pinv)
-                src = A[j + 1]
-                Ai = A[i]
-                for col in range(j, n):
-                    if src[col]:
-                        Ai[col] = sub(Ai[col], mul(f, src[col]))
-                # inverse column operation keeps the matrix similar
-                for rr in range(n):
-                    row = A[rr]
-                    if row[i]:
-                        row[j + 1] = add(row[j + 1], mul(f, row[i]))
+            if A[i][j]:
+                f = mul(A[i][j], pinv)
+                axpy(A[i], 0, neg(f), A[j + 1])
+                factors.append((i, f))
+        col = [row[j + 1] for row in A]
+        for i, f in factors:
+            axpy(col, 0, f, [row[i] for row in A])
+        for row, c in zip(A, col):
+            row[j + 1] = c
     # p_m(t) over leading principal minors of the Hessenberg matrix
-    neg = ctx.neg
-    polys = [(1,)]
+    polys = [[1]]
     for m in range(1, n + 1):
-        prev = polys[m - 1]
-        # (t - A[m-1][m-1]) * prev
-        shifted = (0,) + prev
-        diag = A[m - 1][m - 1]
-        acc = list(shifted)
-        if diag:
-            for i, c in enumerate(prev):
-                if c:
-                    acc[i] = sub(acc[i], mul(diag, c))
+        # (t - A[m-1][m-1]) * p_{m-1}
+        acc = [0] + polys[m - 1]
+        axpy(acc, 0, neg(A[m - 1][m - 1]), polys[m - 1])
         prod = 1
         for kk in range(1, m):
             prod = mul(prod, A[m - kk][m - kk - 1])
@@ -334,13 +295,9 @@ def charpoly(M):
                 break
             h = A[m - 1 - kk][m - 1]
             if h:
-                coef = mul(h, prod)
-                lower = polys[m - 1 - kk]
-                for i, c in enumerate(lower):
-                    if c:
-                        acc[i] = sub(acc[i], mul(coef, c))
-        polys.append(tuple(acc))
-    return Poly(ctx, polys[n])
+                axpy(acc, 0, neg(mul(h, prod)), polys[m - 1 - kk])
+        polys.append(acc)
+    return Poly(ctx, tuple(polys[n]))
 
 
 def minpoly(M):
@@ -355,7 +312,7 @@ def minpoly(M):
     result = Poly.one(ctx)
     if n == 0:
         return result
-    sub, mul = ctx.sub, ctx.mul
+    mul, neg, axpy = ctx.mul, ctx.neg, ctx.axpy
     for start in range(n):
         if result.degree == n:
             break
@@ -371,10 +328,8 @@ def minpoly(M):
             for evec, epiv, ecomb in echelon:
                 c = vec[epiv]
                 if c:
-                    vec = [sub(a, mul(c, b)) for a, b in zip(vec, evec)]
-                    for i, b in enumerate(ecomb):
-                        if b:
-                            comb[i] = sub(comb[i], mul(c, b))
+                    axpy(vec, 0, neg(c), evec)
+                    axpy(comb, 0, neg(c), ecomb)
             piv = next((i for i, a in enumerate(vec) if a), None)
             if piv is None:
                 ann = Poly(ctx, tuple(comb))

@@ -1,7 +1,10 @@
 """Univariate polynomials over a FieldCtx.
 
 Coefficients are stored low degree first as a tuple of element ints;
-the zero polynomial is the empty tuple (degree -1).  Everything here is
+the zero polynomial is the empty tuple (degree -1).  Arithmetic runs on
+coefficient lists through the field's row kernel ``axpy``: products,
+division with remainder, gcd and modular powers build a ``Poly`` only
+for their result.  Everything here is
 deterministic: factorization runs squarefree split, then distinct-degree
 split, then trial division against canonically ordered irreducibles, so
 repeated runs produce identical factor orderings.  ``large_factor``
@@ -31,6 +34,39 @@ def _trim(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _mul_lists(ctx, a, b):
+    """Coefficient list of a * b (untrimmed when a or b is zero)."""
+    out = [0] * (len(a) + len(b) - 1)
+    axpy = ctx.axpy
+    for i, x in enumerate(a):
+        if x:
+            axpy(out, i, x, b)
+    return out
+
+
+def _divmod_lists(ctx, a, b):
+    """(negated quotient, trimmed remainder) lists of a by b; b trimmed, nonzero.
+
+    Each step adds -(c / lead b) * b, so the step factor is the negated
+    quotient coefficient; callers that want the quotient negate it.
+    """
+    db = len(b) - 1
+    rem = list(a)
+    nquo = [0] * (len(a) - db)  # empty when len(a) <= db
+    nbinv = ctx.neg(ctx.inv(b[-1]))
+    low = b[:db]  # rem[i + db] is cancelled by construction and never read again
+    mul, axpy = ctx.mul, ctx.axpy
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = rem[i + db]
+        if c:
+            f = nquo[i] = mul(c, nbinv)
+            axpy(rem, i, f, low)
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return nquo, rem
 
 
 @dataclass(frozen=True)
@@ -90,38 +126,22 @@ class Poly:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus_multiple(self, c, other):
+        """self + c * other."""
         other = self._chk(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return Poly(ctx, _trim(out))
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        self.ctx.axpy(out, 0, c, other.coeffs)
+        return Poly(self.ctx, _trim(out))
 
-    def __neg__(self):
-        ctx = self.ctx
-        return Poly(ctx, tuple(ctx.neg(c) for c in self.coeffs))
+    def __add__(self, other):
+        return self._plus_multiple(1, other)
 
     def __sub__(self, other):
-        return self + (-self._chk(other))
+        return self._plus_multiple(self.ctx.neg(1), other)
 
     def __mul__(self, other):
         other = self._chk(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(ctx, ())
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = ctx.add, ctx.mul
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
-        return Poly(ctx, _trim(out))
+        return Poly(self.ctx, _trim(_mul_lists(self.ctx, self.coeffs, other.coeffs)))
 
     def scale(self, c):
         ctx = self.ctx
@@ -140,24 +160,8 @@ class Poly:
         other = self._chk(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        ctx = self.ctx
-        dq = self.degree - other.degree
-        if dq < 0:
-            return Poly(ctx, ()), self
-        rem = list(self.coeffs)
-        quo = [0] * (dq + 1)
-        db = other.degree
-        binv = ctx.inv(other.coeffs[-1])
-        sub, mul = ctx.sub, ctx.mul
-        bc = other.coeffs
-        for i in range(dq, -1, -1):
-            c = rem[i + db]
-            if c:
-                factor = mul(c, binv)
-                quo[i] = factor
-                for j in range(db + 1):
-                    rem[i + j] = sub(rem[i + j], mul(factor, bc[j]))
-        return Poly(ctx, _trim(quo)), Poly(ctx, _trim(rem))
+        nquo, rem = _divmod_lists(self.ctx, self.coeffs, other.coeffs)
+        return Poly(self.ctx, tuple(map(self.ctx.neg, nquo))), Poly(self.ctx, tuple(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -196,16 +200,8 @@ class Poly:
 
     def derivative(self):
         ctx = self.ctx
-        p = ctx.p
-        out = []
-        for i in range(1, len(self.coeffs)):
-            n = i % p
-            c = self.coeffs[i]
-            acc = 0
-            for _ in range(n):
-                acc = ctx.add(acc, c)
-            out.append(acc)
-        return Poly(ctx, _trim(out))
+        # i mod p is the prime-field element i * 1, encoded verbatim
+        return Poly(ctx, _trim([ctx.mul(i % ctx.p, c) for i, c in enumerate(self.coeffs)][1:]))
 
     def pth_root(self):
         """Inverse of c -> c**p applied degree-wise; requires a p-th power."""
@@ -232,11 +228,12 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic greatest common divisor."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    ctx = a.ctx
+    x, y = a.coeffs, a._chk(b).coeffs
+    while y:
+        x, y = y, _divmod_lists(ctx, x, y)[1]
+    g = Poly(ctx, tuple(x))
+    return g.monic() if x else g
 
 
 def poly_lcm(a, b):
@@ -246,14 +243,16 @@ def poly_lcm(a, b):
 
 
 def pow_mod(base, e, mod):
-    result = Poly.one(base.ctx)
-    base = base % mod
+    ctx = mod.ctx
+    m = mod.coeffs
+    result = [1]
+    x = (base % mod).coeffs
     while e:
         if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
+            result = _divmod_lists(ctx, _mul_lists(ctx, result, x), m)[1]
+        x = _divmod_lists(ctx, _mul_lists(ctx, x, x), m)[1]
         e >>= 1
-    return result
+    return Poly(ctx, tuple(result))
 
 
 # ---------------------------------------------------------------------------

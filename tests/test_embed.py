@@ -52,11 +52,14 @@ def test_blow_up_examples():
 
 
 def test_blow_up_homomorphism_random_pairs():
-    for j in range(1000):
-        A = estimate.sample_matrix(2, F4, seed=7, index=2 * j)
-        B = estimate.sample_matrix(2, F4, seed=7, index=2 * j + 1)
-        assert embed.blow_up(A * B, TOWER) == embed.blow_up(A, TOWER) * embed.blow_up(B, TOWER)
-        assert embed.blow_up(A + B, TOWER) == embed.blow_up(A, TOWER) + embed.blow_up(B, TOWER)
+    # 4/2 on the full-table tier, 2^10/2^5 with K on the log-table tier
+    log_tier = embed.tower_for(gf.field_create(2, 10), 2)
+    for tower, n, pairs in [(TOWER, 2, 1000), (log_tier, 3, 50)]:
+        for j in range(pairs):
+            A = estimate.sample_matrix(n, tower.ext, seed=7, index=2 * j)
+            B = estimate.sample_matrix(n, tower.ext, seed=7, index=2 * j + 1)
+            assert embed.blow_up(A * B, tower) == embed.blow_up(A, tower) * embed.blow_up(B, tower)
+            assert embed.blow_up(A + B, tower) == embed.blow_up(A, tower) + embed.blow_up(B, tower)
 
 
 def test_blow_up_injective_on_m_1_4():

@@ -52,6 +52,7 @@ def test_field_axioms_sampled(p, k, a, b, c):
     assert ctx.sub(ctx.add(a, b), b) == a
     assert ctx.add(a, b) == ctx.add(b, a)
     assert ctx.mul(a, b) == ctx.mul(b, a) == ctx._raw_mul(a, b)
+    assert ctx.add(a, b) == ctx._raw_add(a, b)
     assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
     assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
     assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
@@ -59,6 +60,25 @@ def test_field_axioms_sampled(p, k, a, b, c):
     if a:
         assert ctx.mul(a, ctx.inv(a)) == 1
         assert ctx.mul(ctx.div(b, a), a) == b
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (5, 8)])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0), max_size=10),
+       st.lists(st.integers(min_value=0), max_size=10),
+       st.integers(min_value=0), st.integers(min_value=0, max_value=4))
+def test_row_kernel_matches_element_ops(p, k, dst, src, c, off):
+    # one bound kernel per tier: full table (p = 2 and odd p), log table
+    # (p = 2; odd p uses the generic loop) and raw
+    ctx = gf.field_create(p, k)
+    dst = [x % ctx.order for x in dst] + [0] * (off + len(src))
+    src = [x % ctx.order for x in src]
+    c %= ctx.order
+    expected = list(dst)
+    for j, s in enumerate(src):
+        expected[off + j] = ctx.add(expected[off + j], ctx.mul(c, s))
+    ctx.axpy(dst, off, c, src)
+    assert dst == expected
 
 
 def test_element_encoding_roundtrip():

@@ -1,8 +1,10 @@
 """Linear algebra invariants, mostly by exhaustion over the tiny algebras."""
 
+import random
+
 import pytest
 
-from nicensus import estimate, gf, matrix
+from nicensus import estimate, gf, matrix, poly
 from nicensus.errors import DegreeMismatch, NotIrreducible, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
@@ -48,6 +50,31 @@ def test_conjugation_invariance_random(ctx, trials):
         N = matrix.conjugate(M, g)
         assert matrix.charpoly(M) == matrix.charpoly(N)
         assert matrix.minpoly(M) == matrix.minpoly(N)
+
+
+@pytest.mark.parametrize("p,k,n,ext_k", [(2, 2, 8, 10), (3, 2, 6, 6)], ids=["F4", "F9"])
+def test_kernels_commute_with_subfield_embedding(p, k, n, ext_k):
+    # F_4 and F_9 run the full-table kernels, F_2^10 the log-table one and
+    # F_3^6 the generic one: each result over the small field, embedded,
+    # must equal the same operation on the embedded inputs.
+    small, ext = gf.field_create(p, k), gf.field_create(p, ext_k)
+    table = gf.subfield_embedding(small, ext)
+    up = lambda f: poly.embed_into_extension(f, ext)
+    for j in range(50):
+        M = estimate.sample_matrix(n, small, seed=11, index=j)
+        M_ext = Mat(ext, n, tuple(tuple(table[e] for e in row) for row in M.rows))
+        assert up(matrix.charpoly(M)) == matrix.charpoly(M_ext)
+    rnd = random.Random(11)
+    for _ in range(50):
+        a = Poly.make(small, [rnd.randrange(small.order) for _ in range(rnd.randrange(12))])
+        b = Poly.make(small, [rnd.randrange(small.order) for _ in range(rnd.randrange(1, 7))])
+        if b.is_zero:
+            continue
+        e = rnd.randrange(200)
+        quo, rem = divmod(a, b)
+        assert (up(quo), up(rem)) == divmod(up(a), up(b))
+        assert up(poly.poly_gcd(a, b)) == poly.poly_gcd(up(a), up(b))
+        assert up(poly.pow_mod(a, e, b)) == poly.pow_mod(up(a), e, up(b))
 
 
 @pytest.mark.parametrize("ctx", [F2, F3], ids=["q2", "q3"])

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicensus import gf, poly
 from nicensus.errors import NotASubfield, ParseError, ZeroPolynomial
@@ -33,6 +35,18 @@ def test_factorize_recompose_exhaustive(ctx):
         # factors pairwise distinct and canonically sorted
         keys = [g.canonical_key() for g, _ in fac.factors]
         assert keys == sorted(keys) and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 6)])
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+def test_factorize_recompose_sampled_log_tier(p, k, coeffs):
+    # degree <= 3: no split enumerates more than the q linear candidates
+    ctx = gf.field_create(p, k)
+    f = Poly.make(ctx, [c % ctx.order for c in coeffs[:-1]] + [coeffs[-1] % (ctx.order - 1) + 1])
+    fac = poly.factorize(f)
+    assert fac.recompose(ctx) == f
+    assert all(g.is_monic and poly.is_irreducible(g) for g, _ in fac.factors)
 
 
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 7), (F3, 5), (F4, 4)], ids=["F2", "F3", "F4"])
