@@ -13,8 +13,9 @@ f-primary cyclic.  ``pc_membership`` evaluates that definition directly
 on the blow-up and returns witnesses; ``pc_member_charpoly`` is the fast
 equivalent route that only reads the charpoly over K (factor of degree
 r > inv_dim/2, not t, with a full Galois orbit).  Such a factor has
-multiplicity 1 and is alone in its distinct-degree block, so the fast
-route needs no equal-degree split and no enumeration of irreducibles.
+multiplicity 1 and is what remains of the charpoly once its factors of
+degree <= inv_dim/2 are divided out, so the fast route needs no
+factorization and no enumeration of irreducibles.
 The two routes are cross-checked by ``proposition_check`` and by
 exhaustive and sampled tests.
 """
@@ -247,9 +248,10 @@ def pc_member_charpoly(X, tower):
     t-part leaves a polynomial of degree inv_dim, and X is a member when
     it has an irreducible factor g of degree r > inv_dim/2 whose Galois
     orbit over F_q has full length b (so its norm is irreducible of
-    degree b*r over F_q).  Such a g has multiplicity 1 and is the only
-    factor in its distinct-degree block, so ``poly.large_factor`` finds
-    it without an equal-degree split.
+    degree b*r over F_q).  Such a g has multiplicity 1, and
+    ``poly.large_factor`` finds it without factoring: one gcd against
+    the product of t^(q^(bd)) - t over d <= inv_dim/2 collects the factors
+    of degree <= inv_dim/2, and dividing them out leaves g.
     """
     if X.ctx is not tower.ext:
         raise FieldMismatch("matrix is not over the tower's extension field")

@@ -7,9 +7,11 @@ division with remainder, gcd and modular powers build a ``Poly`` only
 for their result.  Everything here is
 deterministic: factorization runs squarefree split, then distinct-degree
 split, then trial division against canonically ordered irreducibles, so
-repeated runs produce identical factor orderings.  ``large_factor``
-stops after the first two splits, which already isolate a factor of
-more than half the degree.
+repeated runs produce identical factor orderings.  ``large_factor`` runs
+none of these splits: one gcd of f against the product of
+t^(q^d) - t over d <= deg f / 2 collects every irreducible factor of at
+most half the degree, and what is left after dividing them out is the
+factor of more than half the degree, if any.
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
@@ -67,6 +69,25 @@ def _divmod_lists(ctx, a, b):
     while rem and not rem[-1]:
         rem.pop()
     return nquo, rem
+
+
+def _gcd_lists(ctx, a, b):
+    """A gcd of a and b, not made monic (Euclid on trimmed lists)."""
+    while b:
+        a, b = b, _divmod_lists(ctx, a, b)[1]
+    return a
+
+
+def _powmod_lists(ctx, x, e, m):
+    """x**e mod m for x reduced mod m (left-to-right square-and-multiply)."""
+    if e == 0:
+        return [1] if len(m) > 1 else []  # F[t]/(m) is the zero ring for constant m
+    out = x
+    for bit in bin(e)[3:]:
+        out = _divmod_lists(ctx, _mul_lists(ctx, out, out), m)[1]
+        if bit == "1":
+            out = _divmod_lists(ctx, _mul_lists(ctx, out, x), m)[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,12 +249,8 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic greatest common divisor."""
-    ctx = a.ctx
-    x, y = a.coeffs, a._chk(b).coeffs
-    while y:
-        x, y = y, _divmod_lists(ctx, x, y)[1]
-    g = Poly(ctx, tuple(x))
-    return g.monic() if x else g
+    g = Poly(a.ctx, tuple(_gcd_lists(a.ctx, a.coeffs, a._chk(b).coeffs)))
+    return g.monic() if g.coeffs else g
 
 
 def poly_lcm(a, b):
@@ -243,16 +260,11 @@ def poly_lcm(a, b):
 
 
 def pow_mod(base, e, mod):
+    """base**e mod mod for e >= 0."""
+    if e < 0:
+        raise ValueError("negative polynomial power")
     ctx = mod.ctx
-    m = mod.coeffs
-    result = [1]
-    x = (base % mod).coeffs
-    while e:
-        if e & 1:
-            result = _divmod_lists(ctx, _mul_lists(ctx, result, x), m)[1]
-        x = _divmod_lists(ctx, _mul_lists(ctx, x, x), m)[1]
-        e >>= 1
-    return Poly(ctx, tuple(result))
+    return Poly(ctx, tuple(_powmod_lists(ctx, (base % mod).coeffs, e, mod.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +497,33 @@ def factorize(f, budget=None):
 def large_factor(f):
     """The monic irreducible factor of f of degree > deg f / 2, or None.
 
-    Such a factor has multiplicity 1 and no other factor of its degree
-    fits beside it, so it is a whole block of the squarefree split
-    followed by the distinct-degree split: no equal-degree split runs.
+    With n = deg f and q the field order, let S be the product of
+    t^(q^d) - t over d <= n/2, reduced mod f.  An irreducible of degree r
+    divides t^(q^d) - t exactly when r | d, so gcd(f, S) is divisible by
+    every irreducible factor of f of degree <= n/2 and by none of larger
+    degree.  Dividing the former out of f, with their multiplicities,
+    leaves the large factor (at most one fits, with multiplicity 1) or a
+    constant.  No factorization split runs.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    n = f.degree
-    for block, mult in _squarefree_blocks(f.monic()):
-        if mult == 1 and 2 * block.degree > n:
-            for d, dd_block in _distinct_degree_blocks(block):
-                if 2 * d > n:
-                    return dd_block
-    return None
+    ctx = f.ctx
+    m = f.monic().coeffs
+    n = len(m) - 1
+    w, s = [0, 1], [1]  # t mod f and the empty product (n >= 2 whenever the loop runs)
+    for d in range(1, n // 2 + 1):
+        w = _powmod_lists(ctx, w, ctx.order, m)  # t^(q^d) mod f
+        h = w + [0] * (2 - len(w))
+        h[1] = ctx.sub(h[1], 1)
+        h = _trim(h)
+        if not h:  # every irreducible factor has degree dividing d <= n/2
+            return None
+        s = _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
+    u, c = m, _gcd_lists(ctx, m, s)
+    while len(c) > 1:
+        u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
+        c = _gcd_lists(ctx, u, c)
+    return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
 
 
 def multiplicity_in(f, g):

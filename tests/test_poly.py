@@ -1,6 +1,7 @@
 """Polynomials: factorization oracle, irreducible counts, Galois orbits."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from nicensus.poly import Poly
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 F4 = gf.field_create(2, 2)
+F9 = gf.field_create(3, 2)
+F1024 = gf.field_create(2, 10)
 
 
 def all_polys_up_to(ctx, max_deg):
@@ -49,13 +52,104 @@ def test_factorize_recompose_sampled_log_tier(p, k, coeffs):
     assert all(g.is_monic and poly.is_irreducible(g) for g, _ in fac.factors)
 
 
-@pytest.mark.parametrize("ctx,max_deg", [(F2, 7), (F3, 5), (F4, 4)], ids=["F2", "F3", "F4"])
+def all_monic(ctx, deg):
+    for tail in itertools.product(range(ctx.order), repeat=deg):
+        yield Poly(ctx, tail + (1,))
+
+
+@pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 6), (F4, 4), (F9, 3)],
+                         ids=["F2", "F3", "F4", "F9"])
 def test_large_factor_agrees_with_factorize(ctx, max_deg):
-    for deg in range(1, max_deg + 1):
-        for tail in itertools.product(range(ctx.order), repeat=deg):
-            f = Poly(ctx, tail + (1,))
+    for deg in range(max_deg + 1):
+        for f in all_monic(ctx, deg):
             large = [g for g, _ in poly.factorize(f).factors if 2 * g.degree > deg]
             assert poly.large_factor(f) == (large[0] if large else None)
+
+
+def random_irreducible(ctx, r, seed):
+    """The first monic irreducible among seeded random monics of degree r."""
+    rng = random.Random(seed)
+    while True:
+        f = Poly(ctx, tuple(rng.randrange(ctx.order) for _ in range(r)) + (1,))
+        if poly.is_irreducible(f):
+            return f
+
+
+@st.composite
+def factored_monics(draw, ctx, lo, hi):
+    """(f, {g: e}) with f = prod g**e built from irreducibles, lo <= deg f <= hi.
+
+    Multiplicities reach p + 1, so p-th powers occur; the degree left over
+    by the drawn parts goes to a power of t + a, a = 0 included.
+    """
+    left = draw(st.integers(lo, hi))
+    fac = {}
+    for _ in range(draw(st.integers(0, 3))):
+        if not left:
+            break
+        r = draw(st.integers(1, left))
+        e = draw(st.integers(1, min(ctx.p + 1, left // r)))
+        g = random_irreducible(ctx, r, draw(st.integers(0, 2 ** 32)))
+        fac[g] = fac.get(g, 0) + e
+        left -= r * e
+    if left:
+        g = Poly(ctx, (draw(st.integers(0, ctx.order - 1)), 1))
+        fac[g] = fac.get(g, 0) + left
+    f = Poly.one(ctx)
+    for g, e in fac.items():
+        f = f * g ** e
+    return f, fac
+
+
+def _check_large_factor(f, fac, with_factorize):
+    large = [g for g in fac if 2 * g.degree > f.degree]
+    assert poly.large_factor(f) == (large[0] if large else None)
+    if with_factorize:
+        assert poly.factorize(f).factors == tuple(sorted(fac.items(), key=lambda ge: ge[0].canonical_key()))
+
+
+@pytest.mark.parametrize("ctx", [F4, F9], ids=["F4", "F9"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_large_factor_on_built_products(ctx, data):
+    f, fac = data.draw(factored_monics(ctx, 6, 8))
+    _check_large_factor(f, fac, with_factorize=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_monics(F1024, 1, 4))
+def test_large_factor_on_built_products_log_tier(f_fac):
+    # factorize would enumerate 2^20 quadratics here; the construction is the oracle
+    _check_large_factor(*f_fac, with_factorize=False)
+
+
+@pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 5), (F4, 4), (F9, 3)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_is_irreducible_matches_sieve(ctx, max_deg):
+    for deg in range(1, max_deg + 1):
+        irr = set(poly.irr_enumerate(deg, ctx))
+        for f in all_monic(ctx, deg):
+            assert poly.is_irreducible(f) == (f in irr)
+
+
+@pytest.mark.parametrize("ctx", [F2, F4, F9, F1024], ids=["F2", "F4", "F9", "F1024"])
+def test_pow_mod_matches_repeated_multiplication(ctx):
+    rng = random.Random(ctx.order)
+
+    def rand_poly(deg, lead=None):
+        coeffs = [rng.randrange(ctx.order) for _ in range(deg)]
+        return Poly.make(ctx, coeffs + [lead or rng.randrange(1, ctx.order)])
+
+    moduli = [Poly.one(ctx), rand_poly(0), rand_poly(1), rand_poly(3), rand_poly(5, lead=1)]
+    bases = [Poly.zero(ctx), rand_poly(0), Poly.x(ctx), rand_poly(4), rand_poly(7)]
+    for m in moduli:
+        for a in bases:
+            acc = Poly.one(ctx) % m
+            for e in range(41):
+                assert poly.pow_mod(a, e, m) == acc, (a, e, m)
+                acc = (acc * a) % m
+    with pytest.raises(ValueError):
+        poly.pow_mod(Poly.x(ctx), -1, moduli[3])
 
 
 def test_factorize_examples():
