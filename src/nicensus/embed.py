@@ -15,7 +15,7 @@ equivalent route that only reads the charpoly over K (factor of degree
 r > inv_dim/2, not t, with a full Galois orbit).  Such a factor has
 multiplicity 1 and is what remains of the charpoly once its factors of
 degree <= inv_dim/2 are divided out, so the fast route needs no
-factorization and no enumeration of irreducibles.
+factorization.
 The two routes are cross-checked by ``proposition_check`` and by
 exhaustive and sampled tests.
 """

@@ -4,11 +4,13 @@ Coefficients are stored low degree first as a tuple of element ints;
 the zero polynomial is the empty tuple (degree -1).  Arithmetic runs on
 coefficient lists through the field's row kernel ``axpy``: products,
 division with remainder, gcd and modular powers build a ``Poly`` only
-for their result.  Everything here is
-deterministic: factorization runs squarefree split, then distinct-degree
-split, then trial division against canonically ordered irreducibles, so
-repeated runs produce identical factor orderings.  ``large_factor`` runs
-none of these splits: one gcd of f against the product of
+for their result.  ``factorize`` runs one loop over degrees d = 1, 2, ...:
+a gcd with t^(q^d) - t collects the distinct factors of degree d, a
+Cantor-Zassenhaus split separates them, and each is divided out with its
+multiplicity; nothing is enumerated.  The split draws from a generator
+seeded by the polynomial it splits, and factors are sorted canonically,
+so the output is canonical and does not depend on the draws.
+``large_factor`` runs no split: one gcd of f against the product of
 t^(q^d) - t over d <= deg f / 2 collects every irreducible factor of at
 most half the degree, and what is left after dividing them out is the
 factor of more than half the degree, if any.
@@ -19,6 +21,7 @@ compared low-degree first.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import gf
@@ -224,17 +227,6 @@ class Poly:
         # i mod p is the prime-field element i * 1, encoded verbatim
         return Poly(ctx, _trim([ctx.mul(i % ctx.p, c) for i, c in enumerate(self.coeffs)][1:]))
 
-    def pth_root(self):
-        """Inverse of c -> c**p applied degree-wise; requires a p-th power."""
-        ctx = self.ctx
-        p = ctx.p
-        if any(c and i % p for i, c in enumerate(self.coeffs)):
-            raise ValueError("polynomial is not a p-th power")
-        # c**(1/p) = c**(p**(k-1)) in F_{p^k}
-        e = p ** (ctx.k - 1)
-        out = [ctx.pow_elt(self.coeffs[i], e) for i in range(0, len(self.coeffs), p)]
-        return Poly(ctx, _trim(out))
-
     def canonical_key(self):
         return (self.degree, self.coeffs)
 
@@ -398,100 +390,81 @@ class Factorization:
         return 0
 
 
-def _squarefree_blocks(f):
-    """Yield (block, multiplicity): coprime squarefree monic blocks of f.
+def _split_equal_degree(g, d):
+    """Cantor-Zassenhaus: the monic irreducible factors of g, in no fixed order.
 
-    Char-p aware: when every exponent is divisible by p the residual
-    polynomial is a p-th power and recursion continues on its root.
+    g is monic and a product of distinct irreducibles of degree d.  For a
+    random a of degree < deg g, take b = a^((q^d - 1)/2) - 1 when q is odd,
+    or the trace a + a^2 + ... + a^(2^(kd - 1)) when q = 2^k.  Modulo
+    each factor, b is 0 for about half of all a and independently of the
+    other factors, so gcd(g, b) is a proper divisor of g with probability
+    about 1/2 once g has two factors.  Candidates t + c would not do for
+    q = 2^k: their traces agree on factors whose roots have equal traces.
+    The draws come from a private generator seeded by g, so the result
+    is a pure function of g and the global ``random`` state is untouched.
     """
-    ctx = f.ctx
-    p = ctx.p
-    out = []
-    e = 1
-    while f.degree > 0:
-        d = f.derivative()
-        if d.is_zero:
-            f = f.pth_root()
-            e *= p
-            continue
-        t = poly_gcd(f, d)
-        v = f // t
-        k = 0
-        while v.degree > 0:
-            k += 1
-            w = poly_gcd(t, v)
-            s = v // w
-            if s.degree > 0:
-                out.append((s.monic(), e * k))
-            v = w
-            t = t // w
-        f = t
-        if f.degree > 0:
-            f = f.pth_root()
-            e *= p
-    return out
-
-
-def _distinct_degree_blocks(h):
-    """Split a squarefree monic h into (d, product of its degree-d irreducibles)."""
-    ctx = h.ctx
+    ctx = g.ctx
     q = ctx.order
-    out = []
-    w = Poly.x(ctx) % h
-    d = 0
-    g = h
-    while g.degree > 0:
-        d += 1
-        if 2 * d > g.degree:
-            out.append((g.degree, g))
-            break
-        w = pow_mod(w, q, g)
-        sub = poly_gcd(g, w - Poly.x(ctx))
-        if sub.degree > 0:
-            out.append((d, sub))
-            g = g // sub
-            w = w % g
+    rng = random.Random(_index_of_monic(g))
+    out, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        m = h.coeffs
+        n = len(m) - 1
+        if n == d:
+            out.append(h)
+            continue
+        while True:
+            a = [rng.randrange(q) for _ in range(n)]
+            if ctx.p == 2:
+                b = list(a)
+                for _ in range(ctx.k * d - 1):
+                    a = _divmod_lists(ctx, _mul_lists(ctx, a, a), m)[1]
+                    ctx.axpy(b, 0, 1, a)
+            else:
+                b = _powmod_lists(ctx, a, (q ** d - 1) // 2, m) or [0]
+                b[0] = ctx.sub(b[0], 1)
+            c = poly_gcd(h, Poly(ctx, _trim(b)))
+            if 0 < c.degree < n:
+                break
+        todo += [c, h // c]
     return out
 
 
-def _split_equal_degree(block, d, budget=None):
-    """Split a product of distinct degree-d irreducibles by trial division."""
-    if block.degree == d:
-        return [block]
-    out = []
-    rem = block
-    for cand in irr_enumerate(d, block.ctx, budget=budget):
-        if rem.degree < d:
-            break
-        q, r = divmod(rem, cand)
-        if r.is_zero:
-            out.append(cand)
-            rem = q
-        if rem.degree == d:
-            out.append(rem)
-            break
-    assert sum(f.degree for f in out) == block.degree
-    return out
+def factorize(f):
+    """Exact factorization into monic irreducibles.
 
-
-def factorize(f, budget=None):
-    """Exact factorization into monic irreducibles (deterministic)."""
+    One pass per degree d = 1, 2, ... on u = f.monic(): with w = t^(q^d)
+    mod u, g = gcd(u, w - t) is the product of the distinct irreducible
+    factors of u of degree dividing d, which are those of degree exactly
+    d once the smaller ones are stripped (u need not be squarefree: g
+    takes each factor once).  g is split by ``_split_equal_degree`` and
+    each factor is divided out of u with its multiplicity.  Once
+    2d > deg u, what is left is 1 or irreducible.  The factors are sorted
+    canonically, so the output is canonical and does not depend on the
+    split's random draws.
+    """
     if not isinstance(f, Poly):
         raise TypeError("factorize expects a Poly")
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    unit = f.lead
-    if f.degree == 0:
-        return Factorization(unit, ())
-    g = f.monic()
+    ctx = f.ctx
+    t = Poly.x(ctx)
+    u, w, d = f.monic(), t, 1
     factors = []
-    for block, mult in _squarefree_blocks(g):
-        for d, dd_block in _distinct_degree_blocks(block):
-            for irr in _split_equal_degree(dd_block, d, budget=budget):
-                factors.append((irr, mult))
+    while 2 * d <= u.degree:
+        w = pow_mod(w, ctx.order, u)
+        g = poly_gcd(u, w - t)
+        if g.degree > 0:
+            for h in _split_equal_degree(g, d):
+                e = multiplicity_in(h, u)
+                u //= h ** e
+                factors.append((h, e))
+        d += 1
+    if u.degree > 0:
+        factors.append((u, 1))
     factors.sort(key=lambda fe: fe[0].canonical_key())
-    fac = Factorization(unit, tuple(factors))
-    return fac
+    return Factorization(f.lead, tuple(factors))
 
 
 def large_factor(f):

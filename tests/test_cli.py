@@ -31,6 +31,19 @@ def test_decompose_companion_has_empty_nil_part(capsys):
     assert doc["result"]["charpoly"]["coeffs"] == [1, 1, 1]
 
 
+def test_decompose_splits_equal_degree_block_over_large_field(capsys):
+    # companion(t^2 + 3t + 1) + companion(t^2 + 3t + 3) over F_2^14: two
+    # distinct irreducible quadratics, split without enumerating 16384^2
+    # candidates
+    code, out = run_cli(["decompose", "--matrix",
+                         "4 2^14 : 0 1 0 0 1 3 0 0 0 0 0 1 0 0 3 3"], capsys)
+    assert code == 0
+    comps = json.loads(out)["result"]["primary_components"]
+    assert [c["f"]["coeffs"] for c in comps] == [[1, 3, 1], [3, 3, 1]]
+    assert all(c["dim"] == 2 and c["charpoly_multiplicity"] == 1
+               and c["minpoly_multiplicity"] == 1 for c in comps)
+
+
 def test_decompose_parse_error_exit_4(capsys):
     code = cli.main(["decompose", "--matrix", "2 2 : 1 0 0"])
     capsys.readouterr()

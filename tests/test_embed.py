@@ -113,12 +113,19 @@ def test_fast_route_equals_direct_route_sampled(tower_text, c):
         assert embed.pc_member_charpoly(X, tower) == embed.pc_membership(X, tower).member
 
 
-def test_fast_route_needs_no_irreducible_enumeration():
-    # Over F_2^14 the equal-degree split by trial division ran out of
-    # enumeration budget on this sample; the fast route never enumerates.
-    ext = gf.field_create(2, 14)
-    X = estimate.sample_matrix(4, ext, 42, 3)
-    assert embed.pc_member_charpoly(X, embed.tower_for(ext, 2)) is False
+@pytest.mark.parametrize("c,k,indices,member", [
+    (4, 14, (3, 9, 38, 71, 75, 77, 93, 96), False),
+    (3, 10, (0, 2, 6, 7), True),
+], ids=["M4_F2_14", "M3_F2_10"])
+def test_fast_route_equals_direct_route_on_large_fields(c, k, indices, member):
+    # The direct route factors polynomials here whose equal-degree split
+    # by trial division would enumerate 128^4 quartics over F_2^7 or
+    # 1024^3 cubics over F_2^10.
+    ext = gf.field_create(2, k)
+    tower = embed.tower_for(ext, 2)
+    for j in indices:
+        X = estimate.sample_matrix(c, ext, 42, j)
+        assert embed.pc_membership(X, tower).member == embed.pc_member_charpoly(X, tower) == member
 
 
 def test_membership_depends_only_on_invertible_part():

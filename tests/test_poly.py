@@ -40,16 +40,26 @@ def test_factorize_recompose_exhaustive(ctx):
         assert keys == sorted(keys) and len(keys) == len(set(keys))
 
 
-@pytest.mark.parametrize("p,k", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("p,k", [(2, 10), (3, 6), (1021, 1)])
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=0), min_size=1, max_size=4))
+@given(st.lists(st.integers(min_value=0), min_size=1, max_size=7))
 def test_factorize_recompose_sampled_log_tier(p, k, coeffs):
-    # degree <= 3: no split enumerates more than the q linear candidates
     ctx = gf.field_create(p, k)
     f = Poly.make(ctx, [c % ctx.order for c in coeffs[:-1]] + [coeffs[-1] % (ctx.order - 1) + 1])
     fac = poly.factorize(f)
     assert fac.recompose(ctx) == f
     assert all(g.is_monic and poly.is_irreducible(g) for g, _ in fac.factors)
+
+
+def test_factorize_is_pure():
+    rng = random.Random(5)
+    polys = [Poly.make(F1024, [rng.randrange(1024) for _ in range(7)] + [1]) for _ in range(10)]
+    # three distinct linear factors, one squared: the split draws
+    polys.append(Poly.make(F1024, (1, 1)) * Poly.make(F1024, (2, 1)) * Poly.make(F1024, (3, 1)) ** 2)
+    state = random.getstate()
+    first = [poly.factorize(f) for f in polys]
+    assert [poly.factorize(f) for f in polys] == first
+    assert random.getstate() == state
 
 
 def all_monic(ctx, deg):
@@ -101,11 +111,10 @@ def factored_monics(draw, ctx, lo, hi):
     return f, fac
 
 
-def _check_large_factor(f, fac, with_factorize):
+def _check_large_factor(f, fac):
     large = [g for g in fac if 2 * g.degree > f.degree]
     assert poly.large_factor(f) == (large[0] if large else None)
-    if with_factorize:
-        assert poly.factorize(f).factors == tuple(sorted(fac.items(), key=lambda ge: ge[0].canonical_key()))
+    assert poly.factorize(f).factors == tuple(sorted(fac.items(), key=lambda ge: ge[0].canonical_key()))
 
 
 @pytest.mark.parametrize("ctx", [F4, F9], ids=["F4", "F9"])
@@ -113,14 +122,13 @@ def _check_large_factor(f, fac, with_factorize):
 @given(data=st.data())
 def test_large_factor_on_built_products(ctx, data):
     f, fac = data.draw(factored_monics(ctx, 6, 8))
-    _check_large_factor(f, fac, with_factorize=True)
+    _check_large_factor(f, fac)
 
 
 @settings(max_examples=40, deadline=None)
 @given(factored_monics(F1024, 1, 4))
 def test_large_factor_on_built_products_log_tier(f_fac):
-    # factorize would enumerate 2^20 quadratics here; the construction is the oracle
-    _check_large_factor(*f_fac, with_factorize=False)
+    _check_large_factor(*f_fac)
 
 
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 5), (F4, 4), (F9, 3)],
