@@ -120,6 +120,9 @@ def _make_member_eigenvalue(alpha):
 
 
 def _make_member_pc_large_degree(b):
+    if b < 1:
+        raise ParseError(f"pc-large-degree needs an extension degree b >= 1, got {b}")
+
     def member(X):
         tower = embed.tower_for(X.ctx, b)
         return embed.pc_member_charpoly(X, tower)
@@ -405,7 +408,13 @@ class NIAuditReport:
         return not self.violations
 
 
-def ni_verify(spec, d, ctx, trials=2000, seed=0, budget=None, max_violations=5):
+# ni_verify's sample count and seed past the exhaustive range, and its stopping point.
+AUDIT_TRIALS = 2000
+AUDIT_SEED = 0
+AUDIT_MAX_VIOLATIONS = 5
+
+
+def ni_verify(spec, d, ctx, budget=None):
     """Audit both NI conditions, exhaustively when the budget allows.
 
     Condition (i): membership is conjugation invariant.  Condition (ii):
@@ -418,15 +427,15 @@ def ni_verify(spec, d, ctx, trials=2000, seed=0, budget=None, max_violations=5):
     q = ctx.order
     total = q ** (d * d)
     cap = gf.enumeration_budget(budget)
-    exhaustive = total <= min(cap, max(trials, 4096))
+    exhaustive = total <= min(cap, max(AUDIT_TRIALS, 4096))
     member = spec.member
 
     if exhaustive:
         mats = matrix.all_matrices(d, ctx, budget=budget)
         n_mats = total
     else:
-        mats = (estimate.sample_matrix(d, ctx, seed, j) for j in range(trials))
-        n_mats = trials
+        mats = (estimate.sample_matrix(d, ctx, AUDIT_SEED, j) for j in range(AUDIT_TRIALS))
+        n_mats = AUDIT_TRIALS
 
     gl_small = matrix.gl_order(d, q) <= 512
     conjugators = tuple(matrix.all_invertible(d, ctx)) if gl_small else None
@@ -438,13 +447,13 @@ def ni_verify(spec, d, ctx, trials=2000, seed=0, budget=None, max_violations=5):
         if m_x != member(_nilpotent_canonical(X)):
             violations.append(("nilpotent-part-dependence", X, None))
         gs = conjugators if conjugators is not None else (
-            estimate.sample_gl(d, ctx, seed ^ 0x9E3779B9, j * 3 + t) for t in range(3))
+            estimate.sample_gl(d, ctx, AUDIT_SEED ^ 0x9E3779B9, j * 3 + t) for t in range(3))
         for g in gs:
             conj_count += 1
             if member(matrix.conjugate(X, g)) != m_x:
                 violations.append(("conjugation-dependence", X, g))
                 break
-        if len(violations) >= max_violations:
+        if len(violations) >= AUDIT_MAX_VIOLATIONS:
             break
 
     return NIAuditReport(spec_name=spec.name, d=d, q=q, exhaustive=exhaustive,

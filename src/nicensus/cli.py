@@ -172,9 +172,9 @@ def cmd_estimate(args):
     ctx = gf.parse_field_descriptor(args.q)
     spec = census.get_spec(args.spec)
     exact, bounds = _estimate_exact_and_bounds(spec.name, args.d, ctx, args.budget)
-    cfg = estimate.SampleConfig(seed=args.seed, n=args.n)
-    report = estimate.monte_carlo(spec.member, args.d, ctx, cfg, name=spec.name,
-                                  exact=exact, bounds=bounds, budget=args.budget)
+    report = estimate.monte_carlo(spec.member, args.d, ctx, args.n, args.seed,
+                                  name=spec.name, exact=exact, bounds=bounds,
+                                  budget=args.budget)
     result = {
         "spec": report.name,
         "d": report.d,
@@ -545,11 +545,22 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _checked_int(ok, rule):
+    """argparse type: an int for which ok(value) holds."""
+    def parse(text):
+        if not ok(value := int(text)):
+            raise argparse.ArgumentTypeError(f"{value} is not {rule}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     parser = _Parser(prog="nicensus",
                      description="Exact and sampled censuses of nilpotent-independent "
                                  "matrix families over small finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _checked_int(lambda v: v >= 1, "a positive integer")
 
     def common(p, seed_default=42):
         p.add_argument("--json", metavar="PATH", help="write the JSON document here")
@@ -559,7 +570,8 @@ def build_parser():
 
     p = sub.add_parser("census", help="exhaustive flag-sum census of a named family")
     p.add_argument("--spec", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", required=True, type=_checked_int(
+        lambda v: v >= 0, "a nonnegative integer"))
     p.add_argument("--q", required=True, help="field descriptor, e.g. 2 or 2^2")
     p.add_argument("--flag-check", action="store_true",
                    help="also recompute the per-dimension counts under conjugated flags")
@@ -568,7 +580,8 @@ def build_parser():
 
     p = sub.add_parser("quokka", help="torus class sums, closed forms and bands")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", required=True, type=_checked_int(
+        lambda v: v > 1 and len(gf.factor_int(v)) == 1, "a prime power"))
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--table", action="store_true")
@@ -578,9 +591,9 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="Monte Carlo proportion with Wilson interval")
     p.add_argument("--spec", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive, required=True)
     p.add_argument("--q", required=True, help="field descriptor of the matrix entries")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--csv", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_estimate)

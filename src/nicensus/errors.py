@@ -60,14 +60,13 @@ class BudgetExceeded(NicensusError):
 class NIViolation(NicensusError):
     """A membership predicate failed a nilpotent-independence audit.
 
-    Carries the offending matrix (and conjugator, when relevant) so the
-    caller can report a concrete witness.
+    Carries the offending matrix so the caller can report a concrete
+    witness.
     """
 
-    def __init__(self, message, witness=None, conjugator=None):
+    def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-        self.conjugator = conjugator
 
 
 class UnknownSuite(NicensusError):

@@ -60,21 +60,6 @@ class SampleStream:
         return out
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """Sampling parameters; results depend only on (seed, n) and the target."""
-
-    seed: int
-    n: int
-    target: str = "M"  # "M" or "GL"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("sample count must be >= 1")
-        if self.target not in ("M", "GL"):
-            raise ValueError("target must be 'M' or 'GL'")
-
-
 def _draw_matrix(stream, d, ctx):
     """The next d x d matrix of ``stream``, entries row by row."""
     words = stream.below(ctx.order, d * d)
@@ -156,23 +141,22 @@ def _statistical_verdict(ci_low, ci_high, bound, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def monte_carlo(predicate, d, ctx, cfg, name="predicate", exact=None, bounds=(),
+def monte_carlo(predicate, d, ctx, n, seed, name="predicate", exact=None, bounds=(),
                 budget=None):
-    """Estimate the proportion of matrices satisfying ``predicate``.
+    """Proportion of the samples ``sample_matrix(d, ctx, seed, j)``, j < n, in ``predicate``.
 
     bounds: iterable of (name, direction, RInterval-or-Fraction) checked
     against the confidence interval (or against ``exact`` exactly, when
     it is supplied).
     """
     cap = gf.enumeration_budget(budget)
-    if cfg.n > cap:
-        raise BudgetExceeded(f"sample count {cfg.n} exceeds budget {cap}")
-    sampler = sample_matrix if cfg.target == "M" else sample_gl
+    if n > cap:
+        raise BudgetExceeded(f"sample count {n} exceeds budget {cap}")
     successes = 0
-    for j in range(cfg.n):
-        if predicate(sampler(d, ctx, cfg.seed, j)):
+    for j in range(n):
+        if predicate(sample_matrix(d, ctx, seed, j)):
             successes += 1
-    ci_low, ci_high = wilson_interval(successes, cfg.n)
+    ci_low, ci_high = wilson_interval(successes, n)
     checks = []
     for bname, direction, bound in bounds:
         if not isinstance(bound, RInterval):
@@ -186,8 +170,8 @@ def monte_carlo(predicate, d, ctx, cfg, name="predicate", exact=None, bounds=(),
             verdict = _statistical_verdict(ci_low, ci_high, bound, direction)
         checks.append(BoundCheck(name=bname, direction=direction, bound=bound,
                                  verdict=verdict))
-    return ProportionReport(name=name, d=d, q=ctx.order, n=cfg.n,
-                            successes=successes, estimate=successes / cfg.n,
+    return ProportionReport(name=name, d=d, q=ctx.order, n=n,
+                            successes=successes, estimate=successes / n,
                             ci_low=ci_low, ci_high=ci_high, exact=exact,
                             bounds=tuple(checks))
 
@@ -239,8 +223,7 @@ def compare(instances, n, seed, budget=None):
         exact = quokka.thm_pc_m_exact(c, q, b)
         bound = quokka.thm_pc_m_bound(c, q, b)
         predicate = lambda X, _tw=tower: embed.pc_member_charpoly(X, _tw)
-        cfg = SampleConfig(seed=seed, n=n)
-        report = monte_carlo(predicate, c, ext, cfg,
+        report = monte_carlo(predicate, c, ext, n, seed,
                              name=f"pc-large-degree(c={c},q={q},b={b})",
                              exact=exact, budget=budget)
         rows.append(CompareRow(c=c, q=q, b=b, n=n, report=report, exact=exact,

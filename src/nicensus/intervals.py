@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 PRECISION_BITS = 96
 
@@ -43,10 +44,6 @@ class RInterval:
     def point(x):
         x = _as_fraction(x)
         return RInterval(x, x)
-
-    @property
-    def width(self):
-        return self.hi - self.lo
 
     def __add__(self, other):
         other = _coerce(other)
@@ -81,13 +78,6 @@ class RInterval:
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
-    def contains(self, x):
-        x = _as_fraction(x)
-        return self.lo <= x <= self.hi
-
-    def midpoint_float(self):
-        return float((self.lo + self.hi) / 2)
-
     def __str__(self):
         return f"[{float(self.lo):.12g}, {float(self.hi):.12g}]"
 
@@ -102,24 +92,17 @@ def _coerce(x):
 # Constants and algebraic enclosures
 # ---------------------------------------------------------------------------
 
-_log2_cache = {}
-
-
-def log2_interval(prec_bits=PRECISION_BITS):
-    """Enclosure of log 2 = sum_{k>=1} 1/(k 2^k); tail below 2**-prec_bits."""
-    cached = _log2_cache.get(prec_bits)
-    if cached is not None:
-        return cached
-    n = prec_bits + 8
+@lru_cache(maxsize=None)
+def log2_interval():
+    """Enclosure of log 2 = sum_{k>=1} 1/(k 2^k); tail below 2**-PRECISION_BITS."""
+    n = PRECISION_BITS + 8
     s = Fraction(0)
     pow2 = 1
     for k in range(1, n + 1):
         pow2 <<= 1
         s += Fraction(1, k * pow2)
     # 0 < tail < 2^-n / (n+1) < 2^-n
-    out = RInterval(s, s + Fraction(1, 1 << n))
-    _log2_cache[prec_bits] = out
-    return out
+    return RInterval(s, s + Fraction(1, 1 << n))
 
 
 def int_nth_root(m, e):
@@ -139,17 +122,17 @@ def int_nth_root(m, e):
     return x
 
 
-def nth_root_interval(m, e, prec_bits=PRECISION_BITS):
+def nth_root_interval(m, e):
     """Enclosure of m ** (1/e) for integer m >= 0 (exact point when possible)."""
     r = int_nth_root(m, e)
     if r ** e == m:
         return RInterval.point(Fraction(r))
-    scaled = int_nth_root(m << (e * prec_bits), e)
-    den = 1 << prec_bits
+    scaled = int_nth_root(m << (e * PRECISION_BITS), e)
+    den = 1 << PRECISION_BITS
     return RInterval(Fraction(scaled, den), Fraction(scaled + 1, den))
 
 
-def rational_power_interval(base, num, den, prec_bits=PRECISION_BITS):
+def rational_power_interval(base, num, den):
     """Enclosure of base ** (num/den) for integer base >= 1, num >= 0, den >= 1."""
     if base < 1 or num < 0 or den < 1:
         raise ValueError("rational_power_interval expects base>=1, num>=0, den>=1")
@@ -158,7 +141,7 @@ def rational_power_interval(base, num, den, prec_bits=PRECISION_BITS):
     num, den = num // g, den // g
     if den == 1:
         return RInterval.point(Fraction(base ** num))
-    return nth_root_interval(base ** num, den, prec_bits)
+    return nth_root_interval(base ** num, den)
 
 
 # ---------------------------------------------------------------------------

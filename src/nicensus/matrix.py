@@ -58,12 +58,6 @@ class Mat:
         c = int(c)
         return Mat(ctx, n, tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def diagonal(ctx, entries):
-        entries = [int(e) for e in entries]
-        n = len(entries)
-        return Mat(ctx, n, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
     def _chk(self, other):
         if not isinstance(other, Mat):
             raise TypeError(f"expected Mat, got {type(other).__name__}")
@@ -97,9 +91,6 @@ class Mat:
             base = base * base
             e >>= 1
         return result
-
-    def transpose(self):
-        return Mat(self.ctx, self.n, tuple(zip(*self.rows)))
 
     @property
     def is_zero(self):
@@ -550,7 +541,7 @@ def conjugate(X, g):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and indexing
+# Enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -564,15 +555,6 @@ def matrix_from_index(ctx, n, idx):
             idx //= q
         rows.append(tuple(row))
     return Mat(ctx, n, tuple(rows))
-
-
-def index_of_matrix(M):
-    q = M.ctx.order
-    idx = 0
-    for row in reversed(M.rows):
-        for e in reversed(row):
-            idx = idx * q + e
-    return idx
 
 
 def all_matrices(n, ctx, budget=None):

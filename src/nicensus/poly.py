@@ -13,7 +13,8 @@ so the output is canonical and does not depend on the draws.
 ``large_factor`` runs no split: one gcd of f against the product of
 t^(q^d) - t over d <= deg f / 2 collects every irreducible factor of at
 most half the degree, and what is left after dividing them out is the
-factor of more than half the degree, if any.
+factor of more than half the degree, if any.  f is irreducible exactly
+when it is that factor itself, so ``is_irreducible`` asks ``large_factor``.
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
@@ -29,7 +30,6 @@ from .errors import (
     BudgetExceeded,
     FieldMismatch,
     NotASubfield,
-    ParseError,
     ZeroPolynomial,
 )
 
@@ -174,12 +174,6 @@ class Poly:
             return Poly(ctx, ())
         return Poly(ctx, _trim([ctx.mul(c, x) for x in self.coeffs]))
 
-    def shift(self, m):
-        """Multiply by t**m."""
-        if self.is_zero:
-            return self
-        return Poly(self.ctx, (0,) * m + self.coeffs)
-
     def __divmod__(self, other):
         other = self._chk(other)
         if other.is_zero:
@@ -265,27 +259,11 @@ def pow_mod(base, e, mod):
 
 
 def is_irreducible(f):
-    """Rabin irreducibility test. Constants and the zero polynomial are not irreducible."""
-    if f.is_zero:
+    """Whether f is its own factor of degree > deg f / 2; never for constants or zero."""
+    if f.degree < 1:
         return False
-    m = f.degree
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    ctx = f.ctx
-    q = ctx.order
-    fm = f.monic()
-    t = Poly.x(ctx)
-    if not (pow_mod(t, q ** m, fm) - (t % fm)).is_zero:
-        return False
-    for ell in gf.factor_int(m):
-        d = pow_mod(t, q ** (m // ell), fm) - (t % fm)
-        if d.is_zero:
-            return False
-        if poly_gcd(fm, d).degree > 0:
-            return False
-    return True
+    g = large_factor(f)
+    return g is not None and g.degree == f.degree
 
 
 def _monic_from_index(ctx, idx, m):
@@ -382,12 +360,6 @@ class Factorization:
         for f, e in self.factors:
             out = out * f ** e
         return out
-
-    def multiplicity(self, f):
-        for g, e in self.factors:
-            if g == f:
-                return e
-        return 0
 
 
 def _split_equal_degree(g, d):
@@ -655,49 +627,3 @@ def format_poly(f):
             terms.append(f"{c}*t^{i}")
     return "+".join(terms)
 
-
-def parse_poly(text, ctx):
-    """Parse the "c0+c1*t+c2*t^2" form (coefficients are element integer encodings)."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty polynomial", position=0)
-    if s == "0":
-        return Poly.zero(ctx)
-    coeffs = {}
-    pos = 0
-    for term in s.split("+"):
-        piece = term.strip()
-        if not piece:
-            raise ParseError("empty term", position=pos)
-        if "*" in piece:
-            c_s, t_s = piece.split("*", 1)
-        elif piece.startswith("t"):
-            c_s, t_s = "1", piece
-        else:
-            c_s, t_s = piece, ""
-        t_s = t_s.strip()
-        c_s = c_s.strip()
-        try:
-            c = int(c_s)
-        except ValueError:
-            raise ParseError(f"bad coefficient {c_s!r}", position=text.find(piece))
-        if not t_s:
-            exp = 0
-        elif t_s == "t":
-            exp = 1
-        elif t_s.startswith("t^"):
-            try:
-                exp = int(t_s[2:])
-            except ValueError:
-                raise ParseError(f"bad exponent in {piece!r}", position=text.find(piece))
-        else:
-            raise ParseError(f"bad term {piece!r}", position=text.find(piece))
-        if not 0 <= c < ctx.order:
-            raise ParseError(f"coefficient {c} outside field of order {ctx.order}",
-                             position=text.find(piece))
-        coeffs[exp] = ctx.add(coeffs.get(exp, 0), c)
-        pos += len(term) + 1
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return Poly(ctx, _trim(out))

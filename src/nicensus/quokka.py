@@ -117,14 +117,9 @@ def quokka_pc_single(c, q, b, r):
     exactly b*r members per qualifying polynomial), 0 elsewhere.  The
     sum collapses to b/(q^{b*r} - 1), independent of c.
     """
-    _check_r(c, r)
     if b < 1:
         raise RangeError(f"need b >= 1, got {b}")
-    torus = Fraction(b * r, q ** (b * r) - 1)
-    total = Fraction(0)
-    for ct, prop in cycle_types(c):
-        if r in ct.parts:
-            total += prop * torus
+    total = r_cycle_proportion(c, r) * Fraction(b * r, q ** (b * r) - 1)
     assert total == Fraction(b, q ** (b * r) - 1)
     return total
 

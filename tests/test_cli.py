@@ -174,6 +174,22 @@ def test_usage_error_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--spec", "all", "--d", "2", "--q", "2", "--n", "0"],
+    ["estimate", "--spec", "all", "--d", "2", "--q", "2", "--n", "-3"],
+    ["estimate", "--spec", "all", "--d", "0", "--q", "2", "--n", "10"],
+    ["census", "--spec", "all", "--d", "-1", "--q", "2"],
+    ["quokka", "--c", "2", "--q", "1", "--b", "2"],
+    ["quokka", "--c", "2", "--q", "0", "--b", "2"],
+    ["quokka", "--c", "2", "--q", "6", "--b", "2"],
+    ["estimate", "--spec", "pc-large-degree(0)", "--d", "2", "--q", "2", "--n", "10"],
+], ids=["n0", "n-3", "estimate-d0", "census-d-1", "quokka-q1", "quokka-q0", "quokka-q6",
+        "pc-large-degree0"])
+def test_out_of_range_arguments_exit_4(argv, capsys):
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_budget_flag(capsys):
     code = cli.main(["census", "--spec", "all", "--d", "3", "--q", "3", "--budget", "100"])
     capsys.readouterr()

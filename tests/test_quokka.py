@@ -132,7 +132,7 @@ def test_ngl_band_grid():
 
 def test_thm_bound_values():
     b = thm_pc_m_bound(100, 2, 8)
-    assert abs(b.midpoint_float() - 0.5324657) < 1e-6
+    assert abs(float((b.lo + b.hi) / 2) - 0.5324657) < 1e-6
     assert thm_pc_m_bound(2, 2, 2).hi < 0
     with pytest.raises(RangeError):
         thm_pc_m_bound(1, 2, 2)
