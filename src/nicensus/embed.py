@@ -14,8 +14,8 @@ on the blow-up and returns witnesses; ``pc_member_charpoly`` is the fast
 equivalent route that only reads the charpoly over K (factor of degree
 r > inv_dim/2, not t, with a full Galois orbit).  Such a factor has
 multiplicity 1 and is what remains of the charpoly once its factors of
-degree <= inv_dim/2 are divided out, so the fast route needs no
-factorization.
+degree <= inv_dim/2 are divided out, which ``poly.large_factor`` does
+with one gcd, so the fast route needs no factorization.
 The two routes are cross-checked by ``proposition_check`` and by
 exhaustive and sampled tests.
 """
@@ -250,8 +250,9 @@ def pc_member_charpoly(X, tower):
     orbit over F_q has full length b (so its norm is irreducible of
     degree b*r over F_q).  Such a g has multiplicity 1, and
     ``poly.large_factor`` finds it without factoring: one gcd against
-    the product of t^(q^(bd)) - t over d <= inv_dim/2 collects the factors
-    of degree <= inv_dim/2, and dividing them out leaves g.
+    the product of t^(Q^d) - t, Q = q^b, over inv_dim/4 < d <= inv_dim/2
+    collects the factors of degree <= inv_dim/2 (each such degree divides
+    some d in that range), and dividing them out leaves g.
     """
     if X.ctx is not tower.ext:
         raise FieldMismatch("matrix is not over the tower's extension field")

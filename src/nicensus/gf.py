@@ -6,10 +6,11 @@ vectors in base ``p``, low-degree digit first (so the prime subfield is
 tables; every element operation is a pure function of ints, which keeps
 the exhaustive-enumeration and sampling loops fast.
 
-Fields up to 2**16 get discrete log/exp tables, and those of order up
-to 256 also get full addition/multiplication tables (the products read
-off the log tables); anything larger falls back to direct polynomial
-arithmetic (still exact, just slower).
+Fields up to 2**16 get discrete log/exp tables and the table ``frob``
+of the p-th power map, and those of order up to 256 also get full
+addition/multiplication tables (the products read off the log tables);
+anything larger falls back to direct polynomial arithmetic (still
+exact, just slower).
 Enumeration-style helpers refuse fields beyond 2**20 elements.
 
 Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
@@ -138,12 +139,14 @@ class FieldCtx:
 
     Immutable after construction; safe to share across workers.  Use
     :func:`field_create` rather than calling this directly, so that
-    contexts are cached and ``uid`` values are stable.
+    contexts are cached and ``uid`` values are stable.  On the table
+    tiers (order <= 2**16) ``frob[c]`` is c**p, the identity on a prime
+    field; on the raw tier ``frob`` is None.
     """
 
     __slots__ = (
         "p", "k", "order", "modulus", "uid",
-        "add_rows", "mul_rows", "neg_table", "inv_table",
+        "add_rows", "mul_rows", "neg_table", "inv_table", "frob",
         "_exp", "_log", "axpy",
     )
 
@@ -157,6 +160,7 @@ class FieldCtx:
         self.mul_rows = None
         self.neg_table = None
         self.inv_table = None
+        self.frob = None
         self._exp = None
         self._log = None
         self._build_tables()
@@ -241,6 +245,7 @@ class FieldCtx:
             acc = self._raw_mul(acc, g)
         self._exp = exp
         self._log = log
+        self.frob = [0] + [exp[la * self.p % n] for la in log[1:]]
         if q <= _FULL_TABLE_MAX:
             # Products and inverses are read off exp/log, so the whole
             # build costs q - 1 calls of _raw_mul.  Sums are digit-wise mod

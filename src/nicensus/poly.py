@@ -11,10 +11,14 @@ multiplicity; nothing is enumerated.  The split draws from a generator
 seeded by the polynomial it splits, and factors are sorted canonically,
 so the output is canonical and does not depend on the draws.
 ``large_factor`` runs no split: one gcd of f against the product of
-t^(q^d) - t over d <= deg f / 2 collects every irreducible factor of at
-most half the degree, and what is left after dividing them out is the
-factor of more than half the degree, if any.  f is irreducible exactly
-when it is that factor itself, so ``is_irreducible`` asks ``large_factor``.
+t^(q^d) - t over deg f / 4 < d <= deg f / 2 collects every irreducible
+factor of at most half the degree (each such degree divides some d in
+that range), and what is left after dividing them out is the factor of
+more than half the degree, if any.  Its powers t^(q^d) mod f are k steps
+each of the semilinear p-th power map x^p = sum of c_i^p t^(p*i), read
+off rows t^(p*i) mod f built once per call; ``factorize``, its split
+and ``pow_mod`` square and multiply.  f is irreducible exactly when it
+is its own large factor, so ``is_irreducible`` asks ``large_factor``.
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
@@ -90,6 +94,36 @@ def _powmod_lists(ctx, x, e, m):
         out = _divmod_lists(ctx, _mul_lists(ctx, out, out), m)[1]
         if bit == "1":
             out = _divmod_lists(ctx, _mul_lists(ctx, out, x), m)[1]
+    return out
+
+
+def _frobenius_rows(ctx, m):
+    """Rows R_i = t^(p*i) mod m for i < deg m, m monic of degree >= 2.
+
+    R_1 = t^p mod m, and R_i = R_1 * R_(i-1) mod m: one shift and reduce
+    each while R_1 is the monomial t^p (p < deg m).
+    """
+    r1 = _powmod_lists(ctx, [0, 1], ctx.p, m)
+    rows = [[1], r1]
+    for _ in range(len(m) - 3):
+        rows.append(_divmod_lists(ctx, _mul_lists(ctx, r1, rows[-1]), m)[1])
+    return rows
+
+
+def _pth_power(ctx, rows, x):
+    """x^p mod m for x reduced mod m, from m's ``_frobenius_rows``.
+
+    The p-th power map is additive and c -> c^p on coefficients, so
+    x^p = sum of c_i^p * R_i: at most deg m ``axpy`` calls, where a
+    squaring costs about twice that.
+    """
+    out = [0] * len(rows)
+    frob, p, axpy = ctx.frob, ctx.p, ctx.axpy
+    for c, row in zip(x, rows):
+        if c:
+            axpy(out, 0, frob[c] if frob else ctx.pow_elt(c, p), row)
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -442,28 +476,41 @@ def factorize(f):
 def large_factor(f):
     """The monic irreducible factor of f of degree > deg f / 2, or None.
 
-    With n = deg f and q the field order, let S be the product of
-    t^(q^d) - t over d <= n/2, reduced mod f.  An irreducible of degree r
-    divides t^(q^d) - t exactly when r | d, so gcd(f, S) is divisible by
-    every irreducible factor of f of degree <= n/2 and by none of larger
-    degree.  Dividing the former out of f, with their multiplicities,
-    leaves the large factor (at most one fits, with multiplicity 1) or a
-    constant.  No factorization split runs.
+    With n = deg f and q = p^k the field order, let S be the product of
+    t^(q^d) - t over n/4 < d <= n/2, reduced mod f.  An irreducible of
+    degree r divides t^(q^d) - t exactly when r | d, and every r <= n/2
+    divides some d in that range: r itself if r > n/4, and otherwise the
+    range is a run of at least floor(n/4) >= r consecutive integers.  So
+    gcd(f, S) is divisible by every irreducible factor of f of degree
+    <= n/2 and by none of larger degree.  Dividing the former out of f,
+    with their multiplicities, leaves the large factor (at most one fits,
+    with multiplicity 1) or a constant.  No factorization split runs.
+
+    t^(q^d) mod f comes from t^(q^(d-1)) by k steps of the p-th power
+    map, which is additive and semilinear: x^p = sum of c_i^p t^(p*i),
+    read off rows t^(p*i) mod f built once per call (on a prime field
+    this is Berlekamp's Q-matrix product).
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     ctx = f.ctx
-    m = f.monic().coeffs
+    g = f.monic()
+    m = g.coeffs
     n = len(m) - 1
-    w, s = [0, 1], [1]  # t mod f and the empty product (n >= 2 whenever the loop runs)
+    if n < 2:  # a constant has no factor; a linear f is its own
+        return g if n == 1 else None
+    rows = _frobenius_rows(ctx, m)
+    w, s = rows[1], [1]  # t^p mod f and the empty product
     for d in range(1, n // 2 + 1):
-        w = _powmod_lists(ctx, w, ctx.order, m)  # t^(q^d) mod f
+        for _ in range(ctx.k if d > 1 else ctx.k - 1):
+            w = _pth_power(ctx, rows, w)  # ends at t^(q^d) mod f
         h = w + [0] * (2 - len(w))
         h[1] = ctx.sub(h[1], 1)
         h = _trim(h)
         if not h:  # every irreducible factor has degree dividing d <= n/2
             return None
-        s = _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
+        if 4 * d > n:
+            s = _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
     u, c = m, _gcd_lists(ctx, m, s)
     while len(c) > 1:
         u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c

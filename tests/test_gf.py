@@ -62,7 +62,10 @@ def test_field_axioms_sampled(p, k, a, b, c):
         assert ctx.mul(ctx.div(b, a), a) == b
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (5, 8)])
+ROW_KERNEL_FIELDS = [(2, 2), (3, 2), (2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (5, 8)]
+
+
+@pytest.mark.parametrize("p,k", ROW_KERNEL_FIELDS)
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=0), max_size=10),
        st.lists(st.integers(min_value=0), max_size=10),
@@ -79,6 +82,16 @@ def test_row_kernel_matches_element_ops(p, k, dst, src, c, off):
         expected[off + j] = ctx.add(expected[off + j], ctx.mul(c, s))
     ctx.axpy(dst, off, c, src)
     assert dst == expected
+
+
+@pytest.mark.parametrize("p,k", ROW_KERNEL_FIELDS)
+def test_frob_table_is_pth_power(p, k):
+    ctx = gf.field_create(p, k)
+    if ctx.order > 1 << 16:
+        assert ctx.frob is None  # raw tier: no table
+        return
+    assert ctx.frob == [ctx.pow_elt(c, p) for c in ctx.elements()]
+    assert ctx.frob == [ctx._raw_pow(c, p) for c in ctx.elements()]
 
 
 def test_element_encoding_roundtrip():

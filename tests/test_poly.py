@@ -17,7 +17,10 @@ F4 = gf.field_create(2, 2)
 F5 = gf.field_create(5)
 F8 = gf.field_create(2, 3)
 F9 = gf.field_create(3, 2)
+F16 = gf.field_create(2, 4)
+F1021 = gf.field_create(1021)
 F1024 = gf.field_create(2, 10)
+F2_17 = gf.field_create(2, 17)
 
 
 def all_polys_up_to(ctx, max_deg):
@@ -119,18 +122,42 @@ def _check_large_factor(f, fac):
     assert poly.factorize(f).factors == tuple(sorted(fac.items(), key=lambda ge: ge[0].canonical_key()))
 
 
-@pytest.mark.parametrize("ctx", [F4, F9], ids=["F4", "F9"])
+@pytest.mark.parametrize("ctx", [F4, F9, F16], ids=["F4", "F9", "F16"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_large_factor_on_built_products(ctx, data):
+    # degrees 6-8 skip d <= n/4 in large_factor's product; F16 takes k = 4
+    # p-th power steps per d
     f, fac = data.draw(factored_monics(ctx, 6, 8))
     _check_large_factor(f, fac)
 
 
-@settings(max_examples=40, deadline=None)
-@given(factored_monics(F1024, 1, 4))
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(F1024, 4), (F1021, 6)]).flatmap(lambda c: factored_monics(c[0], 1, c[1])))
 def test_large_factor_on_built_products_log_tier(f_fac):
     _check_large_factor(*f_fac)
+
+
+@settings(max_examples=10, deadline=None)
+@given(factored_monics(F2_17, 1, 6))
+def test_large_factor_on_built_products_raw_tier(f_fac):
+    # the raw tier has no frob table: the p-th power step calls pow_elt
+    _check_large_factor(*f_fac)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8), (3, 5),  # full table
+                                 (2, 10), (3, 6), (1021, 1),      # log table
+                                 (2, 17), (5, 8)])                # raw
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0), min_size=3, max_size=8),
+       st.lists(st.integers(min_value=0), max_size=8))
+def test_pth_power_matches_pow_mod(p, k, m, x):
+    ctx = gf.field_create(p, k)
+    m = Poly.make(ctx, [c % ctx.order for c in m[:-1]] + [1])
+    x = Poly.make(ctx, [c % ctx.order for c in x]) % m
+    rows = poly._frobenius_rows(ctx, m.coeffs)
+    assert len(rows) == m.degree
+    assert poly._pth_power(ctx, rows, list(x.coeffs)) == list(poly.pow_mod(x, p, m).coeffs)
 
 
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F8, 3), (F9, 3)],
