@@ -91,17 +91,7 @@ def _member_not_nilpotent(X):
 
 def _member_pc_some_f(X):
     """Primary cyclic for some monic irreducible f != t."""
-    cp = matrix.charpoly(X)
-    fac = poly.factorize(cp)
-    mp = None
-    for f, mult in fac.factors:
-        if f.coeffs == (0, 1):
-            continue
-        if mp is None:
-            mp = matrix.minpoly(X)
-        if poly.multiplicity_in(f, mp) == mult:
-            return True
-    return False
+    return any(f.coeffs != (0, 1) for f in matrix.primary_cyclic_factors(X))
 
 
 def _member_separable(X):
@@ -240,18 +230,8 @@ def census_exact(spec, d, ctx, budget=None, check_ni=True):
                     f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
                     witness=X)
 
-    per = []
-    for i in range(d + 1):
-        gl_i = matrix.gl_order(i, q)
-        if i == 0:
-            n_i = 1 if member(Mat.zero(ctx, d)) else 0
-        else:
-            pad = Mat.zero(ctx, d - i)
-            n_i = 0
-            for Y in matrix.all_invertible(i, ctx, budget=budget):
-                if member(matrix.direct_sum(Y, pad)):
-                    n_i += 1
-        per.append(PerDimension(i=i, n_i=n_i, gl_i=gl_i, n_of_i=n_of_i[i]))
+    per = [PerDimension(i=i, n_i=n_i, gl_i=matrix.gl_order(i, q), n_of_i=n_of_i[i])
+           for i, n_i in enumerate(_flag_counts(member, d, ctx, budget))]
 
     if spec.contains_nilpotents is not None:
         if per[0].n_i != (1 if spec.contains_nilpotents else 0):
@@ -279,6 +259,16 @@ def census_exact(spec, d, ctx, budget=None, check_ni=True):
                       per_i=tuple(per), lhs=lhs, rhs=rhs)
 
 
+def _flag_counts(member, d, ctx, budget):
+    """|N_i| for i = 0..d: the Y in GL(i, q) with member(Y + 0_{d-i})."""
+    out = [1 if member(Mat.zero(ctx, d)) else 0]
+    for i in range(1, d + 1):
+        pad = Mat.zero(ctx, d - i)
+        out.append(sum(1 for Y in matrix.all_invertible(i, ctx, budget=budget)
+                       if member(matrix.direct_sum(Y, pad))))
+    return out
+
+
 def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
     """|N_i| recomputed for the flag spanned by the leading rows of g.
 
@@ -286,22 +276,8 @@ def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
     in the alternate family asks whether g^-1 (Y + 0) g lies in N.  For a
     genuine NI family the cardinalities match the standard-flag ones.
     """
-    q = ctx.order
     g_inv = matrix.inverse(g)
-    member = spec.member
-    out = []
-    for i in range(d + 1):
-        if i == 0:
-            out.append(1 if member(Mat.zero(ctx, d)) else 0)
-            continue
-        pad = Mat.zero(ctx, d - i)
-        count = 0
-        for Y in matrix.all_invertible(i, ctx, budget=budget):
-            X = g_inv * matrix.direct_sum(Y, pad) * g
-            if member(X):
-                count += 1
-        out.append(count)
-    return tuple(out)
+    return tuple(_flag_counts(lambda X: spec.member(g_inv * X * g), d, ctx, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class TowerCtx:
     ext: gf.FieldCtx
     b: int
     basis: tuple          # power basis elements of ext
-    min_poly: Poly        # minimal polynomial of the generator over base
     _coords: dict         # ext value -> tuple of b base values
     _rep_cache: dict      # ext value -> Mat over base
 
@@ -86,10 +85,7 @@ def make_tower(ext, base):
             val = ext.add(val, ext.mul(emb[c], e))
         coords[val] = combo
     assert len(coords) == ext.order
-    # minimal polynomial of gamma over the base: the norm of t - gamma
-    min_poly = poly.norm(Poly(ext, (ext.neg(gamma), 1)), base)
-    tower = TowerCtx(base=base, ext=ext, b=b, basis=basis, min_poly=min_poly,
-                     _coords=coords, _rep_cache={})
+    tower = TowerCtx(base=base, ext=ext, b=b, basis=basis, _coords=coords, _rep_cache={})
     _tower_cache[key] = tower
     return tower
 
@@ -112,8 +108,8 @@ def parse_tower(text):
         tok = tok.strip()
         if "^" in tok:
             p_s, k_s = tok.split("^", 1)
-            return int(p_s) ** int(k_s)
-        return int(tok)
+            return gf.field_order(int(p_s), int(k_s))
+        return gf.field_order(int(tok), 1)
     try:
         ext_q = _order(ext_s)
         base_q = _order(base_s)
@@ -201,11 +197,10 @@ def _t_multiplicity(coeffs):
 def pc_membership(X, tower):
     """Direct evaluation on the blow-up.
 
-    Factors the charpoly of the bc x bc blow-up over F_q and looks for a
-    monic irreducible f != t with deg f = b*r, r > inv_dim/2, whose
-    multiplicities in the charpoly and minpoly agree.  At most one f can
-    qualify (two distinct candidates would overshoot the invertible
-    part's dimension), so the descending search order only affects speed.
+    Looks for a monic irreducible f != t with deg f = b*r, r > inv_dim/2,
+    for which the bc x bc blow-up is f-primary cyclic.  At most one f can
+    qualify: two distinct candidates would overshoot the invertible
+    part's dimension.
     """
     if X.ctx is not tower.ext:
         raise FieldMismatch("matrix is not over the tower's extension field")
@@ -214,18 +209,9 @@ def pc_membership(X, tower):
     inv_dim = X.n - _t_multiplicity(cp_ext.coeffs)
     if inv_dim == 0:
         return PCMembership(member=False, inv_dim=0)
-    Y = blow_up(X, tower)
-    cp = matrix.charpoly(Y)
-    fac = poly.factorize(cp)
-    mp = None
-    for r in range(inv_dim, inv_dim // 2, -1):
-        for f, mult in fac.factors:
-            if f.degree != b * r or f.coeffs == (0, 1):
-                continue
-            if mp is None:
-                mp = matrix.minpoly(Y)
-            if poly.multiplicity_in(f, mp) != mult:
-                continue
+    for f in matrix.primary_cyclic_factors(blow_up(X, tower)):
+        r = f.degree // b
+        if f.degree == b * r and 2 * r > inv_dim and f.coeffs != (0, 1):
             g = _galois_representative(f, cp_ext, tower, r)
             return PCMembership(member=True, witness_f=f, witness_g=g,
                                 r=r, inv_dim=inv_dim)
@@ -295,10 +281,9 @@ def proposition_check(X, f, tower):
     if not (f.is_monic and poly.is_irreducible(f)):
         raise NotIrreducible(f"{f} is not monic irreducible over the base field")
     Y = blow_up(X, tower)
-    cp = matrix.charpoly(Y)
-    if not f.divides(cp):
+    if not f.divides(matrix.charpoly(Y)):
         raise NotADivisor(f"{f} does not divide the blow-up charpoly")
-    direct = matrix.is_primary_cyclic(Y, f, cp=cp)
+    direct = f in matrix.primary_cyclic_factors(Y)
 
     b = tower.b
     q = tower.q
@@ -307,12 +292,9 @@ def proposition_check(X, f, tower):
     if f.degree % b == 0:
         r = f.degree // b
         cp_ext = matrix.charpoly(X)
-        mp_ext = matrix.minpoly(X)
+        pc_ext = matrix.primary_cyclic_factors(X)
         for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
-            if g.degree != r:
-                continue
-            m_g = poly.multiplicity_in(g, cp_ext)
-            if m_g == 0 or poly.multiplicity_in(g, mp_ext) != m_g:
+            if g.degree != r or g not in pc_ext:
                 continue
             ok = True
             conj = g
@@ -349,16 +331,8 @@ def pc_counts_by_f(c, tower, r, budget=None):
         if not matrix.is_invertible(X):
             continue
         gl_size += 1
-        Y = blow_up(X, tower)
-        cp = matrix.charpoly(Y)
-        mp = None
-        for f in fs:
-            mult = poly.multiplicity_in(f, cp)
-            if mult == 0:
-                continue
-            if mp is None:
-                mp = matrix.minpoly(Y)
-            if poly.multiplicity_in(f, mp) == mult:
+        for f in matrix.primary_cyclic_factors(blow_up(X, tower)):
+            if f in counts:
                 counts[f] += 1
     return counts, gl_size
 

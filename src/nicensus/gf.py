@@ -52,6 +52,22 @@ def enumeration_budget(budget=None):
     return _DEFAULT_BUDGET
 
 
+def power(x, e, mul, one):
+    """x**e for e >= 0 by left-to-right square-and-multiply; ``one`` is x**0.
+
+    ``mul`` is the product of the structure x lives in: field elements,
+    polynomials, matrices or residues modulo a polynomial.
+    """
+    if e == 0:
+        return one
+    out = x
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
 def factor_int(n):
     """Full factorization of n >= 1 as a dict prime -> exponent."""
     out = {}
@@ -93,7 +109,7 @@ def _pp_mod(a, m, p):
 
 
 def _is_irreducible_over_prime_field(coeffs, p):
-    """Rabin test of a monic polynomial (coefficients low degree first) over F_p."""
+    """Whether a monic polynomial (coefficients low degree first) is irreducible over F_p."""
     from . import poly  # poly imports gf at module level
 
     return poly.is_irreducible(poly.Poly(field_create(p, 1), tuple(c % p for c in coeffs)))
@@ -210,23 +226,13 @@ class FieldCtx:
         db = self.digits(b)
         return self.from_digits(tuple((x + y) % p for x, y in zip(da, db)))
 
-    def _raw_pow(self, a, e):
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
-
     # -- table construction --------------------------------------------------
 
     def _find_generator(self):
         n = self.order - 1
         primes = factor_int(n)
         for g in range(1, self.order):
-            if all(self._raw_pow(g, n // ell) != 1 for ell in primes):
+            if all(power(g, n // ell, self._raw_mul, 1) != 1 for ell in primes):
                 return g
         raise AssertionError("multiplicative group has a generator")
 
@@ -328,9 +334,7 @@ class FieldCtx:
         if self._exp is not None:
             n = self.order - 1
             return self._exp[(n - self._log[a]) % n]
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._raw_pow(a, self.order - 2)
+        return self.pow_elt(a, self.order - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -343,15 +347,7 @@ class FieldCtx:
         if self._exp is not None:
             n = self.order - 1
             return self._exp[(self._log[a] * e) % n]
-        result = 1
-        base = a
-        mul = self.mul
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, self.mul, 1)
 
     # -- subfield structure ----------------------------------------------------
 
@@ -374,6 +370,17 @@ class FieldCtx:
 _field_cache = {}
 
 
+def field_order(p, k):
+    """p**k after checking p >= 2, k >= 1 and the size bound, without factoring p."""
+    if p < 2:
+        raise NonPrimeCharacteristic(f"{p} is not prime")
+    if k < 1:
+        raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
+    if k > 20 or p ** k > FIELD_SIZE_LIMIT:  # 2**k > FIELD_SIZE_LIMIT once k > 20
+        raise BudgetExceeded(f"field order {p}^{k} exceeds the supported size {FIELD_SIZE_LIMIT}")
+    return p ** k
+
+
 def field_create(p, k=1, modulus=None):
     """Create (or fetch from cache) the field F_{p^k}.
 
@@ -385,12 +392,9 @@ def field_create(p, k=1, modulus=None):
     """
     p = int(p)
     k = int(k)
+    field_order(p, k)
     if factor_int(p) != {p: 1}:
         raise NonPrimeCharacteristic(f"{p} is not prime")
-    if k < 1:
-        raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
-    if p ** k > FIELD_SIZE_LIMIT:
-        raise BudgetExceeded(f"field order {p}^{k} exceeds the supported size {FIELD_SIZE_LIMIT}")
     if modulus is None:
         mod = canonical_modulus(p, k)
     else:

@@ -19,7 +19,6 @@ from .errors import (
     BudgetExceeded,
     DegreeMismatch,
     FieldMismatch,
-    NotIrreducible,
     SingularMatrix,
     ParseError,
 )
@@ -83,14 +82,7 @@ class Mat:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.ctx, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return gf.power(self, e, Mat.__mul__, Mat.identity(self.ctx, self.n))
 
     @property
     def is_zero(self):
@@ -433,21 +425,15 @@ def primary_components(M):
     return PrimaryDecomposition(components=tuple(comps))
 
 
-def is_primary_cyclic(M, f, cp=None, mp=None):
-    """True iff mult of f in charpoly equals its mult in minpoly and is >= 1.
+def primary_cyclic_factors(M):
+    """Every monic irreducible f for which M is f-primary cyclic, canonically ordered.
 
-    ``cp``/``mp`` may be passed to reuse precomputed polynomials.
+    M is f-primary cyclic when f has the same multiplicity >= 1 in the
+    characteristic and the minimal polynomial.
     """
-    if not (f.is_monic and poly.is_irreducible(f)):
-        raise NotIrreducible(f"{f} is not monic irreducible")
-    if cp is None:
-        cp = charpoly(M)
-    m_f = poly.multiplicity_in(f, cp)
-    if m_f == 0:
-        return False
-    if mp is None:
-        mp = minpoly(M)
-    return poly.multiplicity_in(f, mp) == m_f
+    mp = minpoly(M)
+    return tuple(f for f, m_f in poly.factorize(charpoly(M)).factors
+                 if poly.multiplicity_in(f, mp) == m_f)
 
 
 # ---------------------------------------------------------------------------

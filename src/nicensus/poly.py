@@ -17,8 +17,9 @@ that range), and what is left after dividing them out is the factor of
 more than half the degree, if any.  Its powers t^(q^d) mod f are k steps
 each of the semilinear p-th power map x^p = sum of c_i^p t^(p*i), read
 off rows t^(p*i) mod f built once per call; ``factorize``, its split
-and ``pow_mod`` square and multiply.  f is irreducible exactly when it
-is its own large factor, so ``is_irreducible`` asks ``large_factor``.
+and ``pow_mod`` square and multiply through ``gf.power``, as does
+``Poly.__pow__``.  f is irreducible exactly when it is its own large
+factor, so ``is_irreducible`` asks ``large_factor``.
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
@@ -86,15 +87,10 @@ def _gcd_lists(ctx, a, b):
 
 
 def _powmod_lists(ctx, x, e, m):
-    """x**e mod m for x reduced mod m (left-to-right square-and-multiply)."""
-    if e == 0:
-        return [1] if len(m) > 1 else []  # F[t]/(m) is the zero ring for constant m
-    out = x
-    for bit in bin(e)[3:]:
-        out = _divmod_lists(ctx, _mul_lists(ctx, out, out), m)[1]
-        if bit == "1":
-            out = _divmod_lists(ctx, _mul_lists(ctx, out, x), m)[1]
-    return out
+    """x**e mod m for x reduced mod m."""
+    if len(m) < 2:
+        return []  # F[t]/(m) is the zero ring for constant m
+    return gf.power(x, e, lambda a, b: _divmod_lists(ctx, _mul_lists(ctx, a, b), m)[1], [1])
 
 
 def _frobenius_rows(ctx, m):
@@ -227,14 +223,7 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return gf.power(self, e, Poly.__mul__, Poly.one(self.ctx))
 
     def monic(self):
         if self.is_zero:

@@ -1,10 +1,15 @@
 """Command-line surface: JSON determinism, exit codes, subcommand outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from nicensus import census, cli, estimate
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
 
 
 def run_cli(argv, capsys):
@@ -188,6 +193,37 @@ def test_usage_error_exit_4(capsys):
 def test_out_of_range_arguments_exit_4(argv, capsys):
     assert cli.main(argv) == 4
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--spec", "all", "--d", "1", "--q", "1000000000000000003"],
+    ["census", "--spec", "all", "--d", "1", "--q", "2^3000000000"],
+    ["pc-test", "--matrix", "1 2 : 1", "--tower", "2^3000000000/2"],
+    ["pc-test", "--matrix", "1 2 : 1", "--tower", "1000000000000000003/2"],
+], ids=["census-prime-1e18", "census-2^3e9", "tower-2^3e9", "tower-prime-1e18"])
+def test_oversized_fields_exit_4(argv, capsys):
+    assert cli.main(argv) == 4
+    assert "exceeds the supported size" in capsys.readouterr().err
+
+
+PINNED = {
+    **{f"verify-{suite}": (["verify", "--suite", suite], digest) for suite, digest
+       in REFERENCE["workloads"]["verify-exact"]["digests"].items()},
+    "pc-test": (["pc-test", "--matrix", "1 2^2/7 : 2", "--tower", "4/2"],
+                "0a96ff5d6f759c9535a58c2e4739ee85b38529f2ee0ac24ed1f3af9b38b6e05e"),
+    "census-flag-check": (
+        ["census", "--spec", "primary-cyclic-some-f-not-t", "--d", "3", "--q", "2",
+         "--flag-check"],
+        "4d8acef26a5e231e73b147373008916a38501e11de232eccb90bb8c7c8b2361e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_digests(name, capsys):
+    argv, digest = PINNED[name]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["manifest"]["digest"] == digest
 
 
 def test_budget_flag(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nicensus import embed, estimate, gf, matrix, poly
-from nicensus.errors import FieldMismatch, NotADivisor, NotASubfield, ParseError
+from nicensus.errors import FieldMismatch, NotADivisor, NotASubfield, NotIrreducible, ParseError
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
@@ -28,6 +28,8 @@ def test_parse_tower():
         embed.parse_tower("8/4")  # F_4 is not a subfield of F_8
     with pytest.raises(ParseError):
         embed.parse_tower("6/2")
+    with pytest.raises(NotASubfield):
+        embed.tower_for(F4, 3)
 
 
 def test_regular_rep_examples():
@@ -143,10 +145,7 @@ def test_per_polynomial_sets_pairwise_disjoint():
         X = matrix.matrix_from_index(F4, 2, idx)
         if not matrix.is_invertible(X):
             continue
-        Y = embed.blow_up(X, TOWER)
-        cp = matrix.charpoly(Y)
-        hits = [f for f in fs if poly.multiplicity_in(f, cp) >= 1
-                and matrix.is_primary_cyclic(Y, f, cp=cp)]
+        hits = [f for f in matrix.primary_cyclic_factors(embed.blow_up(X, TOWER)) if f in fs]
         assert len(hits) <= 1
 
 
@@ -163,6 +162,8 @@ def test_proposition_check_examples():
     assert not rep.direct and not rep.via_conditions and rep.agree
     with pytest.raises(NotADivisor):
         embed.proposition_check(one, f, TOWER)
+    with pytest.raises(NotIrreducible):
+        embed.proposition_check(one, Poly.make(F2, (1, 0, 1)), TOWER)  # (t + 1)^2
 
 
 def test_brute_force_counts_match_closed_form_small():
@@ -170,12 +171,3 @@ def test_brute_force_counts_match_closed_form_small():
     assert gl_size == 3
     assert set(counts.values()) == {2}  # each f in Irr_2(2): 2 of 3 elements
     assert Fraction(2, 3) == Fraction(2, 2 ** 2 - 1)
-
-
-def test_tower_min_poly():
-    assert TOWER.min_poly == Poly.make(F2, (1, 1, 1))
-    t93 = embed.parse_tower("9/3")
-    assert t93.min_poly.degree == 2
-    assert poly.is_irreducible(t93.min_poly)
-    with pytest.raises(NotASubfield):
-        embed.tower_for(F4, 3)

@@ -14,6 +14,7 @@ from nicensus.errors import (
     ParseError,
     ReducibleModulus,
 )
+from nicensus.matrix import Mat
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]
 
@@ -91,7 +92,38 @@ def test_frob_table_is_pth_power(p, k):
         assert ctx.frob is None  # raw tier: no table
         return
     assert ctx.frob == [ctx.pow_elt(c, p) for c in ctx.elements()]
-    assert ctx.frob == [ctx._raw_pow(c, p) for c in ctx.elements()]
+    assert ctx.frob == [gf.power(c, p, ctx._raw_mul, 1) for c in ctx.elements()]
+
+
+def _repeated_product(x, e, mul, one):
+    out = one
+    for _ in range(e):
+        out = mul(out, x)
+    return out
+
+
+def test_power_equals_repeated_products():
+    F3 = gf.field_create(3)
+    raw = gf.field_create(2, 17)  # raw tier: pow_elt runs gf.power
+    M = Mat.from_rows(F3, [(1, 2, 0), (0, 2, 1), (2, 1, 1)])
+    f = poly.Poly.make(F3, (2, 0, 1, 1))
+    for e in range(10):
+        assert M ** e == _repeated_product(M, e, Mat.__mul__, Mat.identity(F3, 3))
+        assert f ** e == _repeated_product(f, e, poly.Poly.__mul__, poly.Poly.one(F3))
+        for c in (0, 1, 2, 12345, raw.order - 1):
+            assert raw.pow_elt(c, e) == _repeated_product(c, e, raw.mul, 1)
+        assert M ** -e * M ** e == Mat.identity(F3, 3)
+
+
+def test_pow_elt_squares_with_one_product_on_raw_tier(monkeypatch):
+    ctx = gf.field_create(2, 17)
+    calls = []
+    raw_mul = gf.FieldCtx._raw_mul
+    monkeypatch.setattr(gf.FieldCtx, "_raw_mul",
+                        lambda self, a, b: calls.append((a, b)) or raw_mul(self, a, b))
+    c = 12345
+    assert ctx.pow_elt(c, 2) == raw_mul(ctx, c, c)
+    assert calls == [(c, c)]
 
 
 def test_element_encoding_roundtrip():
@@ -109,7 +141,7 @@ def test_canonical_moduli():
 
 def test_canonical_moduli_match_irreducible_sieve():
     # Every p^k <= 4096 with k >= 2 (k = 1 gives t by definition).  The sieve
-    # shares no code with the Rabin test behind the modulus search, and
+    # shares no code with the large_factor test behind the modulus search, and
     # canonical_modulus skips the table building of field_create.
     for p in range(2, 65):
         if gf.factor_int(p) != {p: 1}:

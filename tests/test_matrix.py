@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nicensus import estimate, gf, matrix, poly
-from nicensus.errors import DegreeMismatch, NotIrreducible, ParseError, SingularMatrix
+from nicensus.errors import DegreeMismatch, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
@@ -135,16 +135,12 @@ def test_primary_components():
         assert 1 <= e_f <= m_f
 
 
-def test_is_primary_cyclic():
+def test_primary_cyclic_factors():
     f = Poly.make(F2, (1, 1, 1))
-    C = matrix.companion(f)
-    assert matrix.is_primary_cyclic(C, f)
-    t_plus_1 = Poly.make(F2, (1, 1))
-    assert not matrix.is_primary_cyclic(Mat.identity(F2, 2), t_plus_1)
+    assert matrix.primary_cyclic_factors(matrix.companion(f)) == (f,)
+    assert matrix.primary_cyclic_factors(Mat.identity(F2, 2)) == ()
     D = Mat.from_rows(F3, [(1, 0), (0, 2)])
-    assert matrix.is_primary_cyclic(D, Poly.make(F3, (2, 1)))
-    with pytest.raises(NotIrreducible):
-        matrix.is_primary_cyclic(C, Poly.make(F2, (0, 0, 1)))
+    assert matrix.primary_cyclic_factors(D) == (Poly.make(F3, (1, 1)), Poly.make(F3, (2, 1)))
 
 
 @pytest.mark.parametrize("ctx,d", [(F2, 2), (F3, 2)], ids=["GL22", "GL23"])
