@@ -28,8 +28,6 @@ def test_parse_tower():
         embed.parse_tower("8/4")  # F_4 is not a subfield of F_8
     with pytest.raises(ParseError):
         embed.parse_tower("6/2")
-    with pytest.raises(NotASubfield):
-        embed.tower_for(F4, 3)
 
 
 def test_regular_rep_examples():
@@ -171,3 +169,15 @@ def test_brute_force_counts_match_closed_form_small():
     assert gl_size == 3
     assert set(counts.values()) == {2}  # each f in Irr_2(2): 2 of 3 elements
     assert Fraction(2, 3) == Fraction(2, 2 ** 2 - 1)
+
+
+def test_tower_min_poly():
+    # The charpoly of multiplication by the power-basis generator is its
+    # minimal polynomial over the base field.
+    assert matrix.charpoly(embed.regular_rep(TOWER.basis[1], TOWER)) == Poly.make(F2, (1, 1, 1))
+    t93 = embed.parse_tower("9/3")
+    mp = matrix.charpoly(embed.regular_rep(t93.basis[1], t93))
+    assert mp.degree == 2
+    assert poly.is_irreducible(mp)
+    with pytest.raises(NotASubfield):
+        embed.tower_for(F4, 3)
