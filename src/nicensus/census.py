@@ -413,8 +413,11 @@ def ni_verify(spec, d, ctx, budget=None):
         mats = (estimate.sample_matrix(d, ctx, AUDIT_SEED, j) for j in range(AUDIT_TRIALS))
         n_mats = AUDIT_TRIALS
 
-    gl_small = matrix.gl_order(d, q) <= 512
-    conjugators = tuple(matrix.all_invertible(d, ctx)) if gl_small else None
+    # Each conjugator is inverted once: once per audit when GL(d, q) is
+    # enumerated, once per draw when it is sampled.
+    pairs = None
+    if matrix.gl_order(d, q) <= 512:
+        pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx))
 
     violations = []
     conj_count = 0
@@ -422,11 +425,12 @@ def ni_verify(spec, d, ctx, budget=None):
         m_x = member(X)
         if m_x != member(_nilpotent_canonical(X)):
             violations.append(("nilpotent-part-dependence", X, None))
-        gs = conjugators if conjugators is not None else (
-            estimate.sample_gl(d, ctx, AUDIT_SEED ^ 0x9E3779B9, j * 3 + t) for t in range(3))
-        for g in gs:
+        gs = pairs if pairs is not None else (
+            (matrix.inverse(g), g) for g in
+            (estimate.sample_gl(d, ctx, AUDIT_SEED ^ 0x9E3779B9, j * 3 + t) for t in range(3)))
+        for g_inv, g in gs:
             conj_count += 1
-            if member(matrix.conjugate(X, g)) != m_x:
+            if member(g_inv * X * g) != m_x:
                 violations.append(("conjugation-dependence", X, g))
                 break
         if len(violations) >= AUDIT_MAX_VIOLATIONS:

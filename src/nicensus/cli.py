@@ -581,7 +581,7 @@ def build_parser():
     p = sub.add_parser("quokka", help="torus class sums, closed forms and bands")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--q", required=True, type=_checked_int(
-        lambda v: v > 1 and len(gf.factor_int(v)) == 1, "a prime power"))
+        gf.is_prime_power, f"a prime power p^k with p < {gf.PRIME_TEST_BOUND}"))
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--table", action="store_true")

@@ -82,6 +82,60 @@ def factor_int(n):
     return out
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 2 <= n < PRIME_TEST_BOUND."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a^(d*2^j) for j < s must reach -1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _iroot(n, k):
+    """The largest r with r**k <= n, for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def is_prime_power(q):
+    """True when q = p^k (k >= 1) for a prime p < PRIME_TEST_BOUND.
+
+    Never trial-divides: q = r^k with the largest k <= log2 q that has an
+    exact integer k-th root r, so r is not itself a power, and q is a
+    prime power exactly when r is prime.  r is tested by Miller-Rabin,
+    which is exact only below the bound, so a larger r gives False.
+    """
+    if q < 2:
+        return False
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return r < PRIME_TEST_BOUND and _is_prime(r)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Reduction modulo the field modulus, for FieldCtx._raw_mul.  Irreducibility
 # tests and modulus search go through ``poly`` over the prime field.

@@ -82,7 +82,9 @@ class Mat:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        return gf.power(self, e, Mat.__mul__, Mat.identity(self.ctx, self.n))
+        if e == 0:
+            return Mat.identity(self.ctx, self.n)
+        return gf.power(self, e, Mat.__mul__, None)
 
     @property
     def is_zero(self):
@@ -288,7 +290,8 @@ def minpoly(M):
 
     For each standard basis vector the chain v, vX, vX^2, ... yields a
     monic annihilator once it goes dependent; the minimal polynomial is
-    the lcm over all start vectors (early exit at full degree).
+    the lcm over all start vectors (early exit at full degree).  The
+    first annihilator is taken as it is: it is already monic.
     """
     ctx = M.ctx
     n = M.n
@@ -325,7 +328,7 @@ def minpoly(M):
             echelon.append((vec, piv, comb))
             chain_len += 1
             cur = M.apply_to_row(cur)
-        result = poly.poly_lcm(result, ann)
+        result = ann if start == 0 else poly.poly_lcm(result, ann)
     return result
 
 
@@ -399,7 +402,20 @@ def fitting_decompose(M):
 
 
 def is_nilpotent(M):
-    return (M ** M.n).is_zero
+    """True when M^n = 0, decided row by row without matrix products.
+
+    Row i of M^n is row i of M pushed through M n - 1 times.  A row is
+    no longer pushed once it is zero, and the first nonzero row of M^n
+    decides False.
+    """
+    for row in M.rows:
+        for _ in range(M.n - 1):
+            if not any(row):
+                break
+            row = M.apply_to_row(row)
+        if any(row):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -429,11 +445,13 @@ def primary_cyclic_factors(M):
     """Every monic irreducible f for which M is f-primary cyclic, canonically ordered.
 
     M is f-primary cyclic when f has the same multiplicity >= 1 in the
-    characteristic and the minimal polynomial.
+    characteristic and the minimal polynomial.  Multiplicities add,
+    v_f(cp) = v_f(mp) + v_f(cp / mp), so a factor f of cp qualifies
+    exactly when f does not divide rest = cp / mp, one division per f.
     """
-    mp = minpoly(M)
-    return tuple(f for f, m_f in poly.factorize(charpoly(M)).factors
-                 if poly.multiplicity_in(f, mp) == m_f)
+    cp = charpoly(M)
+    rest = cp // minpoly(M)
+    return tuple(f for f, _ in poly.factorize(cp).factors if not (rest % f).is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +536,6 @@ def direct_sum(A, B):
     rows = [tuple(r) + (0,) * m for r in A.rows]
     rows += [(0,) * n + tuple(r) for r in B.rows]
     return Mat(A.ctx, n + m, tuple(rows))
-
-
-def conjugate(X, g):
-    """g^{-1} X g."""
-    X._chk(g)
-    return inverse(g) * X * g
 
 
 # ---------------------------------------------------------------------------

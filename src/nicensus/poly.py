@@ -434,7 +434,8 @@ def factorize(f):
     factors of u of degree dividing d, which are those of degree exactly
     d once the smaller ones are stripped (u need not be squarefree: g
     takes each factor once).  g is split by ``_split_equal_degree`` and
-    each factor is divided out of u with its multiplicity.  Once
+    each factor h is divided out of u by repeated division, which counts
+    its multiplicity on the way and keeps the last quotient.  Once
     2d > deg u, what is left is 1 or irreducible.  The factors are sorted
     canonically, so the output is canonical and does not depend on the
     split's random draws.
@@ -452,8 +453,12 @@ def factorize(f):
         g = poly_gcd(u, w - t)
         if g.degree > 0:
             for h in _split_equal_degree(g, d):
-                e = multiplicity_in(h, u)
-                u //= h ** e
+                e = 0
+                while True:
+                    quo, rem = divmod(u, h)
+                    if not rem.is_zero:
+                        break
+                    u, e = quo, e + 1
                 factors.append((h, e))
         d += 1
     if u.degree > 0:

@@ -203,6 +203,56 @@ def test_ni_verify_finds_violations():
     assert any(v[0] == "conjugation-dependence" for v in rep.violations)
 
 
+# ni_verify's reports on the two broken specs above: (conjugations checked,
+# violations with witness and conjugator as row tuples).
+_BROKEN_AUDITS = {
+    ("rank-d-minus-1", 2, 2): (96, [
+        ("nilpotent-part-dependence", ((0, 1), (0, 0)), None),
+        ("nilpotent-part-dependence", ((0, 0), (1, 0)), None),
+        ("nilpotent-part-dependence", ((1, 1), (1, 1)), None)]),
+    ("first-entry", 2, 2): (16, [
+        ("conjugation-dependence", ((1, 0), (0, 0)), ((0, 1), (1, 0))),
+        ("conjugation-dependence", ((0, 1), (0, 0)), ((1, 0), (1, 1))),
+        ("conjugation-dependence", ((1, 1), (0, 0)), ((0, 1), (1, 0))),
+        ("conjugation-dependence", ((0, 0), (1, 0)), ((1, 1), (1, 0))),
+        ("conjugation-dependence", ((1, 0), (1, 0)), ((0, 1), (1, 0)))]),
+    ("rank-d-minus-1", 2, 3): (2160, [
+        ("nilpotent-part-dependence", ((0, 1), (0, 0)), None),
+        ("nilpotent-part-dependence", ((0, 2), (0, 0)), None),
+        ("nilpotent-part-dependence", ((0, 0), (1, 0)), None),
+        ("nilpotent-part-dependence", ((0, 0), (2, 0)), None),
+        ("nilpotent-part-dependence", ((2, 2), (1, 1)), None)]),
+    ("first-entry", 2, 3): (111, [
+        ("conjugation-dependence", ((1, 0), (0, 0)), ((0, 1), (1, 0))),
+        ("conjugation-dependence", ((2, 0), (0, 0)), ((2, 1), (1, 1))),
+        ("conjugation-dependence", ((0, 1), (0, 0)), ((1, 0), (1, 1))),
+        ("conjugation-dependence", ((1, 1), (0, 0)), ((0, 1), (1, 0))),
+        ("conjugation-dependence", ((2, 1), (0, 0)), ((2, 0), (1, 1)))]),
+    # M(3, 3) and GL(3, 3) are past the exhaustive range: sampled matrices
+    # and three sampled conjugators each
+    ("first-entry", 3, 3): (8, [
+        ("conjugation-dependence", ((0, 2, 2), (0, 2, 2), (2, 2, 2)),
+         ((0, 2, 2), (2, 0, 0), (2, 0, 2))),
+        ("conjugation-dependence", ((2, 0, 2), (2, 1, 0), (1, 0, 0)),
+         ((0, 2, 0), (0, 1, 1), (1, 1, 2))),
+        ("conjugation-dependence", ((2, 1, 1), (2, 2, 0), (1, 1, 1)),
+         ((2, 0, 2), (0, 2, 2), (0, 0, 2))),
+        ("nilpotent-part-dependence", ((1, 0, 1), (0, 0, 0), (2, 2, 0)), None),
+        ("conjugation-dependence", ((1, 0, 1), (0, 0, 0), (2, 2, 0)),
+         ((1, 0, 2), (0, 2, 0), (1, 2, 0)))]),
+}
+
+
+def test_ni_verify_reports_pinned():
+    specs = {s.name: s for s in (
+        NISubsetSpec("rank-d-minus-1", lambda X: matrix.rank(X) == X.n - 1),
+        NISubsetSpec("first-entry", lambda X: X.rows[0][0] == 1))}
+    for (name, d, q), (conjugations, violations) in _BROKEN_AUDITS.items():
+        rep = census.ni_verify(specs[name], d, gf.field_create(q))
+        assert rep.conjugations_checked == conjugations, (name, d, q)
+        assert [(kind, X.rows, g and g.rows) for kind, X, g in rep.violations] == violations
+
+
 def test_get_spec_errors_and_listing():
     with pytest.raises(ParseError):
         get_spec("no-such-spec")

@@ -1,6 +1,8 @@
 """Command-line surface: JSON determinism, exit codes, subcommand outputs."""
 
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -206,6 +208,42 @@ def test_oversized_fields_exit_4(argv, capsys):
     assert "exceeds the supported size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pc-test", "--matrix", "1 2^17 : 5", "--tower", "2^17/2"],
+    ["estimate", "--spec", "pc-large-degree(17)", "--d", "2", "--q", "2^17", "--n", "5"],
+], ids=["pc-test", "estimate"])
+def test_towers_past_the_table_tier_exit_4(argv, capsys):
+    assert cli.main(argv) == 4
+    assert "tower coordinate tables capped at 2^16 elements" in capsys.readouterr().err
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("q,code", [
+    (10 ** 18 + 3, 0),  # prime
+    ((10 ** 9 + 7) * (10 ** 9 + 9), 4),
+    (2 ** 89 - 1, 4),  # prime, but past the exact range of the primality test
+    (-8, 4),
+], ids=["prime-1e18", "semiprime-1e18", "prime-2^89-1", "minus-8"])
+def test_quokka_q_is_checked_without_trial_division(q, code, capsys):
+    with time_limit(10):
+        assert cli.main(["quokka", "--c", "2", "--q", str(q), "--b", "2"]) == code
+    if code:
+        assert "is not a prime power" in capsys.readouterr().err
+
+
 PINNED = {
     **{f"verify-{suite}": (["verify", "--suite", suite], digest) for suite, digest
        in REFERENCE["workloads"]["verify-exact"]["digests"].items()},
@@ -215,6 +253,8 @@ PINNED = {
         ["census", "--spec", "primary-cyclic-some-f-not-t", "--d", "3", "--q", "2",
          "--flag-check"],
         "4d8acef26a5e231e73b147373008916a38501e11de232eccb90bb8c7c8b2361e"),
+    "quokka-2^62": (["quokka", "--c", "2", "--q", str(2 ** 62), "--b", "2"],
+                    "673f8c364cf3f24af4e46d53cc64e2792f986fe96b6125b4a570bbbce8f6ccef"),
 }
 
 

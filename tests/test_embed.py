@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from nicensus import embed, estimate, gf, matrix, poly
-from nicensus.errors import FieldMismatch, NotADivisor, NotASubfield, NotIrreducible, ParseError
+from nicensus.errors import (
+    BudgetExceeded,
+    FieldMismatch,
+    NotADivisor,
+    NotASubfield,
+    NotIrreducible,
+    ParseError,
+)
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
@@ -181,3 +188,9 @@ def test_tower_min_poly():
     assert poly.is_irreducible(mp)
     with pytest.raises(NotASubfield):
         embed.tower_for(F4, 3)
+
+
+def test_make_tower_refuses_past_the_table_tier():
+    # coordinate tables stop at 2^16 elements; F_2^17 itself is built cheaply
+    with pytest.raises(BudgetExceeded, match=r"capped at 2\^16 elements"):
+        embed.make_tower(gf.field_create(2, 17), F2)

@@ -47,7 +47,7 @@ def test_conjugation_invariance_random(ctx, trials):
     for j in range(trials):
         M = estimate.sample_matrix(3, ctx, seed=101, index=j)
         g = estimate.sample_gl(3, ctx, seed=202, index=j)
-        N = matrix.conjugate(M, g)
+        N = matrix.inverse(g) * M * g
         assert matrix.charpoly(M) == matrix.charpoly(N)
         assert matrix.minpoly(M) == matrix.minpoly(N)
 
@@ -112,6 +112,47 @@ def test_nilpotent_counts():
         assert count == q ** (n * n - n)
 
 
+def _exhaustive_and_sampled(exhaustive, sampled, seed):
+    """All of each M(n, q) in ``exhaustive`` and ``count`` draws of each (n, q, count)."""
+    for n, ctx in exhaustive:
+        yield from matrix.all_matrices(n, ctx)
+    for n, ctx, count in sampled:
+        for j in range(count):
+            yield estimate.sample_matrix(n, ctx, seed=seed, index=j)
+
+
+def test_is_nilpotent_equals_power_oracle():
+    mats = _exhaustive_and_sampled([(0, F3), (1, F3), (3, F2), (2, F3), (2, F4)],
+                                   [(4, F3, 300), (5, F2, 300)], seed=31)
+    hits = 0
+    for M in mats:
+        expected = (M ** M.n).is_zero
+        assert matrix.is_nilpotent(M) == expected, M
+        hits += expected
+    # q^(n^2 - n) nilpotents per sweep, and 7 and 11 among the draws
+    assert hits == 1 + 1 + 64 + 9 + 16 + 7 + 11
+
+
+def test_primary_cyclic_factors_equals_multiplicity_oracle():
+    mats = _exhaustive_and_sampled([(3, F2), (2, F3)], [(4, F4, 200)], seed=37)
+    for M in mats:
+        mp = matrix.minpoly(M)
+        expected = tuple(f for f, m_f in poly.factorize(matrix.charpoly(M)).factors
+                         if poly.multiplicity_in(f, mp) == m_f)
+        assert matrix.primary_cyclic_factors(M) == expected, M
+
+
+def test_minpoly_is_minimal_exhaustive():
+    for M in matrix.all_matrices(3, F2):
+        mp = matrix.minpoly(M)
+        assert mp.is_monic
+        assert matrix.evaluate_poly_at(mp, M).is_zero
+        assert (matrix.charpoly(M) % mp).is_zero
+        # every monic proper divisor divides some mp / f for an irreducible f | mp
+        for f, _ in poly.factorize(mp).factors:
+            assert not matrix.evaluate_poly_at(mp // f, M).is_zero, M
+
+
 def test_primary_components():
     X = matrix.companion(Poly.make(F2, (1, 1, 1)))
     pd = matrix.primary_components(X)
@@ -169,16 +210,12 @@ def test_jordan_edge_cases():
         matrix.jordan_multiplicative(Mat.zero(F2, 2))
 
 
-def test_companion_direct_sum_conjugate():
+def test_companion_direct_sum():
     f = Poly.make(F2, (1, 1, 1))
     C = matrix.companion(f)
     assert matrix.element_order(C) == 3
     S = matrix.direct_sum(C, Mat.zero(F2, 1))
     assert matrix.charpoly(S) == f * Poly.x(F2)
-    I = Mat.identity(F2, 2)
-    assert matrix.conjugate(C, I) == C
-    with pytest.raises(SingularMatrix):
-        matrix.conjugate(C, Mat.zero(F2, 2))
     with pytest.raises(DegreeMismatch):
         matrix.companion(Poly.one(F2))
 
