@@ -198,6 +198,7 @@ def _nilpotent_canonical(M, split=None):
     return matrix.direct_sum(split.x_inv, Mat.zero(M.ctx, split.nil_dim))
 
 
+@poly.memo_scope()
 def census_exact(spec, d, ctx, budget=None, check_ni=True):
     """Count the family exhaustively and assert the flag-sum identity.
 
@@ -390,6 +391,7 @@ AUDIT_SEED = 0
 AUDIT_MAX_VIOLATIONS = 5
 
 
+@poly.memo_scope()
 def ni_verify(spec, d, ctx, budget=None):
     """Audit both NI conditions, exhaustively when the budget allows.
 

@@ -510,10 +510,12 @@ def run_suite(name, budget=None, seed=42):
     """Run one named suite; returns the list of SuiteCheck records.
 
     Every suite takes the seed; only the sampling ones (thm15) read it.
+    The suite runs in one ``poly.memo_scope``.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(_SUITES))}")
-    return _SUITES[name](budget=budget, seed=seed)
+    with poly.memo_scope():
+        return _SUITES[name](budget=budget, seed=seed)
 
 
 def cmd_verify(args):

@@ -445,13 +445,10 @@ def primary_cyclic_factors(M):
     """Every monic irreducible f for which M is f-primary cyclic, canonically ordered.
 
     M is f-primary cyclic when f has the same multiplicity >= 1 in the
-    characteristic and the minimal polynomial.  Multiplicities add,
-    v_f(cp) = v_f(mp) + v_f(cp / mp), so a factor f of cp qualifies
-    exactly when f does not divide rest = cp / mp, one division per f.
+    characteristic and the minimal polynomial; the polynomial tail is
+    ``poly.equal_multiplicity_factors``, memoized inside a memo scope.
     """
-    cp = charpoly(M)
-    rest = cp // minpoly(M)
-    return tuple(f for f, _ in poly.factorize(cp).factors if not (rest % f).is_zero)
+    return poly.equal_multiplicity_factors(charpoly(M), minpoly(M))
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,34 @@ and ``pow_mod`` square and multiply through ``gf.power``, as does
 ``Poly.__pow__``.  f is irreducible exactly when it is its own large
 factor, so ``is_irreducible`` asks ``large_factor``.
 
+Two pure functions of polynomials are memoized while a ``memo_scope`` is
+open: ``factorize(f)`` and ``equal_multiplicity_factors(cp, mp)``, the
+polynomial tail of ``matrix.primary_cyclic_factors``.  An entry is keyed
+by the function, the field's ``uid`` and the coefficient tuples, so two
+fields of one order with different moduli, and the direct route on the
+blow-up (over the base field) and the routes over the extension, never
+read each other's entries.  ``cli.run_suite``, ``census.census_exact``
+and ``census.ni_verify`` open the scope; inner scopes share the outer
+table and the outermost drops it on return and on raise, so outside a
+scope the table is None and nothing stays filled.  A table holds at most
+one entry per distinct polynomial or (cp, mp) pair of the matrices its
+scope enumerates, about q^n per matrix size n and never more than the
+enumeration budget; no verify suite fills more than 62.  The sampled
+leg (``estimate.monte_carlo``, ``compare``, ``embed.pc_member_charpoly``)
+opens no scope: its keys grow with the sample count, up to the 2^24
+budget.  ``member(X)`` is never memoized: X and X_inv + 0 share their
+charpoly, so a memo keyed by it would let the NI audits compare a
+verdict with itself.
+
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import gf
@@ -252,6 +273,48 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
+# Scoped memo
+# ---------------------------------------------------------------------------
+
+
+_memo = None  # the open memo_scope's table; None outside any scope
+
+
+@contextmanager
+def memo_scope():
+    """Memoize ``factorize`` and ``equal_multiplicity_factors`` inside the block.
+
+    Reentrant: an inner scope shares the outer table, and the outermost
+    scope drops it when the block returns or raises.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _memoized(fn):
+    """fn of polynomials over one field, cached in the open memo_scope."""
+
+    @functools.wraps(fn)
+    def wrapper(*polys):
+        if _memo is None or not isinstance(polys[0], Poly):  # fn raises TypeError
+            return fn(*polys)
+        key = (fn, polys[0].ctx.uid) + tuple(f.coeffs for f in polys)
+        out = _memo.get(key)
+        if out is None:
+            out = _memo[key] = fn(*polys)
+        return out
+
+    return wrapper
+
+
+# ---------------------------------------------------------------------------
 # gcd and modular exponentiation
 # ---------------------------------------------------------------------------
 
@@ -378,12 +441,6 @@ class Factorization:
     unit: int
     factors: tuple  # of (Poly, int)
 
-    def recompose(self, ctx):
-        out = Poly.constant(ctx, self.unit)
-        for f, e in self.factors:
-            out = out * f ** e
-        return out
-
 
 def _split_equal_degree(g, d):
     """Cantor-Zassenhaus: the monic irreducible factors of g, in no fixed order.
@@ -426,6 +483,7 @@ def _split_equal_degree(g, d):
     return out
 
 
+@_memoized
 def factorize(f):
     """Exact factorization into monic irreducibles.
 
@@ -512,10 +570,24 @@ def large_factor(f):
     return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
 
 
+@_memoized
+def equal_multiplicity_factors(cp, mp):
+    """The monic irreducible factors f of cp with equal multiplicity in cp and mp.
+
+    mp divides cp.  Multiplicities add, v_f(cp) = v_f(mp) + v_f(cp / mp),
+    so a factor f of cp qualifies exactly when f does not divide
+    rest = cp / mp, one division per f.  Canonically ordered.
+    """
+    rest = cp // mp
+    return tuple(f for f, _ in factorize(cp).factors if not (rest % f).is_zero)
+
+
 def multiplicity_in(f, g):
-    """Multiplicity of f in g by repeated exact division."""
+    """Multiplicity of f in g by repeated exact division; g must be nonzero."""
     if f.degree < 1:
         raise ValueError("multiplicity of a constant is undefined")
+    if g.is_zero:
+        raise ZeroPolynomial("every polynomial divides zero infinitely often")
     count = 0
     while g.degree >= f.degree:
         q, r = divmod(g, f)

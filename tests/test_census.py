@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nicensus import census, estimate, gf, matrix, quokka
+from nicensus import census, cli, estimate, gf, matrix, poly, quokka
 from nicensus.census import (
     NISubsetSpec,
     census_exact,
@@ -124,6 +124,38 @@ def test_census_rejects_non_ni_spec_with_witness():
     with pytest.raises(NIViolation) as info:
         census_exact(bad, 2, F2)
     assert info.value.witness is not None
+
+
+def test_memo_scope_lifetime(monkeypatch):
+    tables = []
+
+    def member(X):
+        tables.append(poly._memo)
+        return matrix.is_invertible(X)
+
+    spec = NISubsetSpec("invertible-recording", member, contains_nilpotents=False)
+    monkeypatch.setitem(cli._SUITES, "recording", lambda budget, seed: [member(Mat.zero(F2, 1))])
+    for run in (lambda: census_exact(spec, 2, F2), lambda: census.ni_verify(spec, 2, F2),
+                lambda: cli.run_suite("recording")):
+        tables.clear()
+        run()
+        # one table, shared by the whole call and dropped on return
+        assert isinstance(tables[0], dict) and all(t is tables[0] for t in tables)
+        assert poly._memo is None
+
+    bad = NISubsetSpec("rank-d-minus-1", lambda X: matrix.rank(X) == X.n - 1)
+    with pytest.raises(NIViolation):
+        census_exact(bad, 2, F2)
+    assert poly._memo is None
+
+    with poly.memo_scope():
+        outer = poly._memo
+        with pytest.raises(NIViolation):
+            census_exact(bad, 2, F2)  # an inner scope: the outer table stays
+        with poly.memo_scope():
+            assert poly._memo is outer
+        assert poly._memo is outer
+    assert poly._memo is None
 
 
 def test_census_budget():

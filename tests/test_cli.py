@@ -95,6 +95,13 @@ def test_byte_identical_repeat_runs(capsys):
     assert digest1 == digest2
 
 
+def test_verify_repeat_runs_share_no_memo_state(capsys):
+    first = [run_cli(["verify", "--suite", s], capsys) for s in ("theorem1", "prop-polys")]
+    second = [run_cli(["verify", "--suite", s], capsys) for s in ("prop-polys", "theorem1")]
+    assert first == second[::-1]
+    assert all(code == 0 for code, _ in first)
+
+
 def test_estimate_csv(tmp_path, capsys):
     out_csv = tmp_path / "est.csv"
     code, out = run_cli(["estimate", "--spec", "invertible", "--d", "2", "--q", "2",

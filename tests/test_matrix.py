@@ -142,6 +142,15 @@ def test_primary_cyclic_factors_equals_multiplicity_oracle():
         assert matrix.primary_cyclic_factors(M) == expected, M
 
 
+def test_primary_cyclic_factors_memo_matches_unscoped():
+    mats = list(matrix.all_matrices(3, F2)) + list(matrix.all_matrices(2, F3))
+    unscoped = [matrix.primary_cyclic_factors(M) for M in mats]
+    with poly.memo_scope():
+        assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped
+        assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped
+    assert poly._memo is None
+
+
 def test_minpoly_is_minimal_exhaustive():
     for M in matrix.all_matrices(3, F2):
         mp = matrix.minpoly(M)

@@ -32,11 +32,19 @@ def all_polys_up_to(ctx, max_deg):
                 yield Poly.make(ctx, list(tail) + [lead])
 
 
+def recompose(fac, ctx):
+    """unit * prod(f ** e) of a Factorization."""
+    out = Poly.constant(ctx, fac.unit)
+    for f, e in fac.factors:
+        out = out * f ** e
+    return out
+
+
 @pytest.mark.parametrize("ctx", [F2, F3], ids=["F2", "F3"])
 def test_factorize_recompose_exhaustive(ctx):
     for f in all_polys_up_to(ctx, 6):
         fac = poly.factorize(f)
-        assert fac.recompose(ctx) == f
+        assert recompose(fac, ctx) == f
         for g, e in fac.factors:
             assert g.is_monic and e >= 1
             assert poly.is_irreducible(g)
@@ -52,7 +60,7 @@ def test_factorize_recompose_sampled_log_tier(p, k, coeffs):
     ctx = gf.field_create(p, k)
     f = Poly.make(ctx, [c % ctx.order for c in coeffs[:-1]] + [coeffs[-1] % (ctx.order - 1) + 1])
     fac = poly.factorize(f)
-    assert fac.recompose(ctx) == f
+    assert recompose(fac, ctx) == f
     assert all(g.is_monic and poly.is_irreducible(g) for g, _ in fac.factors)
 
 
@@ -70,6 +78,28 @@ def test_factorize_is_pure():
 def all_monic(ctx, deg):
     for tail in itertools.product(range(ctx.order), repeat=deg):
         yield Poly(ctx, tail + (1,))
+
+
+@pytest.mark.parametrize("ctx,max_deg", [(F2, 6), (F3, 6), (F4, 4)], ids=["F2", "F3", "F4"])
+def test_factorize_memo_matches_unscoped(ctx, max_deg):
+    polys = [f for deg in range(max_deg + 1) for f in all_monic(ctx, deg)]
+    unscoped = [poly.factorize(f) for f in polys]
+    with poly.memo_scope():
+        assert [poly.factorize(f) for f in polys] == unscoped  # misses
+        assert [poly.factorize(f) for f in polys] == unscoped  # hits
+    assert poly._memo is None
+
+
+def test_factorize_memo_keeps_fields_of_one_order_apart():
+    other = gf.field_create(2, 3, modulus=(1, 1, 0, 1))
+    assert other.modulus != F8.modulus
+    polys = [f for deg in range(4) for f in all_monic(F8, deg)]
+    twins = [Poly(other, f.coeffs) for f in polys]
+    unscoped = [poly.factorize(f) for f in twins]
+    with poly.memo_scope():
+        for f in polys:
+            poly.factorize(f)
+        assert [poly.factorize(f) for f in twins] == unscoped
 
 
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 6), (F4, 4), (F9, 3)],
@@ -201,6 +231,17 @@ def test_factorize_examples():
     assert [(str(g), e) for g, e in fac.factors] == [("1+1*t", 1), ("2+1*t", 1)]
     with pytest.raises(ZeroPolynomial):
         poly.factorize(Poly.zero(F2))
+
+
+def test_multiplicity_in():
+    t = Poly.x(F3)
+    g = Poly.make(F3, (1, 1))
+    assert poly.multiplicity_in(g, g ** 3 * t) == 3
+    assert poly.multiplicity_in(t, g) == 0
+    with pytest.raises(ZeroPolynomial):  # zero is divisible by every power of g
+        poly.multiplicity_in(g, Poly.zero(F3))
+    with pytest.raises(ValueError):
+        poly.multiplicity_in(Poly.one(F3), g)
 
 
 def test_char_p_squarefree_handling():
