@@ -216,20 +216,18 @@ def census_exact(spec, d, ctx, budget=None, check_ni=True):
     n_total = 0
     n_of_i = [0] * (d + 1)
     for X in matrix.all_matrices(d, ctx, budget=budget):
-        if member(X):
-            split = matrix.fitting_decompose(X)
-            if check_ni and not member(_nilpotent_canonical(X, split)):
-                raise NIViolation(
-                    f"spec {spec.name!r}: member(X) but not member(X_inv + 0)",
-                    witness=X)
+        in_n = bool(member(X))
+        if not (in_n or check_ni):
+            continue
+        split = matrix.fitting_decompose(X)
+        if check_ni and bool(member(_nilpotent_canonical(X, split))) != in_n:
+            raise NIViolation(
+                f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
+                f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
+                witness=X)
+        if in_n:
             n_total += 1
             n_of_i[split.inv_dim] += 1
-        elif check_ni:
-            split = matrix.fitting_decompose(X)
-            if member(_nilpotent_canonical(X, split)):
-                raise NIViolation(
-                    f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
-                    witness=X)
 
     per = [PerDimension(i=i, n_i=n_i, gl_i=matrix.gl_order(i, q), n_of_i=n_of_i[i])
            for i, n_i in enumerate(_flag_counts(member, d, ctx, budget))]

@@ -156,8 +156,8 @@ def _estimate_exact_and_bounds(spec_name, d, ctx, budget):
     m = re.match(r"^pc-large-degree\((\d+)\)$", spec_name)
     if m:
         b = int(m.group(1))
-        q_base = round(ctx.order ** (1 / b))
-        if q_base ** b == ctx.order and d >= 2 and b >= 2:
+        if ctx.k % b == 0 and d >= 2 and b >= 2:
+            q_base = ctx.p ** (ctx.k // b)
             exact = quokka.thm_pc_m_exact(d, q_base, b)
             bound = quokka.thm_pc_m_bound(d, q_base, b)
             return exact, (("algebra-lower-bound", ">=", bound),)

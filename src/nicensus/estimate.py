@@ -63,7 +63,7 @@ class SampleStream:
 def _draw_matrix(stream, d, ctx):
     """The next d x d matrix of ``stream``, entries row by row."""
     words = stream.below(ctx.order, d * d)
-    return Mat(ctx, d, tuple(tuple(words[i:i + d]) for i in range(0, d * d, d)))
+    return Mat(ctx, d, tuple(tuple(words[i * d:(i + 1) * d]) for i in range(d)))
 
 
 def sample_matrix(d, ctx, seed, index):

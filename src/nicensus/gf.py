@@ -48,7 +48,10 @@ def enumeration_budget(budget=None):
         return int(budget)
     env = os.environ.get("NICENSUS_BUDGET")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"bad NICENSUS_BUDGET {env!r}: expected an integer") from None
     return _DEFAULT_BUDGET
 
 

@@ -8,6 +8,12 @@ Characteristic polynomials go through an exact similarity reduction to
 Hessenberg form followed by the leading-principal-minor recurrence;
 minimal polynomials are least common multiples of per-start-vector
 annihilators read off Krylov chains.  Both are deterministic.
+
+The Fitting split is one change of basis: a single elimination of
+[X^n | I] gives the canonical bases of the image and the kernel of X^n,
+and conjugating X by the matrix of those rows gives the invertible and
+nilpotent blocks.  Inverse, row space and left kernel read the same
+augmented elimination.
 """
 
 from __future__ import annotations
@@ -116,11 +122,8 @@ def _rref_in_place(rows, ctx, n_pivot_cols=None):
     full row width (used for augmented systems).
     """
     m = len(rows)
-    if m == 0:
-        return []
-    width = len(rows[0])
     if n_pivot_cols is None:
-        n_pivot_cols = width
+        n_pivot_cols = len(rows[0]) if rows else 0
     inv, mul, neg, axpy = ctx.inv, ctx.mul, ctx.neg, ctx.axpy
     pivots = []
     r = 0
@@ -148,81 +151,51 @@ def _rref_in_place(rows, ctx, n_pivot_cols=None):
 
 
 def rank(M):
-    rows = [list(r) for r in M.rows]
-    return len(_rref_in_place(rows, M.ctx))
+    return len(_rref_in_place([list(r) for r in M.rows], M.ctx))
 
 
 def is_invertible(M):
     return rank(M) == M.n
 
 
+def _augmented_rref(M):
+    """(rank, rows): rref of [M | I] with pivots in the M block only.
+
+    The first ``rank`` rows carry rref(M) on the left; the right parts of
+    the other rows span the left kernel of M.
+    """
+    n = M.n
+    rows = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(M.rows)]
+    return len(_rref_in_place(rows, M.ctx, n_pivot_cols=n)), rows
+
+
+def _image_and_kernel(M):
+    """Canonical bases of {v X} and {v : v X = 0}, from one elimination."""
+    n = M.n
+    r, rows = _augmented_rref(M)
+    kernel = [row[n:] for row in rows[r:]]
+    _rref_in_place(kernel, M.ctx)
+    return tuple(tuple(row[:n]) for row in rows[:r]), tuple(map(tuple, kernel))
+
+
 def row_space_basis(M):
     """Canonical (rref) basis of the image {v X}, as a tuple of row tuples."""
-    rows = [list(r) for r in M.rows]
-    pivots = _rref_in_place(rows, M.ctx)
-    return tuple(tuple(rows[i]) for i in range(len(pivots)))
+    return _image_and_kernel(M)[0]
 
 
 def left_kernel_basis(M):
     """Canonical basis of {v : v X = 0}."""
-    ctx = M.ctx
-    n = M.n
-    aug = [list(M.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    _rref_in_place(aug, ctx, n_pivot_cols=n)
-    dep = [row[n:] for row in aug if all(a == 0 for a in row[:n])]
-    _rref_in_place(dep, ctx)
-    return tuple(tuple(r) for r in dep if any(r))
+    return _image_and_kernel(M)[1]
 
 
 def inverse(M):
-    ctx = M.ctx
-    n = M.n
-    aug = [list(M.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    pivots = _rref_in_place(aug, ctx, n_pivot_cols=n)
-    if len(pivots) < n:
+    r, rows = _augmented_rref(M)
+    if r < M.n:
         raise SingularMatrix("matrix is not invertible")
-    return Mat(ctx, n, tuple(tuple(row[n:]) for row in aug))
+    return Mat(M.ctx, M.n, tuple(tuple(row[M.n:]) for row in rows))
 
 
 Mat.inverse = inverse
-
-
-class RowBasis:
-    """A fixed independent row family with a coordinate solver.
-
-    Precomputes rref(B) together with the transform T (T B = R), so that
-    coordinates of any vector in the row space come from reading pivot
-    columns and mapping back through T.
-    """
-
-    def __init__(self, ctx, rows):
-        self.ctx = ctx
-        self.rows = tuple(tuple(r) for r in rows)
-        self.m = len(self.rows)
-        self.width = len(self.rows[0]) if self.rows else 0
-        aug = [list(r) + [1 if j == i else 0 for j in range(self.m)]
-               for i, r in enumerate(self.rows)]
-        self.pivots = _rref_in_place(aug, ctx, n_pivot_cols=self.width)
-        if len(self.pivots) != self.m:
-            raise ValueError("rows are linearly dependent")
-        self.rref = [row[:self.width] for row in aug]
-        self.transform = [row[self.width:] for row in aug]
-
-    def coords(self, v):
-        """x with x B = v, or None when v is outside the row space."""
-        neg, axpy = self.ctx.neg, self.ctx.axpy
-        y = [v[c] for c in self.pivots]
-        resid = list(v)
-        for yi, row in zip(y, self.rref):
-            if yi:
-                axpy(resid, 0, neg(yi), row)
-        if any(resid):
-            return None
-        out = [0] * self.m
-        for yi, trow in zip(y, self.transform):
-            if yi:
-                axpy(out, 0, yi, trow)
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,38 +340,21 @@ class FittingSplit:
         return len(self.nil_basis)
 
 
-def _restrict(M, basis):
-    """Matrix of X on the invariant subspace spanned by ``basis`` rows."""
-    ctx = M.ctx
-    if not basis:
-        return Mat(ctx, 0, ())
-    rb = RowBasis(ctx, basis)
-    out = []
-    for row in basis:
-        img = M.apply_to_row(row)
-        coords = rb.coords(img)
-        if coords is None:
-            raise ValueError("subspace is not invariant under X")
-        out.append(coords)
-    return Mat(ctx, len(basis), tuple(out))
-
-
 def fitting_decompose(M):
-    """Split V into the invertible and nilpotent parts of X.
+    """Split V into the invertible and nilpotent parts of X, as one change of basis.
 
-    V_nil is the kernel of X^n and V_inv the image of X^n; both are
-    X-invariant, X restricted to V_inv is invertible, and the restriction
-    to V_nil is nilpotent.
+    V_inv is the image of X^n and V_nil its kernel; both are X-invariant
+    and come from one elimination of [X^n | I].  With B the rows of
+    inv_basis then nil_basis, B X B^-1 is block diagonal: X restricted to
+    V_inv (invertible) and to V_nil (nilpotent).
     """
-    Y = M ** M.n
-    inv_basis = row_space_basis(Y)
-    nil_basis = left_kernel_basis(Y)
-    return FittingSplit(
-        inv_basis=inv_basis,
-        nil_basis=nil_basis,
-        x_inv=_restrict(M, inv_basis),
-        x_nil=_restrict(M, nil_basis),
-    )
+    inv_basis, nil_basis = _image_and_kernel(M ** M.n)
+    r = len(inv_basis)
+    B = Mat(M.ctx, M.n, inv_basis + nil_basis)
+    C = (B * M * inverse(B)).rows
+    return FittingSplit(inv_basis, nil_basis,
+                        Mat(M.ctx, r, tuple(row[:r] for row in C[:r])),
+                        Mat(M.ctx, M.n - r, tuple(row[r:] for row in C[r:])))
 
 
 def is_nilpotent(M):

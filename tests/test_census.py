@@ -126,6 +126,18 @@ def test_census_rejects_non_ni_spec_with_witness():
     assert info.value.witness is not None
 
 
+@pytest.mark.parametrize("member, message", [
+    (lambda X: matrix.rank(X) == 1, "member(X) but not member(X_inv + 0)"),
+    (lambda X: X.is_zero, "member(X_inv + 0) but not member(X)"),
+], ids=["rank-1", "zero"])
+def test_census_ni_violation_names_the_failing_side(member, message):
+    # both specs first fail at the nilpotent ((0, 1), (0, 0)), whose X_inv + 0 is 0
+    with pytest.raises(NIViolation) as info:
+        census_exact(NISubsetSpec("bad", member), 2, F2)
+    assert str(info.value) == f"spec 'bad': {message}"
+    assert info.value.witness.rows == ((0, 1), (0, 0))
+
+
 def test_memo_scope_lifetime(monkeypatch):
     tables = []
 

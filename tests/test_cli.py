@@ -262,6 +262,16 @@ PINNED = {
         "4d8acef26a5e231e73b147373008916a38501e11de232eccb90bb8c7c8b2361e"),
     "quokka-2^62": (["quokka", "--c", "2", "--q", str(2 ** 62), "--b", "2"],
                     "673f8c364cf3f24af4e46d53cc64e2792f986fe96b6125b4a570bbbce8f6ccef"),
+    # nontrivial Fitting splits: both blocks nonempty
+    "decompose-3x3-q3": (
+        ["decompose", "--matrix", "3 3 : 1 2 0 0 0 1 2 1 0"],
+        "9030711072fa37237c0747e5802145cbd74ddca855841028a8e5951cd5e22127"),
+    "decompose-3x3-q4": (
+        ["decompose", "--matrix", "3 2^2 : 2 2 3 0 0 3 3 3 3"],
+        "9412e80f295c7f820de81a7791697ef76e97fa922ef177a4abb4f8f48f0737d1"),
+    "decompose-4x4-q3": (
+        ["decompose", "--matrix", "4 3 : 2 1 0 2 2 2 2 0 0 1 0 1 1 2 1 1"],
+        "dc7d54a71465e0b6098fca960899c83f53ed9d43d8cc4998296ed100c8d18576"),
 }
 
 
@@ -277,6 +287,22 @@ def test_budget_flag(capsys):
     code = cli.main(["census", "--spec", "all", "--d", "3", "--q", "3", "--budget", "100"])
     capsys.readouterr()
     assert code == 4
+
+
+def test_malformed_budget_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("NICENSUS_BUDGET", "abc")
+    code = cli.main(["census", "--spec", "all", "--d", "2", "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "NICENSUS_BUDGET" in captured.err
+
+
+def test_census_flag_check_at_d0(capsys):
+    code, out = run_cli(["census", "--spec", "all", "--d", "0", "--q", "2",
+                         "--flag-check"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["identity_holds"] is True
 
 
 def test_json_file_output(tmp_path, capsys):

@@ -77,12 +77,16 @@ def test_kernels_commute_with_subfield_embedding(p, k, n, ext_k):
         assert up(poly.pow_mod(a, e, b)) == poly.pow_mod(up(a), e, up(b))
 
 
-@pytest.mark.parametrize("ctx", [F2, F3], ids=["q2", "q3"])
-def test_fitting_invariants_exhaustive(ctx):
-    for M in matrix.all_matrices(2, ctx):
+@pytest.mark.parametrize("n, ctx", [(2, F2), (2, F3), (3, F2), (2, F4)],
+                         ids=["q2", "q3", "d3-q2", "q4"])
+def test_fitting_invariants_exhaustive(n, ctx):
+    for M in matrix.all_matrices(n, ctx):
         s = matrix.fitting_decompose(M)
-        assert s.inv_dim + s.nil_dim == 2
-        assert s.nil_dim == 2 - matrix.rank(M ** 2)
+        Y = M ** n
+        assert s.inv_basis == matrix.row_space_basis(Y)
+        assert s.nil_basis == matrix.left_kernel_basis(Y)
+        assert s.inv_dim + s.nil_dim == n
+        assert s.nil_dim == n - matrix.rank(Y)
         if s.inv_dim:
             assert matrix.is_invertible(s.x_inv)
         if s.nil_dim:
