@@ -17,6 +17,8 @@ identities as exact rationals.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,9 +69,11 @@ class NISubsetSpec:
     """A named membership predicate on matrices.
 
     ``member`` must depend only on the invertible part and be invariant
-    under conjugation (that is what ``ni_verify`` audits).
-    ``contains_nilpotents`` may be None, in which case it is derived
-    from member(0).
+    under conjugation (that is what ``ni_verify`` audits).  Only its
+    truth value counts: ``census_exact`` and ``ni_verify`` decide on
+    bool(member(X)), so a predicate returning 1/0 or any other truthy
+    value describes the same family.  ``contains_nilpotents`` may be
+    None, in which case it is derived from member(0).
     """
 
     name: str
@@ -198,6 +202,31 @@ def _nilpotent_canonical(M, split=None):
     return matrix.direct_sum(split.x_inv, Mat.zero(M.ctx, split.nil_dim))
 
 
+class _Verdicts:
+    """bool(member(X)) for X in M(d, q), decided at most once per matrix.
+
+    One byte per matrix, indexed by the inverse of ``matrix.matrix_from_index``
+    (entries row-major, the first least significant): 0 while undecided,
+    else 1 + the verdict.  The key is the matrix itself, never a similarity
+    invariant, so X and X_inv + 0 are decided independently.
+    """
+
+    def __init__(self, member, d, ctx):
+        self.member = member
+        self.weights = tuple(ctx.order ** k for k in range(d * d))
+        self.table = bytearray(ctx.order ** (d * d))
+
+    def index(self, X):
+        return sum(map(operator.mul, itertools.chain.from_iterable(X.rows), self.weights))
+
+    def __call__(self, X):
+        k = self.index(X)
+        v = self.table[k]
+        if not v:
+            v = self.table[k] = 1 + bool(self.member(X))
+        return v == 2
+
+
 @poly.memo_scope()
 def census_exact(spec, d, ctx, budget=None, check_ni=True):
     """Count the family exhaustively and assert the flag-sum identity.
@@ -206,21 +235,25 @@ def census_exact(spec, d, ctx, budget=None, check_ni=True):
     GL(i, q) for each |N_i| against the standard flag.  Raises
     NIViolation (with a witness) if the predicate is found to depend on
     the nilpotent part, or if either exact identity fails.
+
+    member(X), member(X_inv + 0) and the flag counts' member(Y + 0_{d-i})
+    share one ``_Verdicts`` table of q^(d^2) bytes, within the budget
+    checked first, so ``spec.member`` runs at most once per matrix.
     """
     q = ctx.order
     cap = gf.enumeration_budget(budget)
     if q ** (d * d) > cap:
         raise BudgetExceeded(f"census over M({d},{q}) needs {q ** (d*d)} matrices, budget {cap}")
-    member = spec.member
+    member = _Verdicts(spec.member, d, ctx)
 
     n_total = 0
     n_of_i = [0] * (d + 1)
     for X in matrix.all_matrices(d, ctx, budget=budget):
-        in_n = bool(member(X))
+        in_n = member(X)
         if not (in_n or check_ni):
             continue
         split = matrix.fitting_decompose(X)
-        if check_ni and bool(member(_nilpotent_canonical(X, split))) != in_n:
+        if check_ni and member(_nilpotent_canonical(X, split)) != in_n:
             raise NIViolation(
                 f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
                 f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
@@ -383,7 +416,12 @@ class NIAuditReport:
         return not self.violations
 
 
-# ni_verify's sample count and seed past the exhaustive range, and its stopping point.
+# ni_verify enumerates M(d, q) up to AUDIT_EXHAUSTIVE_MAX matrices and
+# GL(d, q) up to AUDIT_MAX_GL conjugators; past them it samples
+# AUDIT_TRIALS matrices at AUDIT_SEED, with three conjugators each.  It
+# stops after AUDIT_MAX_VIOLATIONS violations.
+AUDIT_EXHAUSTIVE_MAX = 4096
+AUDIT_MAX_GL = 512
 AUDIT_TRIALS = 2000
 AUDIT_SEED = 0
 AUDIT_MAX_VIOLATIONS = 5
@@ -397,27 +435,39 @@ def ni_verify(spec, d, ctx, budget=None):
     membership of X equals membership of X_inv + 0.  Violations are
     collected with witnesses rather than raised, so deliberately broken
     predicates can be inspected.
+
+    The exhaustive audit decides through a ``_Verdicts`` table of
+    q^(d^2) <= AUDIT_EXHAUSTIVE_MAX bytes, so ``spec.member`` runs at most
+    once per matrix.  When GL(d, q) is enumerated too, the orbit
+    {g^-1 X g} of the first X of each orbit is built once and marked
+    uniform when its verdicts agree; a uniform X counts every conjugator
+    as checked, any other X scans g for the first differing verdict.
     """
     from . import estimate  # local import: estimate builds on census for specs
 
     q = ctx.order
     total = q ** (d * d)
     cap = gf.enumeration_budget(budget)
-    exhaustive = total <= min(cap, max(AUDIT_TRIALS, 4096))
-    member = spec.member
+    exhaustive = total <= min(cap, AUDIT_EXHAUSTIVE_MAX)
 
     if exhaustive:
         mats = matrix.all_matrices(d, ctx, budget=budget)
         n_mats = total
+        member = _Verdicts(spec.member, d, ctx)
     else:
         mats = (estimate.sample_matrix(d, ctx, AUDIT_SEED, j) for j in range(AUDIT_TRIALS))
         n_mats = AUDIT_TRIALS
 
+        def member(X):
+            return bool(spec.member(X))
+
     # Each conjugator is inverted once: once per audit when GL(d, q) is
     # enumerated, once per draw when it is sampled.
     pairs = None
-    if matrix.gl_order(d, q) <= 512:
+    if matrix.gl_order(d, q) <= AUDIT_MAX_GL:
         pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx))
+    # per matrix index: 0 while its orbit is unbuilt, else 1 + whether it is uniform
+    orbit_marks = bytearray(total) if exhaustive and pairs is not None else None
 
     violations = []
     conj_count = 0
@@ -425,14 +475,27 @@ def ni_verify(spec, d, ctx, budget=None):
         m_x = member(X)
         if m_x != member(_nilpotent_canonical(X)):
             violations.append(("nilpotent-part-dependence", X, None))
-        gs = pairs if pairs is not None else (
-            (matrix.inverse(g), g) for g in
-            (estimate.sample_gl(d, ctx, AUDIT_SEED ^ 0x9E3779B9, j * 3 + t) for t in range(3)))
-        for g_inv, g in gs:
-            conj_count += 1
-            if member(g_inv * X * g) != m_x:
-                violations.append(("conjugation-dependence", X, g))
-                break
+        uniform = False
+        if orbit_marks is not None:
+            k = member.index(X)
+            if not orbit_marks[k]:
+                orbit = [g_inv * X * g for g_inv, g in pairs]
+                mark = 1 + all(member(Y) == m_x for Y in orbit)
+                for Y in orbit:
+                    orbit_marks[member.index(Y)] = mark
+            uniform = orbit_marks[k] == 2
+        if uniform:
+            conj_count += len(pairs)
+        else:
+            gs = pairs if pairs is not None else (
+                (matrix.inverse(g), g) for g in
+                (estimate.sample_gl(d, ctx, AUDIT_SEED ^ 0x9E3779B9, j * 3 + t)
+                 for t in range(3)))
+            for g_inv, g in gs:
+                conj_count += 1
+                if member(g_inv * X * g) != m_x:
+                    violations.append(("conjugation-dependence", X, g))
+                    break
         if len(violations) >= AUDIT_MAX_VIOLATIONS:
             break
 

@@ -36,9 +36,11 @@ scope enumerates, about q^n per matrix size n and never more than the
 enumeration budget; no verify suite fills more than 62.  The sampled
 leg (``estimate.monte_carlo``, ``compare``, ``embed.pc_member_charpoly``)
 opens no scope: its keys grow with the sample count, up to the 2^24
-budget.  ``member(X)`` is never memoized: X and X_inv + 0 share their
-charpoly, so a memo keyed by it would let the NI audits compare a
-verdict with itself.
+budget.  ``member(X)`` is never memoized here: X and X_inv + 0 share
+their charpoly, so a memo keyed by it would let the NI audits compare a
+verdict with itself.  ``census_exact`` and ``ni_verify`` instead table
+it per call by the exact matrix's enumeration index (``census._Verdicts``),
+one byte per matrix of the enumeration the budget admits.
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.

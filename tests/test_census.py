@@ -1,5 +1,6 @@
 """Flag-sum censuses: anchors, identities, audits, transfer bounds."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -287,12 +288,14 @@ _BROKEN_AUDITS = {
 }
 
 
+_BROKEN_SPECS = {s.name: s for s in (
+    NISubsetSpec("rank-d-minus-1", lambda X: matrix.rank(X) == X.n - 1),
+    NISubsetSpec("first-entry", lambda X: X.rows[0][0] == 1))}
+
+
 def test_ni_verify_reports_pinned():
-    specs = {s.name: s for s in (
-        NISubsetSpec("rank-d-minus-1", lambda X: matrix.rank(X) == X.n - 1),
-        NISubsetSpec("first-entry", lambda X: X.rows[0][0] == 1))}
     for (name, d, q), (conjugations, violations) in _BROKEN_AUDITS.items():
-        rep = census.ni_verify(specs[name], d, gf.field_create(q))
+        rep = census.ni_verify(_BROKEN_SPECS[name], d, gf.field_create(q))
         assert rep.conjugations_checked == conjugations, (name, d, q)
         assert [(kind, X.rows, g and g.rows) for kind, X, g in rep.violations] == violations
 
@@ -310,3 +313,163 @@ def test_contains_nilpotents_flag_checked():
                          contains_nilpotents=False)
     with pytest.raises(NIViolation):
         census_exact(wrong, 2, F2)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: census_exact and ni_verify as plain loops that decide every
+# membership through the predicate, with no verdict table and no orbits
+# ---------------------------------------------------------------------------
+
+
+def _census_loop(spec, d, ctx):
+    """The enumeration of census_exact: (|N|, |N(i)|, |N_i|)."""
+    n_total, n_of_i = 0, [0] * (d + 1)
+    for X in matrix.all_matrices(d, ctx):
+        in_n = bool(spec.member(X))
+        split = matrix.fitting_decompose(X)
+        if bool(spec.member(census._nilpotent_canonical(X, split))) != in_n:
+            raise NIViolation(spec.name, witness=X)
+        if in_n:
+            n_total += 1
+            n_of_i[split.inv_dim] += 1
+    n_i = [int(bool(spec.member(Mat.zero(ctx, d))))]
+    for i in range(1, d + 1):
+        pad = Mat.zero(ctx, d - i)
+        n_i.append(sum(1 for Y in matrix.all_invertible(i, ctx)
+                       if spec.member(matrix.direct_sum(Y, pad))))
+    return n_total, n_of_i, n_i
+
+
+def _ni_verify_per_pair(specs, d, ctx, budget=None):
+    """ni_verify's report for each spec, from one scan over every (X, g) pair.
+
+    The specs' scans run side by side, X by X, so that each conjugate is
+    built once for all of them; a spec leaves the scan at its last
+    violation.  The predicates are pure, so their verdicts are kept by
+    matrix; every pair is still conjugated and compared.
+    """
+    q = ctx.order
+    total = q ** (d * d)
+    exhaustive = total <= min(gf.enumeration_budget(budget), census.AUDIT_EXHAUSTIVE_MAX)
+    if exhaustive:
+        mats, n_mats = matrix.all_matrices(d, ctx), total
+    else:
+        mats = (estimate.sample_matrix(d, ctx, census.AUDIT_SEED, j)
+                for j in range(census.AUDIT_TRIALS))
+        n_mats = census.AUDIT_TRIALS
+    pairs = None
+    if matrix.gl_order(d, q) <= census.AUDIT_MAX_GL:
+        pairs = [(matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx)]
+    scans = [(spec, {}, [], [0]) for spec in specs]  # verdicts, violations, conjugations
+    active = list(scans)
+    for j, X in enumerate(mats):
+        gs = pairs if pairs is not None else [
+            (matrix.inverse(g), g) for g in
+            (estimate.sample_gl(d, ctx, census.AUDIT_SEED ^ 0x9E3779B9, j * 3 + t)
+             for t in range(3))]
+        conjugates = []
+        for scan in list(active):
+            spec, seen, violations, conjugations = scan
+
+            def member(Y):
+                if Y.rows not in seen:
+                    seen[Y.rows] = bool(spec.member(Y))
+                return seen[Y.rows]
+
+            m_x = member(X)
+            if m_x != member(census._nilpotent_canonical(X)):
+                violations.append(("nilpotent-part-dependence", X, None))
+            for t, (g_inv, g) in enumerate(gs):
+                if t == len(conjugates):
+                    conjugates.append(g_inv * X * g)
+                conjugations[0] += 1
+                if member(conjugates[t]) != m_x:
+                    violations.append(("conjugation-dependence", X, g))
+                    break
+            if len(violations) >= census.AUDIT_MAX_VIOLATIONS:
+                active.remove(scan)
+    return [census.NIAuditReport(spec_name=spec.name, d=d, q=q, exhaustive=exhaustive,
+                                 matrices_checked=n_mats, conjugations_checked=conjugations[0],
+                                 violations=tuple(violations))
+            for spec, _, violations, conjugations in scans]
+
+
+def _jordan_block(X):
+    return all(X.rows[i][j] == (1 if j == i + 1 else 0)
+               for i in range(X.n) for j in range(X.n))
+
+
+# conjugation invariance fails on the regular nilpotent orbit alone
+_ONE_ORBIT_BROKEN = NISubsetSpec("all-but-jordan-block", lambda X: not _jordan_block(X))
+
+_DIFFERENTIAL_SPECS = ([get_spec(name) for name in cli._AUDIT_SPECS]
+                       + list(_BROKEN_SPECS.values()) + [_ONE_ORBIT_BROKEN])
+_SIZES = [(2, F2), (2, F3), (3, F2)]
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_ni_verify_matches_per_pair_scan(d, ctx):
+    with poly.memo_scope():
+        expected = _ni_verify_per_pair(_DIFFERENTIAL_SPECS, d, ctx)
+    for spec, rep in zip(_DIFFERENTIAL_SPECS, expected):
+        assert rep.exhaustive
+        assert census.ni_verify(spec, d, ctx) == rep, spec.name
+    # the one-orbit spec fails only on regular nilpotents
+    rep = census.ni_verify(_ONE_ORBIT_BROKEN, d, ctx)
+    assert rep.violations and all(matrix.rank(X) == d - 1 and matrix.is_nilpotent(X)
+                                  for _, X, _ in rep.violations)
+
+
+def test_ni_verify_sampled_path_matches_per_pair_scan():
+    specs = (get_spec("separable"), _BROKEN_SPECS["first-entry"], _ONE_ORBIT_BROKEN)
+    for spec, expected in zip(specs, _ni_verify_per_pair(specs, 2, F2, budget=10)):
+        rep = census.ni_verify(spec, 2, F2, budget=10)
+        assert not rep.exhaustive
+        assert rep == expected, spec.name
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_census_exact_matches_plain_loop(d, ctx):
+    for name in census._PLAIN_SPECS:
+        spec = get_spec(name)
+        fc = census_exact(spec, d, ctx)
+        with poly.memo_scope():
+            n_total, n_of_i, n_i = _census_loop(spec, d, ctx)
+        assert (fc.n_total, [p.n_of_i for p in fc.per_i], [p.n_i for p in fc.per_i]) == \
+            (n_total, n_of_i, n_i), name
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_member_runs_once_per_matrix(d, ctx):
+    for spec in (get_spec("primary-cyclic-some-f-not-t"), _BROKEN_SPECS["first-entry"],
+                 _ONE_ORBIT_BROKEN):
+        calls = Counter()
+
+        def member(X):
+            calls[X.rows] += 1
+            return spec.member(X)
+
+        counted = NISubsetSpec(spec.name, member, spec.contains_nilpotents)
+        for run in (census.ni_verify, census_exact):
+            calls.clear()
+            try:
+                run(counted, d, ctx)
+            except NIViolation:
+                pass
+            assert calls and max(calls.values()) == 1, (spec.name, run.__name__)
+
+
+def test_member_decides_on_truth_value():
+    for pred in (matrix.is_invertible, _BROKEN_SPECS["first-entry"].member,
+                 _ONE_ORBIT_BROKEN.member):
+        plain = NISubsetSpec("p", pred)
+        as_int = NISubsetSpec("p", lambda X: int(pred(X)))
+        # truthy values that differ between conjugates and between X and X_inv + 0
+        as_rows = NISubsetSpec("p", lambda X: X.rows if pred(X) else ())
+        for budget in (None, 10):
+            expected = census.ni_verify(plain, 2, F2, budget=budget)
+            assert census.ni_verify(as_int, 2, F2, budget=budget) == expected
+            assert census.ni_verify(as_rows, 2, F2, budget=budget) == expected
+    as_rows = NISubsetSpec("invertible", lambda X: X.rows if matrix.is_invertible(X) else (),
+                           contains_nilpotents=False)
+    assert census_exact(as_rows, 2, F3) == census_exact(get_spec("invertible"), 2, F3)
