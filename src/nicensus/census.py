@@ -227,7 +227,6 @@ class _Verdicts:
         return v == 2
 
 
-@poly.memo_scope()
 def census_exact(spec, d, ctx, budget=None, check_ni=True):
     """Count the family exhaustively and assert the flag-sum identity.
 
@@ -427,7 +426,6 @@ AUDIT_SEED = 0
 AUDIT_MAX_VIOLATIONS = 5
 
 
-@poly.memo_scope()
 def ni_verify(spec, d, ctx, budget=None):
     """Audit both NI conditions, exhaustively when the budget allows.
 

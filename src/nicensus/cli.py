@@ -152,7 +152,11 @@ def cmd_quokka(args):
 
 
 def _estimate_exact_and_bounds(spec_name, d, ctx, budget):
-    """Attach a registered exact value and theory bounds when available."""
+    """Attach a registered exact value and theory bounds when available.
+
+    The exhaustive census is attached only when M(d, q) fits the budget,
+    which otherwise need only cover the samples.
+    """
     m = re.match(r"^pc-large-degree\((\d+)\)$", spec_name)
     if m:
         b = int(m.group(1))
@@ -161,7 +165,7 @@ def _estimate_exact_and_bounds(spec_name, d, ctx, budget):
             exact = quokka.thm_pc_m_exact(d, q_base, b)
             bound = quokka.thm_pc_m_bound(d, q_base, b)
             return exact, (("algebra-lower-bound", ">=", bound),)
-    if ctx.order ** (d * d) <= 65536:
+    if ctx.order ** (d * d) <= min(65536, gf.enumeration_budget(budget)):
         spec = census.get_spec(spec_name)
         fc = census.census_exact(spec, d, ctx, budget=budget, check_ni=False)
         return fc.proportion_in_m, ()
@@ -510,12 +514,10 @@ def run_suite(name, budget=None, seed=42):
     """Run one named suite; returns the list of SuiteCheck records.
 
     Every suite takes the seed; only the sampling ones (thm15) read it.
-    The suite runs in one ``poly.memo_scope``.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(_SUITES))}")
-    with poly.memo_scope():
-        return _SUITES[name](budget=budget, seed=seed)
+    return _SUITES[name](budget=budget, seed=seed)
 
 
 def cmd_verify(args):

@@ -22,6 +22,7 @@ exhaustive and sampled tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -58,15 +59,9 @@ class TowerCtx:
         return self._coords[alpha]
 
 
-_tower_cache = {}
-
-
+@functools.cache
 def make_tower(ext, base):
     """Build (and cache) the tower for ext over base."""
-    key = (ext.uid, base.uid)
-    cached = _tower_cache.get(key)
-    if cached is not None:
-        return cached
     if base.p != ext.p or ext.k % base.k != 0:
         raise NotASubfield(f"F_{base.order} is not a subfield of F_{ext.order}")
     if ext.order > (1 << 16):
@@ -85,9 +80,7 @@ def make_tower(ext, base):
             val = ext.add(val, ext.mul(emb[c], e))
         coords[val] = combo
     assert len(coords) == ext.order
-    tower = TowerCtx(base=base, ext=ext, b=b, basis=basis, _coords=coords, _rep_cache={})
-    _tower_cache[key] = tower
-    return tower
+    return TowerCtx(base=base, ext=ext, b=b, basis=basis, _coords=coords, _rep_cache={})
 
 
 def tower_for(ext, b):

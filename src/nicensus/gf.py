@@ -21,6 +21,7 @@ loops run on coefficient lists through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 
@@ -32,14 +33,13 @@ from .errors import (
     ParseError,
     ReducibleModulus,
 )
+from .intervals import int_nth_root
 
 _FULL_TABLE_MAX = 256
 _LOG_TABLE_MAX = 1 << 16
 FIELD_SIZE_LIMIT = 1 << 20
 
 _DEFAULT_BUDGET = 1 << 24
-
-_ctx_serial = itertools.count()
 
 
 def enumeration_budget(budget=None):
@@ -112,16 +112,6 @@ def _is_prime(n):
     return True
 
 
-def _iroot(n, k):
-    """The largest r with r**k <= n, for n >= 1, by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
 def is_prime_power(q):
     """True when q = p^k (k >= 1) for a prime p < PRIME_TEST_BOUND.
 
@@ -133,7 +123,7 @@ def is_prime_power(q):
     if q < 2:
         return False
     for k in range(q.bit_length() - 1, 0, -1):
-        r = _iroot(q, k)
+        r = int_nth_root(q, k)
         if r ** k == q:
             return r < PRIME_TEST_BOUND and _is_prime(r)
     return False
@@ -172,34 +162,22 @@ def _is_irreducible_over_prime_field(coeffs, p):
     return poly.is_irreducible(poly.Poly(field_create(p, 1), tuple(c % p for c in coeffs)))
 
 
-_canonical_modulus_cache = {}
-
-
+@functools.cache
 def canonical_modulus(p, k):
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Coefficient vectors are compared low-degree first, so the scan order
     is independent of any integer encoding.
     """
-    key = (p, k)
-    if key in _canonical_modulus_cache:
-        return _canonical_modulus_cache[key]
     if k == 1:
-        # t itself: F_p[t]/(t) = F_p
-        mod = (0, 1)
-    else:
-        # Constant term first in scan order; it starts at 1 because every
-        # candidate with constant term 0 is divisible by t.
-        mod = None
-        for tail in itertools.product(range(1, p), *(range(p),) * (k - 1)):
-            cand = tail + (1,)
-            if _is_irreducible_over_prime_field(cand, p):
-                mod = cand
-                break
-        if mod is None:  # pragma: no cover - irreducibles always exist
-            raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")
-    _canonical_modulus_cache[key] = mod
-    return mod
+        return (0, 1)  # t itself: F_p[t]/(t) = F_p
+    # Constant term first in scan order; it starts at 1 because every
+    # candidate with constant term 0 is divisible by t.
+    for tail in itertools.product(range(1, p), *(range(p),) * (k - 1)):
+        cand = tail + (1,)
+        if _is_irreducible_over_prime_field(cand, p):
+            return cand
+    raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +189,14 @@ class FieldCtx:
     """A finite field F_{p^k} with a fixed monic irreducible modulus.
 
     Immutable after construction; safe to share across workers.  Use
-    :func:`field_create` rather than calling this directly, so that
-    contexts are cached and ``uid`` values are stable.  On the table
+    :func:`field_create` rather than calling this directly, so that one
+    context serves each field: caches key on its identity.  On the table
     tiers (order <= 2**16) ``frob[c]`` is c**p, the identity on a prime
     field; on the raw tier ``frob`` is None.
     """
 
     __slots__ = (
-        "p", "k", "order", "modulus", "uid",
+        "p", "k", "order", "modulus",
         "add_rows", "mul_rows", "neg_table", "inv_table", "frob",
         "_exp", "_log", "axpy",
     )
@@ -228,7 +206,6 @@ class FieldCtx:
         self.k = k
         self.order = p ** k
         self.modulus = tuple(int(c) % p for c in modulus)
-        self.uid = next(_ctx_serial)
         self.add_rows = None
         self.mul_rows = None
         self.neg_table = None
@@ -520,9 +497,7 @@ def parse_field_descriptor(text):
 # Subfield embeddings
 # ---------------------------------------------------------------------------
 
-_embedding_cache = {}
-
-
+@functools.cache
 def subfield_embedding(sub, ext):
     """Embedding table F_sub -> F_ext (tuple indexed by sub elements).
 
@@ -531,18 +506,12 @@ def subfield_embedding(sub, ext):
     candidate roots compared low-degree first), which pins a single
     canonical map per tower.
     """
-    key = (sub.uid, ext.uid)
-    cached = _embedding_cache.get(key)
-    if cached is not None:
-        return cached
     if sub.p != ext.p:
         raise NotASubfield("different characteristics")
     if ext.k % sub.k != 0:
         raise NotASubfield(f"F_{sub.order} does not embed in F_{ext.order}")
     if sub.k == 1:
-        table = tuple(range(sub.p))
-        _embedding_cache[key] = table
-        return table
+        return tuple(range(sub.p))
     roots = []
     mod = sub.modulus  # coefficients < p are valid in ext too
     for y in ext.elements():
@@ -561,9 +530,7 @@ def subfield_embedding(sub, ext):
         for d in reversed(digs):
             acc = ext.add(ext.mul(acc, rho), d)
         table.append(acc)
-    table = tuple(table)
-    _embedding_cache[key] = table
-    return table
+    return tuple(table)
 
 
 def subfield_lift(sub, ext):

@@ -402,7 +402,7 @@ def primary_cyclic_factors(M):
 
     M is f-primary cyclic when f has the same multiplicity >= 1 in the
     characteristic and the minimal polynomial; the polynomial tail is
-    ``poly.equal_multiplicity_factors``, memoized inside a memo scope.
+    ``poly.equal_multiplicity_factors``, memoized by a bounded ``lru_cache``.
     """
     return poly.equal_multiplicity_factors(charpoly(M), minpoly(M))
 

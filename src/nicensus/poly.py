@@ -21,26 +21,14 @@ and ``pow_mod`` square and multiply through ``gf.power``, as does
 ``Poly.__pow__``.  f is irreducible exactly when it is its own large
 factor, so ``is_irreducible`` asks ``large_factor``.
 
-Two pure functions of polynomials are memoized while a ``memo_scope`` is
-open: ``factorize(f)`` and ``equal_multiplicity_factors(cp, mp)``, the
-polynomial tail of ``matrix.primary_cyclic_factors``.  An entry is keyed
-by the function, the field's ``uid`` and the coefficient tuples, so two
-fields of one order with different moduli, and the direct route on the
-blow-up (over the base field) and the routes over the extension, never
-read each other's entries.  ``cli.run_suite``, ``census.census_exact``
-and ``census.ni_verify`` open the scope; inner scopes share the outer
-table and the outermost drops it on return and on raise, so outside a
-scope the table is None and nothing stays filled.  A table holds at most
-one entry per distinct polynomial or (cp, mp) pair of the matrices its
-scope enumerates, about q^n per matrix size n and never more than the
-enumeration budget; no verify suite fills more than 62.  The sampled
-leg (``estimate.monte_carlo``, ``compare``, ``embed.pc_member_charpoly``)
-opens no scope: its keys grow with the sample count, up to the 2^24
-budget.  ``member(X)`` is never memoized here: X and X_inv + 0 share
-their charpoly, so a memo keyed by it would let the NI audits compare a
-verdict with itself.  ``census_exact`` and ``ni_verify`` instead table
-it per call by the exact matrix's enumeration index (``census._Verdicts``),
-one byte per matrix of the enumeration the budget admits.
+``factorize(f)`` and ``equal_multiplicity_factors(cp, mp)``, the
+polynomial tail of ``matrix.primary_cyclic_factors``, are pure and
+memoized for the life of the process by ``functools.lru_cache``, keyed
+by their arguments: ``Poly`` equality compares fields by identity, so
+two fields of one order with different moduli never share an entry.
+``member(X)`` is never memoized by a charpoly: X and X_inv + 0 share
+theirs, so the NI audits would compare a verdict with itself
+(``census._Verdicts`` tables it by the exact matrix instead).
 
 Canonical polynomial order: by degree, then by the coefficient tuple
 compared low-degree first.
@@ -50,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import gf
@@ -275,48 +262,6 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Scoped memo
-# ---------------------------------------------------------------------------
-
-
-_memo = None  # the open memo_scope's table; None outside any scope
-
-
-@contextmanager
-def memo_scope():
-    """Memoize ``factorize`` and ``equal_multiplicity_factors`` inside the block.
-
-    Reentrant: an inner scope shares the outer table, and the outermost
-    scope drops it when the block returns or raises.
-    """
-    global _memo
-    if _memo is not None:
-        yield
-        return
-    _memo = {}
-    try:
-        yield
-    finally:
-        _memo = None
-
-
-def _memoized(fn):
-    """fn of polynomials over one field, cached in the open memo_scope."""
-
-    @functools.wraps(fn)
-    def wrapper(*polys):
-        if _memo is None or not isinstance(polys[0], Poly):  # fn raises TypeError
-            return fn(*polys)
-        key = (fn, polys[0].ctx.uid) + tuple(f.coeffs for f in polys)
-        out = _memo.get(key)
-        if out is None:
-            out = _memo[key] = fn(*polys)
-        return out
-
-    return wrapper
-
-
-# ---------------------------------------------------------------------------
 # gcd and modular exponentiation
 # ---------------------------------------------------------------------------
 
@@ -373,39 +318,40 @@ def _index_of_monic(f):
     return idx
 
 
-_irr_cache = {}
-
-
 def irr_enumerate(m, ctx, budget=None):
     """All monic irreducibles of degree m over ctx, canonically ordered.
 
-    Uses a sieve: every composite monic of degree m is a multiple of an
-    irreducible of degree <= m/2, so marking those multiples leaves the
-    irreducibles.  Cached per (field, degree).
+    Checks the q^m candidates against the budget on every call, then
+    returns the sieve's tuple, cached per (degree, field).
     """
     if m < 1:
         raise ValueError("degree must be >= 1")
-    key = (ctx.uid, m)
-    cached = _irr_cache.get(key)
-    if cached is not None:
-        return cached
     q = ctx.order
     cap = gf.enumeration_budget(budget)
     if q ** m > cap:
         raise BudgetExceeded(f"irreducible enumeration needs {q}^{m} candidates, budget {cap}")
+    return _irr_sieve(m, ctx)
+
+
+@functools.cache
+def _irr_sieve(m, ctx):
+    """The degree-m irreducibles by a sieve over all q^m monics.
+
+    Every composite monic of degree m is a multiple of an irreducible of
+    degree <= m/2, so marking those multiples leaves the irreducibles.
+    """
+    q = ctx.order
     total = q ** m
     composite = bytearray(total)
     for r in range(1, m // 2 + 1):
         cof = m - r
-        for g in irr_enumerate(r, ctx, budget=budget):
+        for g in _irr_sieve(r, ctx):
             for h_idx in range(q ** cof):
                 h = _monic_from_index(ctx, h_idx, cof)
                 composite[_index_of_monic(g * h)] = 1
     out = [_monic_from_index(ctx, i, m) for i in range(total) if not composite[i]]
     out.sort(key=Poly.canonical_key)
-    out = tuple(out)
-    _irr_cache[key] = out
-    return out
+    return tuple(out)
 
 
 def moebius(n):
@@ -434,6 +380,11 @@ def irr_count(m, q):
 # ---------------------------------------------------------------------------
 # Factorization
 # ---------------------------------------------------------------------------
+
+
+# Above the distinct charpolys of any d >= 2 enumeration that the default
+# 2^24 budget admits: q^d <= 64^2 = 4096 monic polynomials at d = 2, q = 64.
+_MEMO_MAX = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -485,7 +436,7 @@ def _split_equal_degree(g, d):
     return out
 
 
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_MAX)
 def factorize(f):
     """Exact factorization into monic irreducibles.
 
@@ -572,7 +523,7 @@ def large_factor(f):
     return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
 
 
-@_memoized
+@functools.lru_cache(maxsize=_MEMO_MAX)
 def equal_multiplicity_factors(cp, mp):
     """The monic irreducible factors f of cp with equal multiplicity in cp and mp.
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nicensus import census, cli, estimate, gf, matrix, poly, quokka
+from nicensus import census, cli, estimate, gf, matrix, quokka
 from nicensus.census import (
     NISubsetSpec,
     census_exact,
@@ -137,38 +137,6 @@ def test_census_ni_violation_names_the_failing_side(member, message):
         census_exact(NISubsetSpec("bad", member), 2, F2)
     assert str(info.value) == f"spec 'bad': {message}"
     assert info.value.witness.rows == ((0, 1), (0, 0))
-
-
-def test_memo_scope_lifetime(monkeypatch):
-    tables = []
-
-    def member(X):
-        tables.append(poly._memo)
-        return matrix.is_invertible(X)
-
-    spec = NISubsetSpec("invertible-recording", member, contains_nilpotents=False)
-    monkeypatch.setitem(cli._SUITES, "recording", lambda budget, seed: [member(Mat.zero(F2, 1))])
-    for run in (lambda: census_exact(spec, 2, F2), lambda: census.ni_verify(spec, 2, F2),
-                lambda: cli.run_suite("recording")):
-        tables.clear()
-        run()
-        # one table, shared by the whole call and dropped on return
-        assert isinstance(tables[0], dict) and all(t is tables[0] for t in tables)
-        assert poly._memo is None
-
-    bad = NISubsetSpec("rank-d-minus-1", lambda X: matrix.rank(X) == X.n - 1)
-    with pytest.raises(NIViolation):
-        census_exact(bad, 2, F2)
-    assert poly._memo is None
-
-    with poly.memo_scope():
-        outer = poly._memo
-        with pytest.raises(NIViolation):
-            census_exact(bad, 2, F2)  # an inner scope: the outer table stays
-        with poly.memo_scope():
-            assert poly._memo is outer
-        assert poly._memo is outer
-    assert poly._memo is None
 
 
 def test_census_budget():
@@ -409,8 +377,7 @@ _SIZES = [(2, F2), (2, F3), (3, F2)]
 
 @pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
 def test_ni_verify_matches_per_pair_scan(d, ctx):
-    with poly.memo_scope():
-        expected = _ni_verify_per_pair(_DIFFERENTIAL_SPECS, d, ctx)
+    expected = _ni_verify_per_pair(_DIFFERENTIAL_SPECS, d, ctx)
     for spec, rep in zip(_DIFFERENTIAL_SPECS, expected):
         assert rep.exhaustive
         assert census.ni_verify(spec, d, ctx) == rep, spec.name
@@ -433,8 +400,7 @@ def test_census_exact_matches_plain_loop(d, ctx):
     for name in census._PLAIN_SPECS:
         spec = get_spec(name)
         fc = census_exact(spec, d, ctx)
-        with poly.memo_scope():
-            n_total, n_of_i, n_i = _census_loop(spec, d, ctx)
+        n_total, n_of_i, n_i = _census_loop(spec, d, ctx)
         assert (fc.n_total, [p.n_of_i for p in fc.per_i], [p.n_i for p in fc.per_i]) == \
             (n_total, n_of_i, n_i), name
 

@@ -289,6 +289,19 @@ def test_budget_flag(capsys):
     assert code == 4
 
 
+def test_estimate_skips_the_exact_census_past_the_budget(capsys):
+    # the 5 samples fit a budget of 10; the census over the 16 matrices does not
+    code, out = run_cli(["estimate", "--spec", "all", "--d", "2", "--q", "2", "--n", "5",
+                         "--budget", "10"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["exact"] is None and doc["result"]["successes"] == 5
+    code, out = run_cli(["estimate", "--spec", "all", "--d", "2", "--q", "2", "--n", "5",
+                         "--budget", "16"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["exact"] == {"num": "1", "den": "1"}
+
+
 def test_malformed_budget_env_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("NICENSUS_BUDGET", "abc")
     code = cli.main(["census", "--spec", "all", "--d", "2", "--q", "2"])

@@ -1,12 +1,13 @@
 """Field arithmetic: axioms by exhaustion and sampling, moduli, Frobenius, embeddings, parsing."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicensus import gf, poly
+from nicensus import gf, intervals, poly
 from nicensus.errors import (
     DegreeMismatch,
     NonPrimeCharacteristic,
@@ -252,3 +253,20 @@ def test_descriptor_roundtrip():
         gf.parse_field_descriptor("2^x")
     with pytest.raises(ParseError):
         gf.parse_field_descriptor("2^2/zz")
+
+
+def test_is_prime_power_matches_factor_int():
+    for q in range(2, 5000):
+        assert gf.is_prime_power(q) == (len(gf.factor_int(q)) == 1), q
+    for r, k in [(2, 33), (3, 20), (6, 12), (7, 11), (1009, 3), (65521, 2)]:
+        for q in (r ** k - 1, r ** k, r ** k + 1):
+            assert gf.is_prime_power(q) == (len(gf.factor_int(q)) == 1), (r, k, q)
+
+
+def test_int_nth_root_is_the_floor_root():
+    rng = random.Random(5)
+    for _ in range(500):
+        m = rng.getrandbits(rng.randrange(1, 300))
+        e = rng.randrange(1, 13)
+        r = intervals.int_nth_root(m, e)
+        assert r ** e <= m < (r + 1) ** e, (m, e)

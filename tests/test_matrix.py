@@ -146,13 +146,16 @@ def test_primary_cyclic_factors_equals_multiplicity_oracle():
         assert matrix.primary_cyclic_factors(M) == expected, M
 
 
-def test_primary_cyclic_factors_memo_matches_unscoped():
+def test_primary_cyclic_factors_memo_matches_unscoped(monkeypatch):
     mats = list(matrix.all_matrices(3, F2)) + list(matrix.all_matrices(2, F3))
-    unscoped = [matrix.primary_cyclic_factors(M) for M in mats]
-    with poly.memo_scope():
-        assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped
-        assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped
-    assert poly._memo is None
+    pairs = [(matrix.charpoly(M), matrix.minpoly(M)) for M in mats]
+    with monkeypatch.context() as m:
+        m.setattr(poly, "factorize", poly.factorize.__wrapped__)
+        unscoped = [poly.equal_multiplicity_factors.__wrapped__(cp, mp) for cp, mp in pairs]
+    poly.equal_multiplicity_factors.cache_clear()
+    assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped  # cold, then hits
+    assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped  # repeat: all hits
+    assert poly.equal_multiplicity_factors.cache_info().misses == len(set(pairs))
 
 
 def test_minpoly_is_minimal_exhaustive():

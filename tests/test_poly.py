@@ -1,14 +1,17 @@
 """Polynomials: factorization oracle, irreducible counts, Galois orbits."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nicensus
 from nicensus import gf, poly
-from nicensus.errors import NotASubfield, ZeroPolynomial
+from nicensus.errors import BudgetExceeded, NotASubfield, ZeroPolynomial
 from nicensus.poly import Poly
 
 F2 = gf.field_create(2)
@@ -83,11 +86,12 @@ def all_monic(ctx, deg):
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 6), (F3, 6), (F4, 4)], ids=["F2", "F3", "F4"])
 def test_factorize_memo_matches_unscoped(ctx, max_deg):
     polys = [f for deg in range(max_deg + 1) for f in all_monic(ctx, deg)]
-    unscoped = [poly.factorize(f) for f in polys]
-    with poly.memo_scope():
-        assert [poly.factorize(f) for f in polys] == unscoped  # misses
-        assert [poly.factorize(f) for f in polys] == unscoped  # hits
-    assert poly._memo is None
+    unscoped = [poly.factorize.__wrapped__(f) for f in polys]
+    poly.factorize.cache_clear()
+    assert [poly.factorize(f) for f in polys] == unscoped  # cold: every call misses
+    assert poly.factorize.cache_info().misses == len(polys)
+    assert [poly.factorize(f) for f in polys] == unscoped  # repeat: every call hits
+    assert poly.factorize.cache_info().hits == len(polys)
 
 
 def test_factorize_memo_keeps_fields_of_one_order_apart():
@@ -95,11 +99,41 @@ def test_factorize_memo_keeps_fields_of_one_order_apart():
     assert other.modulus != F8.modulus
     polys = [f for deg in range(4) for f in all_monic(F8, deg)]
     twins = [Poly(other, f.coeffs) for f in polys]
-    unscoped = [poly.factorize(f) for f in twins]
-    with poly.memo_scope():
-        for f in polys:
-            poly.factorize(f)
-        assert [poly.factorize(f) for f in twins] == unscoped
+    unscoped = [poly.factorize.__wrapped__(f) for f in twins]
+    for f in polys:
+        poly.factorize(f)
+    assert [poly.factorize(f) for f in twins] == unscoped
+    assert [poly.factorize(f) for f in twins] == unscoped
+
+
+def test_cache_inventory():
+    caches, dicts = {}, set()
+    for info in pkgutil.iter_modules(nicensus.__path__):
+        mod = importlib.import_module(f"nicensus.{info.name}")
+        for attr, obj in vars(mod).items():
+            name = f"{info.name}.{attr}"
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                caches[name] = obj.cache_info().maxsize
+            elif attr.endswith("_cache") and isinstance(obj, dict):
+                dicts.add(name)
+    # each cache is listed with its bound or justification in ROADMAP item 8
+    assert caches == {
+        "gf.canonical_modulus": None,
+        "gf.subfield_embedding": None,
+        "embed.make_tower": None,
+        "intervals.log2_interval": None,
+        "poly._irr_sieve": None,
+        "poly.factorize": poly._MEMO_MAX,
+        "poly.equal_multiplicity_factors": poly._MEMO_MAX,
+        "quokka.cycle_types": None,
+    }
+    assert dicts == {"gf._field_cache"}
+
+
+def test_irr_enumerate_checks_budget_on_cached_degrees():
+    assert len(poly.irr_enumerate(6, F2)) == poly.irr_count(6, 2) == 9
+    with pytest.raises(BudgetExceeded):
+        poly.irr_enumerate(6, F2, budget=10)
 
 
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 6), (F4, 4), (F9, 3)],
