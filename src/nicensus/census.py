@@ -45,6 +45,17 @@ def omega(j, q):
     return out
 
 
+def flag_sum(d, q, ratios):
+    """sum_{i=0}^{d} q^-(d-i) / omega(d-i, q) * ratios[i], exactly.
+
+    With ratios[i] = |N_i| / |GL(i, q)| this is the flag sum's right-hand
+    side; omega(d, q) times the i-th weight is the share of M(d, q) whose
+    invertible part has dimension i.
+    """
+    return sum((Fraction(1, q ** (d - i)) / omega(d - i, q) * r for i, r in enumerate(ratios)),
+               Fraction(0))
+
+
 def gaussian_binomial(d, i, q):
     """Number of i-dimensional subspaces of F_q^d (exact integer)."""
     if not 0 <= i <= d:
@@ -271,9 +282,7 @@ def census_exact(spec, d, ctx, budget=None, check_ni=True):
                 witness=Mat.zero(ctx, d))
 
     lhs = Fraction(n_total, matrix.gl_order(d, q))
-    rhs = Fraction(0)
-    for p in per:
-        rhs += (Fraction(1, q ** (d - p.i)) / omega(d - p.i, q)) * Fraction(p.n_i, p.gl_i)
+    rhs = flag_sum(d, q, [Fraction(p.n_i, p.gl_i) for p in per])
 
     if sum(n_of_i) != n_total:  # pragma: no cover - partition by construction
         raise NIViolation(f"spec {spec.name!r}: N(i) do not partition N")
@@ -333,18 +342,11 @@ class CorollarySums:
 
 
 def corollary_sum_check(d, q):
-    full = Fraction(0)
-    trunc = Fraction(0)
-    for i in range(d + 1):
-        term = Fraction(1, q ** (d - i)) / omega(d - i, q)
-        full += term
-        if i >= 1:
-            trunc += term
     return CorollarySums(
         d=d, q=q,
-        lhs_full=full,
+        lhs_full=flag_sum(d, q, [1] * (d + 1)),
         rhs_full=1 / omega(d, q),
-        lhs_truncated=trunc,
+        lhs_truncated=flag_sum(d, q, [0] + [1] * d),
         rhs_truncated=(1 - Fraction(1, q ** d)) / omega(d, q),
     )
 

@@ -421,19 +421,17 @@ def suite_prop_polys(budget=None, seed=42):
 
 def suite_bounds(budget=None, seed=42):
     checks = []
-    sandwich_ok = True
+    sandwich = []
     for q in (2, 3, 4, 5):
         for b in (1, 2, 3, 4):
             for c in range(1, 13):
                 for r in range(c // 2 + 1, c + 1):
                     if b * r < 2:
                         continue  # Irr_1 contains t; the closed form starts at degree 2
-                    try:
-                        quokka.quokka_pc_r(c, q, b, r)
-                    except AssertionError:
-                        sandwich_ok = False
+                    sandwich.append(quokka.pc_r_sandwich_verdict(c, q, b, r))
     checks.append(SuiteCheck("per-degree sandwich grid c<=12 b<=4 q in {2,3,4,5}",
-                             "pass" if sandwich_ok else "fail", "exact vs enclosure"))
+                             _verdict_status(intervals.combine_verdicts(sandwich)),
+                             "exact vs enclosure"))
     verdicts = [quokka.harmonic_band_verdict(c) for c in range(2, 13)]
     checks.append(SuiteCheck("harmonic band c in [2,12]",
                              _verdict_status(intervals.combine_verdicts(verdicts)),

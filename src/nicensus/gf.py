@@ -9,8 +9,10 @@ the exhaustive-enumeration and sampling loops fast.
 Fields up to 2**16 get discrete log/exp tables and the table ``frob``
 of the p-th power map, and those of order up to 256 also get full
 addition/multiplication tables (the products read off the log tables);
-anything larger falls back to direct polynomial arithmetic (still
-exact, just slower).
+anything larger multiplies directly in F_p[t]/(modulus) (still exact,
+just slower).  Products in F_p[t] and their reduction by the modulus run
+on ``poly``'s coefficient-list kernels over the prime field, for the raw
+tier and for the powers of the generator that fill the log tables.
 Enumeration-style helpers refuse fields beyond 2**20 elements.
 
 Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
@@ -129,32 +131,6 @@ def is_prime_power(q):
     return False
 
 
-# ---------------------------------------------------------------------------
-# Reduction modulo the field modulus, for FieldCtx._raw_mul.  Irreducibility
-# tests and modulus search go through ``poly`` over the prime field.
-# ---------------------------------------------------------------------------
-
-
-def _pp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pp_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _pp_trim(a)
-
-
 def _is_irreducible_over_prime_field(coeffs, p):
     """Whether a monic polynomial (coefficients low degree first) is irreducible over F_p."""
     from . import poly  # poly imports gf at module level
@@ -198,7 +174,7 @@ class FieldCtx:
     __slots__ = (
         "p", "k", "order", "modulus",
         "add_rows", "mul_rows", "neg_table", "inv_table", "frob",
-        "_exp", "_log", "axpy",
+        "_exp", "_log", "axpy", "_prime_field",
     )
 
     def __init__(self, p, k, modulus):
@@ -213,6 +189,7 @@ class FieldCtx:
         self.frob = None
         self._exp = None
         self._log = None
+        self._prime_field = None if k == 1 else field_create(p, 1)
         self._build_tables()
         self.axpy = self._row_kernel()
 
@@ -236,19 +213,15 @@ class FieldCtx:
     # -- raw polynomial arithmetic (no tables) ------------------------------
 
     def _raw_mul(self, a, b):
+        """a * b without tables: for k >= 2 the digit lists' product in
+        F_p[t], reduced by the modulus, both through ``poly``'s list kernels."""
         if self.k == 1:
             return (a * b) % self.p
-        p = self.p
-        da = list(self.digits(a))
-        db = list(self.digits(b))
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = _pp_mod(prod, list(self.modulus), p)
-        red += [0] * (self.k - len(red))
-        return self.from_digits(red)
+        from . import poly  # poly imports gf at module level
+
+        F = self._prime_field
+        prod = poly._mul_lists(F, self.digits(a), poly._trim(self.digits(b)))
+        return self.from_digits(poly._divmod_lists(F, prod, self.modulus)[1])
 
     def _raw_add(self, a, b):
         if self.k == 1:
@@ -276,21 +249,30 @@ class FieldCtx:
             return
         g = self._find_generator()
         n = q - 1
-        exp = [1] * n
+        p = self.p
+        if self.k == 1:
+            exp = list(itertools.accumulate(itertools.repeat(g, n - 1), self._raw_mul, initial=1))
+        else:
+            # g^i stays a digit list: one product by g's digits and one
+            # reduction by the modulus per power.
+            from . import poly
+
+            F, m = self._prime_field, self.modulus
+            powers = itertools.accumulate(
+                itertools.repeat(poly._trim(self.digits(g)), n - 1),
+                lambda acc, dg: poly._divmod_lists(F, poly._mul_lists(F, dg, acc), m)[1],
+                initial=[1])
+            exp = [self.from_digits(acc) for acc in powers]
         log = [0] * q
-        acc = 1
-        for i in range(n):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, g)
+        for i, a in enumerate(exp):
+            log[a] = i
         self._exp = exp
         self._log = log
-        self.frob = [0] + [exp[la * self.p % n] for la in log[1:]]
+        self.frob = [0] + [exp[la * p % n] for la in log[1:]]
         if q <= _FULL_TABLE_MAX:
-            # Products and inverses are read off exp/log, so the whole
-            # build costs q - 1 calls of _raw_mul.  Sums are digit-wise mod
-            # p: each pass prepends one low digit to the table so far.
-            p = self.p
+            # Products and inverses are read off exp/log.  Sums are
+            # digit-wise mod p: each pass prepends one low digit to the
+            # table so far.
             digit_sum = [[(x + y) % p for y in range(p)] for x in range(p)]
             add = [[0]]
             for _ in range(self.k):
@@ -457,19 +439,11 @@ def field_create(p, k=1, modulus=None):
     return ctx
 
 
-def modulus_int(ctx):
-    """Integer encoding of the modulus (base-p evaluation, leading term included)."""
-    val = 0
-    for c in reversed(ctx.modulus):
-        val = val * ctx.p + c
-    return val
-
-
 def describe_field(ctx):
     """Canonical text descriptor, parseable by :func:`parse_field_descriptor`."""
     if ctx.k == 1:
         return str(ctx.p)
-    return f"{ctx.p}^{ctx.k}/{modulus_int(ctx)}"
+    return f"{ctx.p}^{ctx.k}/{ctx.from_digits(ctx.modulus)}"
 
 
 def parse_field_descriptor(text):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intervals, poly
-from .census import omega
+from .census import flag_sum, omega
 from .errors import RangeError
 from .intervals import RInterval, log2_interval, rational_power_interval
 
@@ -129,26 +129,25 @@ def quokka_pc_r(c, q, b, r):
 
     Requires b*r >= 2: Irr_1(q) contains t, which contributes no
     invertible members, so the closed form (and its sandwich) only
-    applies from degree 2 up.  The sandwich
-    (1/r)(1 - 2 q^{-br/2}) < value <= 1/r is verified exactly.
+    applies from degree 2 up.  :func:`pc_r_sandwich_verdict` decides the
+    sandwich (1/r)(1 - 2 q^{-br/2}) < value <= 1/r.
     """
     _check_r(c, r)
     if b < 1:
         raise RangeError(f"need b >= 1, got {b}")
     if b * r < 2:
         raise RangeError("closed form needs b*r >= 2 (t is not excluded at degree 1)")
-    value = Fraction(b * poly.irr_count(b * r, q), q ** (b * r) - 1)
-    lower = _sandwich_lower(q, b, r)
-    upper = Fraction(1, r)
-    assert intervals.verdict_value_gt(value, lower) == intervals.HOLDS
-    assert value <= upper
-    return value
+    return Fraction(b * poly.irr_count(b * r, q), q ** (b * r) - 1)
 
 
-def _sandwich_lower(q, b, r):
-    """(1/r)(1 - 2 q^{-br/2}) as an interval (exact when br is even)."""
-    half_pow = rational_power_interval(q, b * r, 2)
-    return (1 - 2 / half_pow) * Fraction(1, r)
+def pc_r_sandwich_verdict(c, q, b, r):
+    """(1/r)(1 - 2 q^{-br/2}) < quokka_pc_r(c, q, b, r) <= 1/r, decided exactly.
+
+    With D = 1 - r * value the sandwich reads 0 <= D < 2 q^{-br/2}, that
+    is 0 <= D and D^2 q^{br} < 4: rational comparisons, no enclosure.
+    """
+    d = 1 - r * quokka_pc_r(c, q, b, r)
+    return intervals.HOLDS if 0 <= d and d * d * q ** (b * r) < 4 else intervals.VIOLATED
 
 
 def _pc_r_true(q, b, r):
@@ -243,11 +242,8 @@ def thm_pc_m_exact(c, q, b):
     """
     _check_cb(c, b)
     qb = q ** b
-    total = Fraction(0)
-    for i in range(1, c + 1):
-        weight = Fraction(1, qb ** (c - i)) / omega(c - i, qb)
-        total += weight * ngl_exact(i, q, b)
-    return total * omega(c, qb)
+    ratios = [0] + [ngl_exact(i, q, b) for i in range(1, c + 1)]
+    return flag_sum(c, qb, ratios) * omega(c, qb)
 
 
 def thm_pc_m_verdict(c, q, b):

@@ -117,7 +117,7 @@ def test_criterion_6_bounds_and_bands():
                 for r in range(c // 2 + 1, c + 1):
                     if b * r < 2:
                         continue  # Irr_1 contains t; the sandwich starts at degree 2
-                    quokka.quokka_pc_r(c, q, b, r)  # asserts the sandwich internally
+                    assert quokka.pc_r_sandwich_verdict(c, q, b, r) == intervals.HOLDS
                     sandwich += 1
     for c in range(2, 13):
         assert quokka.harmonic_band_verdict(c) == intervals.HOLDS

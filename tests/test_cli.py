@@ -1,7 +1,10 @@
 """Command-line surface: JSON determinism, exit codes, subcommand outputs."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -154,6 +157,21 @@ def test_verify_fast_suite(capsys):
     doc = json.loads(out)
     assert doc["result"]["failed"] == 0
     assert doc["result"]["passed"] == 5
+
+
+def test_bounds_sandwich_check_fails_under_python_O():
+    # -O strips asserts, so the bounds suite must decide the per-degree
+    # sandwich by a verdict: a value of 2/r breaks its upper bound 1/r.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("from fractions import Fraction\n"
+            "from nicensus import cli, quokka\n"
+            "quokka.quokka_pc_r = lambda c, q, b, r: Fraction(2, r)\n"
+            "print(*(c.status for c in cli.suite_bounds() if c.name.startswith('per-degree')))\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.split() == ["fail"]
 
 
 def test_verify_thm15_samples_at_seed(monkeypatch, capsys):

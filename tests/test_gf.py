@@ -1,6 +1,8 @@
 """Field arithmetic: axioms by exhaustion and sampling, moduli, Frobenius, embeddings, parsing."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -94,6 +96,29 @@ def test_frob_table_is_pth_power(p, k):
         return
     assert ctx.frob == [ctx.pow_elt(c, p) for c in ctx.elements()]
     assert ctx.frob == [gf.power(c, p, ctx._raw_mul, 1) for c in ctx.elements()]
+
+
+# sha256 of the JSON object of every table a table-tier field builds; the
+# generator, and so every table, must not move when the build changes.
+TABLE_HASHES = {
+    (2, 2): "1bbb99833a99dfe20ec53e4612a7c4a8c8ae8ff61b2671cb49ba44bdb04f8650",
+    (3, 2): "1dcac29ae0474477d8abd28c81bfa83889cb640f9381b0378ae1519dc05e7e43",
+    (2, 8): "9871810d5b2bfdff460213b400052cd28007018fac4e4afe5e1864d83f2d75db",
+    (3, 5): "2b4b92e8ae273d194d234367d1cc8b39bbd6ef083b62b27a01404ac6430a2170",
+    (2, 10): "039c8ac9f70dfbbdd151ff671ec74a40c1b2ea9231413ca9b756fc3fcc614bd0",
+    (3, 6): "71c1e4033ce0f80ea18fd11c8c38fa7a96fe918718305a362020270871937e42",
+    (1021, 1): "8c7fc13ae768fe3d93f3f79e168333fa659c2f4902207580d1bede01fcfe8955",
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(TABLE_HASHES))
+def test_tables_are_pinned(p, k):
+    ctx = gf.field_create(p, k)
+    tables = {name: getattr(ctx, name)
+              for name in ("_exp", "_log", "frob", "mul_rows", "add_rows", "inv_table")
+              if getattr(ctx, name) is not None}
+    digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+    assert digest == TABLE_HASHES[(p, k)]
 
 
 def _repeated_product(x, e, mul, one):

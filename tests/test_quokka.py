@@ -13,6 +13,7 @@ from nicensus.quokka import (
     harmonic_sum,
     ngl_band_verdict,
     ngl_exact,
+    pc_r_sandwich_verdict,
     quokka_pc_r,
     quokka_pc_single,
     r_cycle_proportion,
@@ -82,6 +83,18 @@ def test_quokka_pc_r_values():
         quokka_pc_r(1, 2, 1, 1)  # b*r = 1: t spoils the closed form
     with pytest.raises(RangeError):
         quokka_pc_r(4, 2, 2, 2)  # r <= c/2
+
+
+@pytest.mark.parametrize("value,verdict", [
+    (Fraction(1, 4), intervals.VIOLATED),  # the strict lower bound itself
+    (Fraction(1, 4) + Fraction(1, 1000), intervals.HOLDS),
+    (Fraction(1, 2), intervals.HOLDS),  # the upper bound 1/r is attained
+    (Fraction(1, 2) + Fraction(1, 1000), intervals.VIOLATED),
+])
+def test_pc_r_sandwich_verdict_edges(monkeypatch, value, verdict):
+    # q = 4, b = 1, r = 2: (1/2)(1 - 2/4) = 1/4 < value <= 1/2
+    monkeypatch.setattr(quokka, "quokka_pc_r", lambda c, q, b, r: value)
+    assert pc_r_sandwich_verdict(3, 4, 1, 2) == verdict
 
 
 def test_single_times_count_equals_per_degree():
