@@ -84,12 +84,16 @@ class NISubsetSpec:
     truth value counts: ``census_exact`` and ``ni_verify`` decide on
     bool(member(X)), so a predicate returning 1/0 or any other truthy
     value describes the same family.  ``contains_nilpotents`` may be
-    None, in which case it is derived from member(0).
+    None, in which case it is derived from member(0).  ``closed_form``,
+    when set, maps (d, ctx) to (exact proportion in M(d, q), theory
+    bounds as (name, direction, bound) triples), or to None where the
+    family has no closed form.
     """
 
     name: str
     member: callable
     contains_nilpotents: bool = None
+    closed_form: callable = None
 
 
 def _member_all(X):
@@ -134,7 +138,20 @@ def _make_member_pc_large_degree(b):
     return member
 
 
-_SPEC_PATTERN = re.compile(r"^([a-z0-9-]+)(?:\(([-0-9]+)\))?$")
+def _make_closed_form_pc_large_degree(b):
+    def closed_form(d, ctx):
+        """Theorem 1's assembly over the index-b subfield F_q of ctx = F_(q^b)."""
+        if d < 2 or b < 2 or ctx.k % b:
+            return None
+        from . import quokka  # quokka builds on census for the flag sum
+
+        q = ctx.p ** (ctx.k // b)
+        return (quokka.thm_pc_m_exact(d, q, b),
+                (("algebra-lower-bound", ">=", quokka.thm_pc_m_bound(d, q, b)),))
+    return closed_form
+
+
+_SPEC_PATTERN = re.compile(r"^([a-z0-9-]+)(?:\((-?[0-9]+)\))?$")
 
 _PLAIN_SPECS = {
     "all": lambda: NISubsetSpec("all", _member_all, contains_nilpotents=True),
@@ -155,7 +172,7 @@ _PARAMETRIC_SPECS = {
         f"has-eigenvalue({arg})", _make_member_eigenvalue(arg)),
     "pc-large-degree": lambda arg: NISubsetSpec(
         f"pc-large-degree({arg})", _make_member_pc_large_degree(arg),
-        contains_nilpotents=False),
+        contains_nilpotents=False, closed_form=_make_closed_form_pc_large_degree(arg)),
 }
 
 

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,12 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
+
+# the exit code of an overall verdict, and the suite status of a check's verdict
+_EXIT_CODES = {intervals.HOLDS: EXIT_OK, intervals.VIOLATED: EXIT_VIOLATION,
+               intervals.INCONCLUSIVE: EXIT_INCONCLUSIVE}
+_STATUS = {intervals.HOLDS: "pass", intervals.VIOLATED: "fail",
+           intervals.INCONCLUSIVE: "inconclusive"}
 
 _STATEMENTS = {
     "census": "flag-sum-identity",
@@ -123,8 +128,7 @@ def cmd_census(args):
 def cmd_quokka(args):
     if args.r is not None:
         value = quokka.quokka_pc_single(args.c, args.q, args.b, args.r)
-        per_degree = quokka.quokka_pc_r(args.c, args.q, args.b, args.r) \
-            if args.b * args.r >= 2 else None
+        per_degree = quokka.pc_r(args.q, args.b, args.r) if args.b * args.r >= 2 else None
         result = {
             "c": args.c, "q": args.q, "b": args.b, "r": args.r,
             "per_polynomial": value,
@@ -146,36 +150,13 @@ def cmd_quokka(args):
     if args.table or args.csv:
         rows = [["r", "value_num", "value_den"]]
         rows += [[r, v.numerator, v.denominator] for r, v in sheet.exact_by_r]
-    code = EXIT_OK if sheet.overall == intervals.HOLDS else (
-        EXIT_VIOLATION if sheet.overall == intervals.VIOLATED else EXIT_INCONCLUSIVE)
-    return result, code, rows
-
-
-def _estimate_exact_and_bounds(spec_name, d, ctx, budget):
-    """Attach a registered exact value and theory bounds when available.
-
-    The exhaustive census is attached only when M(d, q) fits the budget,
-    which otherwise need only cover the samples.
-    """
-    m = re.match(r"^pc-large-degree\((\d+)\)$", spec_name)
-    if m:
-        b = int(m.group(1))
-        if ctx.k % b == 0 and d >= 2 and b >= 2:
-            q_base = ctx.p ** (ctx.k // b)
-            exact = quokka.thm_pc_m_exact(d, q_base, b)
-            bound = quokka.thm_pc_m_bound(d, q_base, b)
-            return exact, (("algebra-lower-bound", ">=", bound),)
-    if ctx.order ** (d * d) <= min(65536, gf.enumeration_budget(budget)):
-        spec = census.get_spec(spec_name)
-        fc = census.census_exact(spec, d, ctx, budget=budget, check_ni=False)
-        return fc.proportion_in_m, ()
-    return None, ()
+    return result, _EXIT_CODES[sheet.overall], rows
 
 
 def cmd_estimate(args):
     ctx = gf.parse_field_descriptor(args.q)
     spec = census.get_spec(args.spec)
-    exact, bounds = _estimate_exact_and_bounds(spec.name, args.d, ctx, args.budget)
+    exact, bounds = estimate.exact_and_bounds(spec, args.d, ctx, args.budget)
     report = estimate.monte_carlo(spec.member, args.d, ctx, args.n, args.seed,
                                   name=spec.name, exact=exact, bounds=bounds,
                                   budget=args.budget)
@@ -196,13 +177,7 @@ def cmd_estimate(args):
             for b in report.bounds
         ],
     }
-    verdicts = [b.verdict for b in report.bounds]
-    if intervals.VIOLATED in verdicts:
-        code = EXIT_VIOLATION
-    elif intervals.INCONCLUSIVE in verdicts:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
+    code = _EXIT_CODES[intervals.combine_verdicts(b.verdict for b in report.bounds)]
     bound_repr = ""
     verdict_repr = ""
     if report.bounds:
@@ -272,10 +247,6 @@ class SuiteCheck:
     name: str
     status: str  # "pass" | "fail" | "inconclusive"
     detail: str
-
-
-def _verdict_status(verdict):
-    return {"holds": "pass", "violated": "fail", "inconclusive": "inconclusive"}[verdict]
 
 
 _AUDIT_SPECS = ("all", "invertible", "nilpotent-complement",
@@ -421,20 +392,16 @@ def suite_prop_polys(budget=None, seed=42):
 
 def suite_bounds(budget=None, seed=42):
     checks = []
-    sandwich = []
-    for q in (2, 3, 4, 5):
-        for b in (1, 2, 3, 4):
-            for c in range(1, 13):
-                for r in range(c // 2 + 1, c + 1):
-                    if b * r < 2:
-                        continue  # Irr_1 contains t; the closed form starts at degree 2
-                    sandwich.append(quokka.pc_r_sandwich_verdict(c, q, b, r))
+    # the value does not depend on c, and c/2 < r <= c holds for some c <= 12
+    # iff r <= 12; Irr_1 contains t, so the closed form starts at degree 2
+    sandwich = [quokka.pc_r_sandwich_verdict(q, b, r) for q in (2, 3, 4, 5)
+                for b in (1, 2, 3, 4) for r in range(1, 13) if b * r >= 2]
     checks.append(SuiteCheck("per-degree sandwich grid c<=12 b<=4 q in {2,3,4,5}",
-                             _verdict_status(intervals.combine_verdicts(sandwich)),
+                             _STATUS[intervals.combine_verdicts(sandwich)],
                              "exact vs enclosure"))
     verdicts = [quokka.harmonic_band_verdict(c) for c in range(2, 13)]
     checks.append(SuiteCheck("harmonic band c in [2,12]",
-                             _verdict_status(intervals.combine_verdicts(verdicts)),
+                             _STATUS[intervals.combine_verdicts(verdicts)],
                              "partial harmonic sums vs log 2 enclosure"))
     band = []
     for q in (2, 3, 4, 5):
@@ -442,7 +409,7 @@ def suite_bounds(budget=None, seed=42):
             for c in range(2, 13):
                 band.append(quokka.ngl_band_verdict(c, q, b))
     checks.append(SuiteCheck("group-proportion band grid",
-                             _verdict_status(intervals.combine_verdicts(band)),
+                             _STATUS[intervals.combine_verdicts(band)],
                              f"{len(band)} instances"))
     power_ok = True
     for d in range(1, 13):
@@ -480,20 +447,22 @@ def suite_thm15(budget=None, seed=42):
         "exhaustive M(2,4) equals closed-form assembly",
         "pass" if ok else "fail",
         f"{members}/{total} vs {exact}"))
-    rows = estimate.compare([(8, 2, 2), (6, 3, 2)], n=n, seed=seed, budget=budget)
-    for row in rows:
-        ok = row.exact_in_ci
-        detail = (f"estimate={row.report.estimate:.6f}, "
-                  f"ci=[{row.report.ci_low:.6f},{row.report.ci_high:.6f}], "
-                  f"exact={float(row.exact):.6f}, bound_positive={row.bound_positive}")
-        if row.bound_positive:
-            ok = ok and row.report.ci_low > float(row.bound.hi)
-        checks.append(SuiteCheck(
-            f"interval coverage c={row.c} q={row.q} b={row.b} n={row.n}",
-            "pass" if ok else "fail", detail))
+    for c, q, b in [(8, 2, 2), (6, 3, 2)]:  # q prime
+        spec = census.get_spec(f"pc-large-degree({b})")
+        ctx = gf.field_create(q, b)
+        exact, ((_, _, bound),) = estimate.exact_and_bounds(spec, c, ctx, budget)
+        report = estimate.monte_carlo(spec.member, c, ctx, n, seed, name=spec.name,
+                                      exact=exact, budget=budget)
+        bound_positive = bound.lo > 0
+        ok = report.exact_in_ci and (not bound_positive or report.ci_low > float(bound.hi))
+        detail = (f"estimate={report.estimate:.6f}, "
+                  f"ci=[{report.ci_low:.6f},{report.ci_high:.6f}], "
+                  f"exact={float(exact):.6f}, bound_positive={bound_positive}")
+        checks.append(SuiteCheck(f"interval coverage c={c} q={q} b={b} n={n}",
+                                 "pass" if ok else "fail", detail))
     verdict = quokka.thm_pc_m_verdict(8, 2, 2)
     checks.append(SuiteCheck("exact >= algebra bound (8,2,2)",
-                             _verdict_status(verdict), "exact rational vs enclosure"))
+                             _STATUS[verdict], "exact rational vs enclosure"))
     return checks
 
 
@@ -528,12 +497,8 @@ def cmd_verify(args):
         "failed": sum(1 for c in checks if c.status == "fail"),
         "inconclusive": sum(1 for c in checks if c.status == "inconclusive"),
     }
-    if result["failed"]:
-        code = EXIT_VIOLATION
-    elif result["inconclusive"]:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
+    verdict_of = {status: v for v, status in _STATUS.items()}
+    code = _EXIT_CODES[intervals.combine_verdicts(verdict_of[c.status] for c in checks)]
     return result, code, None
 
 

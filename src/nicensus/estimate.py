@@ -9,7 +9,8 @@ Estimates use the Wilson score interval at 99% (well behaved near 0 and
 1, where several of the small-q bounds live).  Verdicts against theory
 bounds are three-valued: sampling can refute a claim or fail to falsify
 it, but never verify a strict inequality; only exact values earn a
-definitive "holds".
+definitive "holds".  ``exact_and_bounds`` supplies the exact value and
+bounds of a registered spec: its closed form, else a small census.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import embed, gf, intervals, matrix, quokka
+from . import census, gf, intervals, matrix
 from .errors import BudgetExceeded
 from .intervals import RInterval
 from .matrix import Mat
@@ -177,55 +178,21 @@ def monte_carlo(predicate, d, ctx, n, seed, name="predicate", exact=None, bounds
 
 
 # ---------------------------------------------------------------------------
-# Three-way comparison: exact / sampled / theory bound
+# The exact value a sampled proportion is checked against
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    c: int
-    q: int
-    b: int
-    n: int
-    report: ProportionReport
-    exact: Fraction
-    bound: RInterval
-    bound_positive: bool
+def exact_and_bounds(spec, d, ctx, budget=None):
+    """(exact proportion of ``spec`` in M(d, q), theory bounds) for ``monte_carlo``.
 
-    @property
-    def exact_in_ci(self):
-        return self.report.exact_in_ci
-
-    @property
-    def verdicts(self):
-        out = {"exact-vs-bound": intervals.verdict_value_ge(self.exact, self.bound)}
-        if self.bound_positive:
-            out["ci-above-bound"] = _statistical_verdict(
-                self.report.ci_low, self.report.ci_high, self.bound, ">=")
-        return out
-
-
-def compare(instances, n, seed, budget=None):
-    """For each (c, q, b): sample the large-degree family over M(c, q^b).
-
-    Each row carries the Monte Carlo estimate, the exact flag-sum value,
-    and the algebra lower bound with verdicts (the interval check only
-    applies when the bound is positive; small instances make it vacuous).
+    The spec's closed form where it has one; else the exhaustive census
+    when M(d, q) has at most 65,536 matrices within the budget, which
+    otherwise need only cover the samples; else (None, ()).
     """
-    rows = []
-    for c, q, b in instances:
-        pf = gf.factor_int(q)
-        if len(pf) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        ((p, m),) = pf.items()
-        ext = gf.field_create(p, m * b)
-        tower = embed.tower_for(ext, b)
-        exact = quokka.thm_pc_m_exact(c, q, b)
-        bound = quokka.thm_pc_m_bound(c, q, b)
-        predicate = lambda X, _tw=tower: embed.pc_member_charpoly(X, _tw)
-        report = monte_carlo(predicate, c, ext, n, seed,
-                             name=f"pc-large-degree(c={c},q={q},b={b})",
-                             exact=exact, budget=budget)
-        rows.append(CompareRow(c=c, q=q, b=b, n=n, report=report, exact=exact,
-                               bound=bound, bound_positive=bound.lo > 0))
-    return rows
+    form = spec.closed_form(d, ctx) if spec.closed_form else None
+    if form is not None:
+        return form
+    if ctx.order ** (d * d) <= min(65536, gf.enumeration_budget(budget)):
+        fc = census.census_exact(spec, d, ctx, budget=budget, check_ni=False)
+        return fc.proportion_in_m, ()
+    return None, ()

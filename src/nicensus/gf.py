@@ -478,25 +478,20 @@ def subfield_embedding(sub, ext):
     The embedding sends the generator of ``sub`` to the lexicographically
     smallest root of sub's modulus in ``ext`` (coefficient vectors of
     candidate roots compared low-degree first), which pins a single
-    canonical map per tower.
+    canonical map per tower.  The roots are read off the linear factors
+    of the modulus over ``ext``, all sub.k of them since sub.k | ext.k.
     """
+    from . import poly  # poly imports gf at module level
+
     if sub.p != ext.p:
         raise NotASubfield("different characteristics")
     if ext.k % sub.k != 0:
         raise NotASubfield(f"F_{sub.order} does not embed in F_{ext.order}")
     if sub.k == 1:
         return tuple(range(sub.p))
-    roots = []
-    mod = sub.modulus  # coefficients < p are valid in ext too
-    for y in ext.elements():
-        acc = 0
-        for c in reversed(mod):
-            acc = ext.add(ext.mul(acc, y), c)
-        if acc == 0:
-            roots.append(y)
-    if not roots:  # pragma: no cover - guaranteed by degree divisibility
-        raise NotASubfield("modulus has no root in the extension")
-    rho = min(roots, key=ext.digits)
+    # coefficients < p are valid in ext too; each factor is monic t - root
+    factors = poly.factorize(poly.Poly(ext, sub.modulus)).factors
+    rho = min((ext.neg(f.coeffs[0]) for f, _ in factors), key=ext.digits)
     table = []
     for x in sub.elements():
         digs = sub.digits(x)

@@ -42,15 +42,6 @@ class Mat:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_rows(ctx, rows):
-        rows = tuple(tuple(int(e) for e in r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise DegreeMismatch("matrix must be square")
-        return Mat(ctx, n, rows)
-
-    @staticmethod
     def zero(ctx, n):
         return Mat(ctx, n, tuple((0,) * n for _ in range(n)))
 
@@ -176,11 +167,6 @@ def _image_and_kernel(M):
     kernel = [row[n:] for row in rows[r:]]
     _rref_in_place(kernel, M.ctx)
     return tuple(tuple(row[:n]) for row in rows[:r]), tuple(map(tuple, kernel))
-
-
-def row_space_basis(M):
-    """Canonical (rref) basis of the image {v X}, as a tuple of row tuples."""
-    return _image_and_kernel(M)[0]
 
 
 def left_kernel_basis(M):

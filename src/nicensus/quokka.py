@@ -11,7 +11,11 @@ applies.  For the family of matrices primary cyclic with respect to
 some degree-(b*r) polynomial, the torus proportion is b*r/(q^{b*r} - 1)
 on classes containing an r-part and 0 elsewhere, which collapses (for
 r > c/2, where at most one r-part fits) to b/(q^{b*r} - 1) per
-polynomial and to b*|Irr_{br}(q)|/(q^{br} - 1) per degree.
+polynomial (``quokka_pc_single``) and to b*|Irr_{br}(q)|/(q^{br} - 1)
+per degree (``pc_r``).  ``ngl_exact`` adds the degrees r > c/2 and
+``thm_pc_m_exact`` turns them into a proportion of M(c, q^b) by the flag
+sum.  The class-sum identities are checked by the ``quokka-closed-forms``
+suite, not asserted here.
 
 Everything exact is a Fraction; log 2 and fractional powers of q enter
 only through outward-rounded rational intervals.
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import intervals, poly
 from .census import flag_sum, omega
@@ -33,30 +36,6 @@ from .intervals import RInterval, log2_interval, rational_power_interval
 # ---------------------------------------------------------------------------
 # Cycle types of S_c
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """A partition of c, parts descending; indexes a conjugacy class of S_c."""
-
-    parts: tuple
-
-    @property
-    def c(self):
-        return sum(self.parts)
-
-    def multiplicities(self):
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def class_proportion(self):
-        """|class| / |S_c| = 1 / prod_j (j^{m_j} m_j!)."""
-        den = 1
-        for j, m in self.multiplicities().items():
-            den *= j ** m * math.factorial(m)
-        return Fraction(1, den)
 
 
 def _partitions(c, cap=None):
@@ -70,31 +49,33 @@ def _partitions(c, cap=None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def cycle_types(c):
-    """All cycle types of S_c with exact class proportions (sum to 1)."""
+    """All cycle types of S_c as (parts, |class| / |S_c|), parts descending.
+
+    The class proportion is 1 / prod_j (j^{m_j} m_j!), with m_j the
+    number of parts j; the proportions sum to 1.
+    """
     if c < 1:
         raise RangeError("cycle_types needs c >= 1")
-    out = tuple((CycleType(parts), CycleType(parts).class_proportion())
-                for parts in _partitions(c))
-    assert sum(p for _, p in out) == 1
-    return out
+    out = []
+    for parts in _partitions(c):
+        den = 1
+        for j in set(parts):
+            m = parts.count(j)
+            den *= j ** m * math.factorial(m)
+        out.append((parts, Fraction(1, den)))
+    return tuple(out)
 
 
 def r_cycle_proportion(c, r):
     """Proportion of permutations in S_c containing an r-cycle, r > c/2.
 
     Computed as the partition sum; for r > c/2 an r-part cannot repeat
-    and the value is exactly 1/r (a closed form not asserted below the
+    and the value is exactly 1/r (a closed form that fails below the
     threshold, hence the range restriction).
     """
     _check_r(c, r)
-    total = Fraction(0)
-    for ct, prop in cycle_types(c):
-        if r in ct.parts:
-            total += prop
-    assert total == Fraction(1, r)
-    return total
+    return sum((prop for parts, prop in cycle_types(c) if r in parts), Fraction(0))
 
 
 def _check_r(c, r):
@@ -119,43 +100,30 @@ def quokka_pc_single(c, q, b, r):
     """
     if b < 1:
         raise RangeError(f"need b >= 1, got {b}")
-    total = r_cycle_proportion(c, r) * Fraction(b * r, q ** (b * r) - 1)
-    assert total == Fraction(b, q ** (b * r) - 1)
-    return total
+    return r_cycle_proportion(c, r) * Fraction(b * r, q ** (b * r) - 1)
 
 
-def quokka_pc_r(c, q, b, r):
-    """Proportion b*|Irr_{br}(q)| / (q^{br} - 1) of the full degree-(b*r) family.
+def pc_r(q, b, r):
+    """Proportion b*|Irr_{br}(q)| / (q^{br} - 1) of the degree-(b*r) family in GL(c, q^b).
 
-    Requires b*r >= 2: Irr_1(q) contains t, which contributes no
-    invertible members, so the closed form (and its sandwich) only
-    applies from degree 2 up.  :func:`pc_r_sandwich_verdict` decides the
-    sandwich (1/r)(1 - 2 q^{-br/2}) < value <= 1/r.
+    The value is the same for every c with c/2 < r <= c.  At b*r = 1 the
+    count leaves out t: no invertible matrix is t-primary cyclic.
+    :func:`pc_r_sandwich_verdict` decides the sandwich from b*r = 2 up.
     """
-    _check_r(c, r)
-    if b < 1:
-        raise RangeError(f"need b >= 1, got {b}")
-    if b * r < 2:
-        raise RangeError("closed form needs b*r >= 2 (t is not excluded at degree 1)")
-    return Fraction(b * poly.irr_count(b * r, q), q ** (b * r) - 1)
+    n_irr = poly.irr_count(b * r, q)
+    if b * r == 1:
+        n_irr -= 1
+    return Fraction(b * n_irr, q ** (b * r) - 1)
 
 
-def pc_r_sandwich_verdict(c, q, b, r):
-    """(1/r)(1 - 2 q^{-br/2}) < quokka_pc_r(c, q, b, r) <= 1/r, decided exactly.
+def pc_r_sandwich_verdict(q, b, r):
+    """(1/r)(1 - 2 q^{-br/2}) < pc_r(q, b, r) <= 1/r, decided exactly.
 
     With D = 1 - r * value the sandwich reads 0 <= D < 2 q^{-br/2}, that
     is 0 <= D and D^2 q^{br} < 4: rational comparisons, no enclosure.
     """
-    d = 1 - r * quokka_pc_r(c, q, b, r)
+    d = 1 - r * pc_r(q, b, r)
     return intervals.HOLDS if 0 <= d and d * d * q ** (b * r) < 4 else intervals.VIOLATED
-
-
-def _pc_r_true(q, b, r):
-    """Exact proportion of the degree-(b*r) family, valid for b*r = 1 too."""
-    n_irr = poly.irr_count(b * r, q)
-    if b * r == 1:
-        n_irr -= 1  # exclude t: no invertible matrix is t-primary cyclic
-    return Fraction(b * n_irr, q ** (b * r) - 1)
 
 
 def ngl_exact(c, q, b):
@@ -166,7 +134,7 @@ def ngl_exact(c, q, b):
     """
     if c < 1 or b < 1:
         raise RangeError(f"need c, b >= 1, got c={c}, b={b}")
-    return sum((_pc_r_true(q, b, r) for r in range(c // 2 + 1, c + 1)), Fraction(0))
+    return sum((pc_r(q, b, r) for r in range(c // 2 + 1, c + 1)), Fraction(0))
 
 
 def harmonic_sum(c):
@@ -174,20 +142,15 @@ def harmonic_sum(c):
     return sum((Fraction(1, r) for r in range(c // 2 + 1, c + 1)), Fraction(0))
 
 
-def harmonic_band(c):
-    """Enclosures of log 2 - 1/(c+1) and log 2 + 1/c bracketing the harmonic sum."""
+def harmonic_band_verdict(c):
+    """log 2 - 1/(c+1) <= harmonic_sum(c) <= log 2 + 1/c, against a log 2 enclosure."""
     if c < 2:
         raise RangeError("harmonic band needs c >= 2")
-    l2 = log2_interval()
-    return l2 - Fraction(1, c + 1), l2 + Fraction(1, c)
-
-
-def harmonic_band_verdict(c):
-    low, high = harmonic_band(c)
     h = harmonic_sum(c)
+    l2 = log2_interval()
     return intervals.combine_verdicts([
-        intervals.verdict_value_ge(h, low),
-        intervals.verdict_value_le(h, high),
+        intervals.verdict_value_ge(h, l2 - Fraction(1, c + 1)),
+        intervals.verdict_value_le(h, l2 + Fraction(1, c)),
     ])
 
 
@@ -277,7 +240,7 @@ class BoundSheet:
 def bound_sheet(c, q, b):
     """Evaluate every exact value and band for one instance (c, q, b >= 2)."""
     _check_cb(c, b)
-    by_r = tuple((r, _pc_r_true(q, b, r)) for r in range(c // 2 + 1, c + 1))
+    by_r = tuple((r, pc_r(q, b, r)) for r in range(c // 2 + 1, c + 1))
     exact_total = sum((v for _, v in by_r), Fraction(0))
     lower, upper = ngl_band(c, q, b)
     thm_bound = thm_pc_m_bound(c, q, b)

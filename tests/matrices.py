@@ -1,0 +1,34 @@
+"""Matrix helpers for the tests: a constructor and the row-space oracle."""
+
+from nicensus.matrix import Mat
+
+
+def from_rows(ctx, rows):
+    """The square matrix over ctx with these rows."""
+    rows = tuple(tuple(int(e) for e in r) for r in rows)
+    assert all(len(r) == len(rows) for r in rows), "matrix must be square"
+    return Mat(ctx, len(rows), rows)
+
+
+def row_space_basis(M):
+    """Reduced row-echelon basis of the row space of M, by Gaussian elimination.
+
+    Independent of ``matrix``'s elimination, so it can check the bases
+    that ``fitting_decompose`` returns.
+    """
+    ctx = M.ctx
+    rows = [list(r) for r in M.rows]
+    basis = []
+    for col in range(M.n):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = ctx.inv(pivot[col])
+        pivot[:] = [ctx.mul(inv, e) for e in pivot]
+        for other in rows + basis:
+            c = other[col]
+            if c:
+                other[:] = [ctx.sub(a, ctx.mul(c, e)) for a, e in zip(other, pivot)]
+        basis.append(pivot)
+    return tuple(map(tuple, basis))

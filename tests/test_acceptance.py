@@ -117,7 +117,7 @@ def test_criterion_6_bounds_and_bands():
                 for r in range(c // 2 + 1, c + 1):
                     if b * r < 2:
                         continue  # Irr_1 contains t; the sandwich starts at degree 2
-                    assert quokka.pc_r_sandwich_verdict(c, q, b, r) == intervals.HOLDS
+                    assert quokka.pc_r_sandwich_verdict(q, b, r) == intervals.HOLDS
                     sandwich += 1
     for c in range(2, 13):
         assert quokka.harmonic_band_verdict(c) == intervals.HOLDS
@@ -139,17 +139,19 @@ def test_criterion_7_end_to_end():
     assert (members, total) == (112, 256)
     assert Fraction(members, total) == exact_small
 
-    rows = estimate.compare([(8, 2, 2), (6, 3, 2)], n=200_000, seed=42)
     details = []
-    for row in rows:
-        assert row.exact == quokka.thm_pc_m_exact(row.c, row.q, row.b)
-        assert row.exact_in_ci, (
-            f"(c,q,b)=({row.c},{row.q},{row.b}): exact {float(row.exact):.6f} "
-            f"outside [{row.report.ci_low:.6f}, {row.report.ci_high:.6f}]")
-        if row.bound_positive:
-            assert row.report.ci_low > float(row.bound.hi)
-        details.append(f"({row.c},{row.q},{row.b}) est={row.report.estimate:.5f} "
-                       f"exact={float(row.exact):.5f}")
+    for c, q, b in [(8, 2, 2), (6, 3, 2)]:
+        spec, ctx = get_spec(f"pc-large-degree({b})"), gf.field_create(q, b)
+        exact, ((_, _, bound),) = estimate.exact_and_bounds(spec, c, ctx)
+        report = estimate.monte_carlo(spec.member, c, ctx, 200_000, 42, exact=exact)
+        assert exact == quokka.thm_pc_m_exact(c, q, b)
+        assert report.exact_in_ci, (
+            f"(c,q,b)=({c},{q},{b}): exact {float(exact):.6f} "
+            f"outside [{report.ci_low:.6f}, {report.ci_high:.6f}]")
+        if bound.lo > 0:
+            assert report.ci_low > float(bound.hi)
+        details.append(f"({c},{q},{b}) est={report.estimate:.5f} "
+                       f"exact={float(exact):.5f}")
     _report(7, "exhaustive M(2,4) count 112/256 equals closed form 7/16; "
                + "; ".join(details))
 

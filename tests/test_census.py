@@ -23,6 +23,8 @@ from nicensus.errors import (
 )
 from nicensus.matrix import Mat
 
+from matrices import from_rows, row_space_basis
+
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 F4 = gf.field_create(2, 2)
@@ -53,7 +55,7 @@ def count_subspaces(ctx, d, i):
             rows.append(row)
         # row_space_basis expects a square matrix; pad with zero rows
         padded = rows + [[0] * d for _ in range(d - i)]
-        basis = matrix.row_space_basis(Mat.from_rows(ctx, padded))
+        basis = row_space_basis(from_rows(ctx, padded))
         if len(basis) == i:
             seen.add(basis)
     return len(seen)

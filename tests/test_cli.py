@@ -159,32 +159,48 @@ def test_verify_fast_suite(capsys):
     assert doc["result"]["passed"] == 5
 
 
-def test_bounds_sandwich_check_fails_under_python_O():
-    # -O strips asserts, so the bounds suite must decide the per-degree
-    # sandwich by a verdict: a value of 2/r breaks its upper bound 1/r.
+def _patched_suite_statuses(flags, patch, suite, prefix):
+    """Statuses of a suite's checks named prefix..., run in python with flags after patch."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("from fractions import Fraction\n"
             "from nicensus import cli, quokka\n"
-            "quokka.quokka_pc_r = lambda c, q, b, r: Fraction(2, r)\n"
-            "print(*(c.status for c in cli.suite_bounds() if c.name.startswith('per-degree')))\n")
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+            f"{patch}\n"
+            f"print(*(c.status for c in cli.{suite}() if c.name.startswith({prefix!r})))\n")
+    run = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert run.stdout.split() == ["fail"]
+    return run.stdout.split()
+
+
+def test_bounds_sandwich_check_fails_under_python_O():
+    # -O strips asserts, so the bounds suite must decide the per-degree
+    # sandwich by a verdict: a value of 2/r breaks its upper bound 1/r.
+    assert _patched_suite_statuses(["-O"], "quokka.pc_r = lambda q, b, r: Fraction(2, r)",
+                                   "suite_bounds", "per-degree") == ["fail"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_class_sum_check_fails_instead_of_raising(flags):
+    # quokka asserts no class-sum identity, so a wrong r-cycle proportion
+    # 1/(2r) is reported as a failed check, with or without -O
+    patch = "quokka.r_cycle_proportion = lambda c, r: Fraction(1, 2 * r)"
+    assert _patched_suite_statuses(flags, patch, "suite_quokka_closed_forms",
+                                   "class-sum") == ["fail"]
 
 
 def test_verify_thm15_samples_at_seed(monkeypatch, capsys):
     seen = []
+    sample = estimate.monte_carlo
 
-    def record(instances, n, seed, budget=None):
+    def record(predicate, d, ctx, n, seed, **kwargs):
         seen.append(seed)
-        return []
+        return sample(predicate, d, ctx, 200, seed, **kwargs)
 
-    monkeypatch.setattr(estimate, "compare", record)
+    monkeypatch.setattr(estimate, "monte_carlo", record)
     code, out = run_cli(["verify", "--suite", "thm15", "--seed", "7"], capsys)
     assert code == 0
-    assert seen == [7]
+    assert seen == [7, 7]
     assert json.loads(out)["manifest"]["seed"] == 7
 
 
@@ -215,8 +231,10 @@ def test_usage_error_exit_4(capsys):
     ["quokka", "--c", "2", "--q", "0", "--b", "2"],
     ["quokka", "--c", "2", "--q", "6", "--b", "2"],
     ["estimate", "--spec", "pc-large-degree(0)", "--d", "2", "--q", "2", "--n", "10"],
+    ["estimate", "--spec", "has-eigenvalue(1-2)", "--d", "2", "--q", "2", "--n", "10"],
+    ["census", "--spec", "pc-large-degree(--)", "--d", "2", "--q", "2"],
 ], ids=["n0", "n-3", "estimate-d0", "census-d-1", "quokka-q1", "quokka-q0", "quokka-q6",
-        "pc-large-degree0"])
+        "pc-large-degree0", "spec-arg-1-2", "spec-arg-dashes"])
 def test_out_of_range_arguments_exit_4(argv, capsys):
     assert cli.main(argv) == 4
     assert capsys.readouterr().err.startswith("usage error:")

@@ -16,6 +16,8 @@ from nicensus.errors import (
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
+from matrices import from_rows
+
 F2 = gf.field_create(2)
 F4 = gf.field_create(2, 2)
 TOWER = embed.make_tower(F4, F2)
@@ -52,7 +54,7 @@ def test_regular_rep_examples():
 
 def test_blow_up_examples():
     assert embed.blow_up(Mat.identity(F4, 2), TOWER) == Mat.identity(F2, 4)
-    X = Mat.from_rows(F4, [(LAM,)])
+    X = from_rows(F4, [(LAM,)])
     assert matrix.charpoly(embed.blow_up(X, TOWER)) == Poly.make(F2, (1, 1, 1))
     with pytest.raises(FieldMismatch):
         embed.blow_up(Mat.identity(F2, 2), TOWER)
@@ -70,7 +72,7 @@ def test_blow_up_homomorphism_random_pairs():
 
 
 def test_blow_up_injective_on_m_1_4():
-    images = {embed.blow_up(Mat.from_rows(F4, [(a,)]), TOWER) for a in F4.elements()}
+    images = {embed.blow_up(from_rows(F4, [(a,)]), TOWER) for a in F4.elements()}
     assert len(images) == 4
 
 
@@ -83,13 +85,13 @@ def test_charpoly_norm_identity_exhaustive():
 
 
 def test_pc_membership_dimension_one():
-    res = embed.pc_membership(Mat.from_rows(F4, [(LAM,)]), TOWER)
+    res = embed.pc_membership(from_rows(F4, [(LAM,)]), TOWER)
     assert res.member and res.r == 1
     assert res.witness_f == Poly.make(F2, (1, 1, 1))
     assert res.witness_g == Poly.make(F4, (LAM, 1))
-    res = embed.pc_membership(Mat.from_rows(F4, [(1,)]), TOWER)
+    res = embed.pc_membership(from_rows(F4, [(1,)]), TOWER)
     assert not res.member
-    res = embed.pc_membership(Mat.from_rows(F4, [(0,)]), TOWER)
+    res = embed.pc_membership(from_rows(F4, [(0,)]), TOWER)
     assert not res.member and res.inv_dim == 0
 
 
@@ -155,13 +157,13 @@ def test_per_polynomial_sets_pairwise_disjoint():
 
 
 def test_proposition_check_examples():
-    X = Mat.from_rows(F4, [(LAM,)])
+    X = from_rows(F4, [(LAM,)])
     f = Poly.make(F2, (1, 1, 1))
     rep = embed.proposition_check(X, f, TOWER)
     assert rep.direct and rep.via_conditions and rep.agree
     assert rep.witness_g == Poly.make(F4, (LAM, 1))
     # degree not divisible by b: both sides false
-    one = Mat.from_rows(F4, [(1,)])
+    one = from_rows(F4, [(1,)])
     t_plus_1 = Poly.make(F2, (1, 1))
     rep = embed.proposition_check(one, t_plus_1, TOWER)
     assert not rep.direct and not rep.via_conditions and rep.agree

@@ -9,6 +9,8 @@ from nicensus.errors import BudgetExceeded
 from nicensus.estimate import monte_carlo, sample_gl, sample_matrix, wilson_interval
 from nicensus.matrix import Mat
 
+from matrices import from_rows
+
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 
@@ -35,7 +37,7 @@ def test_sample_gl_always_invertible():
 
 def test_sample_gl_d1_q2_constant():
     for j in range(10):
-        assert sample_gl(1, F2, 3, j) == Mat.from_rows(F2, [(1,)])
+        assert sample_gl(1, F2, 3, j) == from_rows(F2, [(1,)])
 
 
 def test_wilson_interval_shape():
@@ -169,10 +171,18 @@ def test_bound_verdicts_statistical_path():
     assert byname["near-exact"] == intervals.INCONCLUSIVE
 
 
-def test_compare_small():
-    rows = estimate.compare([(2, 2, 2)], n=3000, seed=11)
-    row = rows[0]
-    assert row.exact == Fraction(7, 16)
-    assert row.exact_in_ci
-    assert not row.bound_positive
-    assert row.verdicts["exact-vs-bound"] == intervals.HOLDS
+def test_exact_and_bounds():
+    F4 = gf.field_create(2, 2)
+    spec = census.get_spec("pc-large-degree(2)")
+    exact, ((name, direction, bound),) = estimate.exact_and_bounds(spec, 2, F4)
+    assert exact == Fraction(7, 16)
+    assert (name, direction) == ("algebra-lower-bound", ">=")
+    assert not bound.lo > 0  # vacuous at c = 2
+    assert intervals.verdict_value_ge(exact, bound) == intervals.HOLDS
+    assert monte_carlo(spec.member, 2, F4, 3000, 11, exact=exact).exact_in_ci
+    # no closed form: the census while M(d, q) is small and in budget, else nothing
+    assert estimate.exact_and_bounds(spec, 1, F4) == (Fraction(1, 2), ())
+    invertible = census.get_spec("invertible")
+    assert estimate.exact_and_bounds(invertible, 2, F2) == (Fraction(6, 16), ())
+    assert estimate.exact_and_bounds(invertible, 2, F4, budget=100) == (None, ())
+    assert estimate.exact_and_bounds(invertible, 5, F2) == (None, ())

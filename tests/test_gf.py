@@ -19,6 +19,8 @@ from nicensus.errors import (
 )
 from nicensus.matrix import Mat
 
+from matrices import from_rows
+
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)]
 
 
@@ -131,7 +133,7 @@ def _repeated_product(x, e, mul, one):
 def test_power_equals_repeated_products():
     F3 = gf.field_create(3)
     raw = gf.field_create(2, 17)  # raw tier: pow_elt runs gf.power
-    M = Mat.from_rows(F3, [(1, 2, 0), (0, 2, 1), (2, 1, 1)])
+    M = from_rows(F3, [(1, 2, 0), (0, 2, 1), (2, 1, 1)])
     f = poly.Poly.make(F3, (2, 0, 1, 1))
     for e in range(10):
         assert M ** e == _repeated_product(M, e, Mat.__mul__, Mat.identity(F3, 3))
@@ -256,15 +258,37 @@ def test_frobenius_not_a_subfield():
 
 
 def test_subfield_embedding_is_homomorphism():
-    sub = gf.field_create(2, 2)
-    ext = gf.field_create(2, 4)
-    emb = gf.subfield_embedding(sub, ext)
-    assert emb[0] == 0 and emb[1] == 1
-    for a in sub.elements():
-        for b in sub.elements():
-            assert emb[sub.add(a, b)] == ext.add(emb[a], emb[b])
-            assert emb[sub.mul(a, b)] == ext.mul(emb[a], emb[b])
-    assert len(set(emb)) == sub.order
+    for k, ext_k in [(2, 4), (3, 18)]:  # F_2^18 is on the raw tier
+        sub = gf.field_create(2, k)
+        ext = gf.field_create(2, ext_k)
+        emb = gf.subfield_embedding(sub, ext)
+        assert emb[0] == 0 and emb[1] == 1
+        for a in sub.elements():
+            for b in sub.elements():
+                assert emb[sub.add(a, b)] == ext.add(emb[a], emb[b])
+                assert emb[sub.mul(a, b)] == ext.mul(emb[a], emb[b])
+        assert len(set(emb)) == sub.order
+
+
+# sha256 of the JSON list of subfield_embedding(F_p^k, F_p^K), as built by
+# a scan of every element of F_p^K for the smallest root: the root search
+# may change, the chosen root and so the table may not.
+EMBEDDING_HASHES = {
+    (2, 2, 4): "8b2aceccf8344a4e8e51154ba32014e7de86e4166db2badd708cf48eb4ace51c",
+    (2, 2, 10): "1c6b05f8fa3bd93a204711fe46b1eca64e3663502ef24be9ce9d6b6498602b09",
+    (2, 5, 10): "21a164b2d183e9a74e9037c897293521227395b07edc144c32e643bd91fd2355",
+    (2, 7, 14): "c2092aaec5292f45db6b6ef8cdcc37c93e43e163912cd097b10d52b559ad773d",
+    (3, 2, 4): "b733115f42f38469a6aef066599af12cdcd213b213ab6c304bd9b68fbd48461b",
+    (3, 2, 6): "55e37ca940ef6ad2e39c209a4c2f619a0c404b718a79643c7110d6b35b26d687",
+    (2, 3, 18): "1a4cec49d66201aab77ad3431ec570abdc395c3aaddc8d69dab5054cbb8d7389",  # raw tier
+}
+
+
+@pytest.mark.parametrize("p,k,ext_k", sorted(EMBEDDING_HASHES))
+def test_subfield_embedding_is_pinned(p, k, ext_k):
+    table = gf.subfield_embedding(gf.field_create(p, k), gf.field_create(p, ext_k))
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+    assert digest == EMBEDDING_HASHES[(p, k, ext_k)]
 
 
 def test_descriptor_roundtrip():

@@ -9,6 +9,8 @@ from nicensus.errors import DegreeMismatch, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
+from matrices import from_rows, row_space_basis
+
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 F4 = gf.field_create(2, 2)
@@ -24,7 +26,7 @@ def test_charpoly_minpoly_examples():
     C = matrix.companion(f)
     assert matrix.charpoly(C) == f == matrix.minpoly(C)
 
-    J = Mat.from_rows(F2, [(0, 1), (0, 0)])
+    J = from_rows(F2, [(0, 1), (0, 0)])
     t2 = Poly.x(F2) ** 2
     assert matrix.charpoly(J) == t2 == matrix.minpoly(J)
 
@@ -83,7 +85,7 @@ def test_fitting_invariants_exhaustive(n, ctx):
     for M in matrix.all_matrices(n, ctx):
         s = matrix.fitting_decompose(M)
         Y = M ** n
-        assert s.inv_basis == matrix.row_space_basis(Y)
+        assert s.inv_basis == row_space_basis(Y)
         assert s.nil_basis == matrix.left_kernel_basis(Y)
         assert s.inv_dim + s.nil_dim == n
         assert s.nil_dim == n - matrix.rank(Y)
@@ -92,7 +94,7 @@ def test_fitting_invariants_exhaustive(n, ctx):
         if s.nil_dim:
             assert (s.x_nil ** s.nil_dim).is_zero
         # both subspaces invariant; change of basis reconstructs X
-        P = Mat.from_rows(ctx, s.inv_basis + s.nil_basis)
+        P = from_rows(ctx, s.inv_basis + s.nil_basis)
         assert matrix.is_invertible(P)
         assert P * M == matrix.direct_sum(s.x_inv, s.x_nil) * P
 
@@ -101,10 +103,10 @@ def test_fitting_examples():
     X = matrix.companion(Poly.make(F2, (1, 1, 1)))
     s = matrix.fitting_decompose(X)
     assert s.nil_dim == 0 and s.x_inv == X
-    N = Mat.from_rows(F2, [(0, 1), (0, 0)])
+    N = from_rows(F2, [(0, 1), (0, 0)])
     s = matrix.fitting_decompose(N)
     assert s.inv_dim == 0
-    D = Mat.from_rows(F2, [(1, 0), (0, 0)])
+    D = from_rows(F2, [(1, 0), (0, 0)])
     s = matrix.fitting_decompose(D)
     assert s.inv_basis == ((1, 0),) and s.nil_basis == ((0, 1),)
 
@@ -176,12 +178,12 @@ def test_primary_components():
     f, basis, m_f, e_f = pd.components[0]
     assert len(basis) == 2 and m_f == e_f == 1
 
-    D = Mat.from_rows(F3, [(1, 0), (0, 2)])
+    D = from_rows(F3, [(1, 0), (0, 2)])
     pd = matrix.primary_components(D)
     assert [(str(f), len(b), m, e) for f, b, m, e in pd.components] == [
         ("1+1*t", 1, 1, 1), ("2+1*t", 1, 1, 1)]
 
-    D = Mat.from_rows(F3, [(1, 0), (0, 0)])
+    D = from_rows(F3, [(1, 0), (0, 0)])
     pd = matrix.primary_components(D)
     split = matrix.fitting_decompose(D)
     t_comp = next(b for f, b, m, e in pd.components if f == Poly.x(F3))
@@ -196,7 +198,7 @@ def test_primary_cyclic_factors():
     f = Poly.make(F2, (1, 1, 1))
     assert matrix.primary_cyclic_factors(matrix.companion(f)) == (f,)
     assert matrix.primary_cyclic_factors(Mat.identity(F2, 2)) == ()
-    D = Mat.from_rows(F3, [(1, 0), (0, 2)])
+    D = from_rows(F3, [(1, 0), (0, 2)])
     assert matrix.primary_cyclic_factors(D) == (Poly.make(F3, (1, 1)), Poly.make(F3, (2, 1)))
 
 
@@ -219,7 +221,7 @@ def test_jordan_edge_cases():
     g = matrix.companion(Poly.make(F2, (1, 1, 1)))  # order 3, coprime to 2
     s, u = matrix.jordan_multiplicative(g)
     assert s == g and u == Mat.identity(F2, 2)
-    trans = Mat.from_rows(F2, [(1, 1), (0, 1)])  # unipotent
+    trans = from_rows(F2, [(1, 1), (0, 1)])  # unipotent
     s, u = matrix.jordan_multiplicative(trans)
     assert s == Mat.identity(F2, 2) and u == trans
     with pytest.raises(SingularMatrix):
@@ -248,7 +250,7 @@ def test_index_roundtrip():
 
 
 def test_text_roundtrip_and_errors():
-    M = Mat.from_rows(F4, [(0, 1), (2, 3)])
+    M = from_rows(F4, [(0, 1), (2, 3)])
     assert matrix.parse_matrix(matrix.format_matrix(M)) == M
     with pytest.raises(ParseError):
         matrix.parse_matrix("2 2 : 1 0 0")

@@ -125,7 +125,6 @@ def test_cache_inventory():
         "poly._irr_sieve": None,
         "poly.factorize": poly._MEMO_MAX,
         "poly.equal_multiplicity_factors": poly._MEMO_MAX,
-        "quokka.cycle_types": None,
     }
     assert dicts == {"gf._field_cache"}
 

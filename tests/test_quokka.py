@@ -13,18 +13,19 @@ from nicensus.quokka import (
     harmonic_sum,
     ngl_band_verdict,
     ngl_exact,
+    pc_r,
     pc_r_sandwich_verdict,
-    quokka_pc_r,
     quokka_pc_single,
     r_cycle_proportion,
     thm_pc_m_bound,
     thm_pc_m_exact,
 )
 
+from matrices import from_rows
+
 
 def test_cycle_types_c3():
-    got = {ct.parts: prop for ct, prop in cycle_types(3)}
-    assert got == {(3,): Fraction(1, 3), (2, 1): Fraction(1, 2),
+    assert dict(cycle_types(3)) == {(3,): Fraction(1, 3), (2, 1): Fraction(1, 2),
                    (1, 1, 1): Fraction(1, 6)}
 
 
@@ -76,13 +77,13 @@ def test_quokka_pc_single_brute_force_gl22():
 
 
 def test_quokka_pc_r_values():
-    assert quokka_pc_r(1, 2, 2, 1) == Fraction(2, 3)
-    assert quokka_pc_r(2, 3, 1, 2) == Fraction(3, 8)
-    assert quokka_pc_r(2, 2, 1, 2) == Fraction(1, 3)
+    assert pc_r(2, 2, 1) == Fraction(2, 3)
+    assert pc_r(3, 1, 2) == Fraction(3, 8)
+    assert pc_r(2, 1, 2) == Fraction(1, 3)
+    # b*r = 1: t is left out, and every other linear factor qualifies
+    assert pc_r(2, 1, 1) == pc_r(5, 1, 1) == 1
     with pytest.raises(RangeError):
-        quokka_pc_r(1, 2, 1, 1)  # b*r = 1: t spoils the closed form
-    with pytest.raises(RangeError):
-        quokka_pc_r(4, 2, 2, 2)  # r <= c/2
+        quokka_pc_single(4, 2, 2, 2)  # r <= c/2: no closed form for `quokka --r`
 
 
 @pytest.mark.parametrize("value,verdict", [
@@ -93,8 +94,8 @@ def test_quokka_pc_r_values():
 ])
 def test_pc_r_sandwich_verdict_edges(monkeypatch, value, verdict):
     # q = 4, b = 1, r = 2: (1/2)(1 - 2/4) = 1/4 < value <= 1/2
-    monkeypatch.setattr(quokka, "quokka_pc_r", lambda c, q, b, r: value)
-    assert pc_r_sandwich_verdict(3, 4, 1, 2) == verdict
+    monkeypatch.setattr(quokka, "pc_r", lambda q, b, r: value)
+    assert pc_r_sandwich_verdict(4, 1, 2) == verdict
 
 
 def test_single_times_count_equals_per_degree():
@@ -105,7 +106,7 @@ def test_single_times_count_equals_per_degree():
                     if b * r < 2:
                         continue
                     total = quokka_pc_single(c, q, b, r) * poly.irr_count(b * r, q)
-                    assert total == quokka_pc_r(c, q, b, r)
+                    assert total == pc_r(q, b, r)
 
 
 def test_ngl_exact_values():
@@ -123,7 +124,7 @@ def test_ngl_exact_brute_force_gl_1_q():
         ctx = gf.field_create(q)
         members = 0
         for a in range(1, q):
-            M = matrix.Mat.from_rows(ctx, [(a,)])
+            M = from_rows(ctx, [(a,)])
             cp = matrix.charpoly(M)
             assert cp.degree == 1
             members += 1  # charpoly = minpoly is automatic in dimension 1
