@@ -86,7 +86,7 @@ class NISubsetSpec:
     value describes the same family.  ``contains_nilpotents`` may be
     None, in which case it is derived from member(0).  ``closed_form``,
     when set, maps (d, ctx) to (exact proportion in M(d, q), theory
-    bounds as (name, direction, bound) triples), or to None where the
+    bounds as (name, direction, RInterval) triples), or to None where the
     family has no closed form.
     """
 

@@ -135,60 +135,75 @@ def cmd_quokka(args):
             "per_degree": per_degree,
         }
         return result, EXIT_OK, None
-    sheet = quokka.bound_sheet(args.c, args.q, args.b)
+    c, q, b = args.c, args.q, args.b
+    algebra_bound = quokka.thm_pc_m_bound(c, q, b)  # first: it rejects c < 2 and b < 2
+    algebra_exact = quokka.thm_pc_m_exact(c, q, b)
+    exact_by_r = [(r, quokka.pc_r(q, b, r)) for r in range(c // 2 + 1, c + 1)]
+    exact_total = quokka.ngl_exact(c, q, b)
+    lower, upper = quokka.ngl_band(c, q, b)
+    verdicts = {
+        "gl-band-lower": intervals.verdict_value_gt(exact_total, lower),
+        "gl-band-upper": intervals.verdict_value_le(exact_total, upper),
+        "harmonic-band": quokka.harmonic_band_verdict(c),
+        "algebra-lower-bound": intervals.verdict_value_ge(algebra_exact, algebra_bound),
+    }
+    overall = intervals.combine_verdicts(verdicts.values())
     result = {
-        "c": sheet.c, "q": sheet.q, "b": sheet.b,
-        "exact_by_r": [{"r": r, "value": v} for r, v in sheet.exact_by_r],
-        "exact_total": sheet.exact_total,
-        "gl_band": {"lower": sheet.lower, "upper": sheet.upper},
-        "algebra_bound": sheet.thm_bound,
-        "algebra_exact": sheet.thm_exact,
-        "verdicts": dict(sheet.verdicts),
-        "overall": sheet.overall,
+        "c": c, "q": q, "b": b,
+        "exact_by_r": [{"r": r, "value": v} for r, v in exact_by_r],
+        "exact_total": exact_total,
+        "gl_band": {"lower": lower, "upper": upper},
+        "algebra_bound": algebra_bound,
+        "algebra_exact": algebra_exact,
+        "verdicts": verdicts,
+        "overall": overall,
     }
     rows = None
     if args.table or args.csv:
         rows = [["r", "value_num", "value_den"]]
-        rows += [[r, v.numerator, v.denominator] for r, v in sheet.exact_by_r]
-    return result, _EXIT_CODES[sheet.overall], rows
+        rows += [[r, v.numerator, v.denominator] for r, v in exact_by_r]
+    return result, _EXIT_CODES[overall], rows
+
+
+_VALUE_VERDICTS = {">=": intervals.verdict_value_ge, "<=": intervals.verdict_value_le}
 
 
 def cmd_estimate(args):
     ctx = gf.parse_field_descriptor(args.q)
     spec = census.get_spec(args.spec)
+    # a spec with bounds has a closed form, so an exact value decides them
     exact, bounds = estimate.exact_and_bounds(spec, args.d, ctx, args.budget)
     report = estimate.monte_carlo(spec.member, args.d, ctx, args.n, args.seed,
-                                  name=spec.name, exact=exact, bounds=bounds,
                                   budget=args.budget)
+    checks = [{"name": name, "direction": direction, "bound": bound,
+               "verdict": _VALUE_VERDICTS[direction](exact, bound)}
+              for name, direction, bound in bounds]
     result = {
-        "spec": report.name,
-        "d": report.d,
-        "q": report.q,
+        "spec": spec.name,
+        "d": args.d,
+        "q": ctx.order,
         "n": report.n,
         "successes": report.successes,
         "estimate": report.estimate,
         "ci_low": report.ci_low,
         "ci_high": report.ci_high,
-        "exact": report.exact,
-        "exact_in_ci": report.exact_in_ci,
-        "bounds": [
-            {"name": b.name, "direction": b.direction, "bound": b.bound,
-             "verdict": b.verdict}
-            for b in report.bounds
-        ],
+        "exact": exact,
+        "exact_in_ci": (None if exact is None
+                        else estimate.wilson_contains(report.successes, report.n, exact)),
+        "bounds": checks,
     }
-    code = _EXIT_CODES[intervals.combine_verdicts(b.verdict for b in report.bounds)]
+    code = _EXIT_CODES[intervals.combine_verdicts(c["verdict"] for c in checks)]
     bound_repr = ""
     verdict_repr = ""
-    if report.bounds:
-        bound_repr = f"{float(report.bounds[0].bound.lo):.6g}"
-        verdict_repr = report.bounds[0].verdict
+    if checks:
+        bound_repr = f"{float(checks[0]['bound'].lo):.6g}"
+        verdict_repr = checks[0]["verdict"]
     rows = [["instance", "n", "estimate", "ci_low", "ci_high",
              "exact_num", "exact_den", "bound", "verdict"],
             [f"{spec.name}:d={args.d},q={ctx.order}", report.n,
              f"{report.estimate:.8f}", f"{report.ci_low:.8f}", f"{report.ci_high:.8f}",
-             report.exact.numerator if report.exact is not None else "",
-             report.exact.denominator if report.exact is not None else "",
+             exact.numerator if exact is not None else "",
+             exact.denominator if exact is not None else "",
              bound_repr, verdict_repr]]
     return result, code, rows
 
@@ -451,10 +466,12 @@ def suite_thm15(budget=None, seed=42):
         spec = census.get_spec(f"pc-large-degree({b})")
         ctx = gf.field_create(q, b)
         exact, ((_, _, bound),) = estimate.exact_and_bounds(spec, c, ctx, budget)
-        report = estimate.monte_carlo(spec.member, c, ctx, n, seed, name=spec.name,
-                                      exact=exact, budget=budget)
+        report = estimate.monte_carlo(spec.member, c, ctx, n, seed, budget=budget)
+        count = (report.successes, report.n)
         bound_positive = bound.lo > 0
-        ok = report.exact_in_ci and (not bound_positive or report.ci_low > float(bound.hi))
+        ok = estimate.wilson_contains(*count, exact) and (
+            not bound_positive
+            or estimate.wilson_verdict(*count, bound, ">=") == intervals.HOLDS)
         detail = (f"estimate={report.estimate:.6f}, "
                   f"ci=[{report.ci_low:.6f},{report.ci_high:.6f}], "
                   f"exact={float(exact):.6f}, bound_positive={bound_positive}")

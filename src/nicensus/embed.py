@@ -292,7 +292,7 @@ def proposition_check(X, f, tower):
             ok = True
             conj = g
             for _ in range(b - 1):
-                conj = poly.galois_conjugate(conj, q, 1)
+                conj = poly.galois_conjugate(conj, q)
                 if conj == g or conj.divides(cp_ext):
                     ok = False
                     break

@@ -5,12 +5,16 @@ pure function of (seed, j), with words drawn from a SplitMix64-style
 finalizer over an inner counter.  Samples are therefore assigned by
 global index, so any partition of the index range gives the same results.
 
-Estimates use the Wilson score interval at 99% (well behaved near 0 and
-1, where several of the small-q bounds live).  Verdicts against theory
-bounds are three-valued: sampling can refute a claim or fail to falsify
-it, but never verify a strict inequality; only exact values earn a
-definitive "holds".  ``exact_and_bounds`` supplies the exact value and
-bounds of a registered spec: its closed form, else a small census.
+``monte_carlo`` only counts.  Every decision on a count is exact: the
+99% Wilson score interval is the set {x : n (s/n - x)^2 <= z^2 x (1 - x)}
+(well behaved near 0 and 1, where several of the small-q bounds live),
+so ``wilson_contains`` tests a rational x against it by one rational
+inequality and ``wilson_verdict`` decides a theory bound from it.  The
+verdict is three-valued, and a sampled "holds" means the bound survived
+the 99% test, not that it is proved.  The floats of ``wilson_interval``
+are for display only.
+``exact_and_bounds`` supplies the exact value and bounds of a
+registered spec: its closed form, else a small census.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ from fractions import Fraction
 
 from . import census, gf, intervals, matrix
 from .errors import BudgetExceeded
-from .intervals import RInterval
 from .matrix import Mat
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-# two-sided 99% standard normal quantile (norm.ppf(0.995))
+# two-sided 99% standard normal quantile (norm.ppf(0.995)), and its exact square
 Z99 = 2.5758293035489004
+Z2 = Fraction(Z99) ** 2
 
 
 def _mix64(z):
@@ -81,75 +85,70 @@ def sample_gl(d, ctx, seed, index):
             return M
 
 
-def wilson_interval(successes, n, z=Z99):
-    """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
+def wilson_interval(successes, n):
+    """99% Wilson score interval for a binomial proportion, in floats, clamped to [0, 1].
+
+    For display only; :func:`wilson_contains` decides membership exactly.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     phat = successes / n
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1 + z2 / n
     center = phat + z2 / (2 * n)
-    half = z * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
+    half = Z99 * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
     low = (center - half) / denom
     high = (center + half) / denom
     return max(0.0, low), min(1.0, high)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One named theory bound with its direction and three-valued verdict."""
+def wilson_contains(successes, n, x):
+    """Is the rational x inside the 99% Wilson interval of successes/n?
 
-    name: str
-    direction: str      # ">=" or "<="
-    bound: RInterval
-    verdict: str
+    The interval is exactly {x : n (s/n - x)^2 <= z^2 x (1 - x)}, so this
+    is one rational inequality in ``Z2``, the exact square of ``Z99``.
+    """
+    return (successes - n * x) ** 2 <= Z2 * n * x * (1 - x)
+
+
+def wilson_verdict(successes, n, bound, direction):
+    """Three-valued verdict of "proportion ``direction`` bound" from a sample count.
+
+    The Wilson set is convex and contains s/n, so it lies above x exactly
+    when x < s/n and x is outside it.  ``bound`` is an RInterval: ">="
+    holds when the set lies above bound.hi and is violated when it lies
+    below bound.lo; "<=" swaps the two.
+    """
+    def above(x):
+        return n * x < successes and not wilson_contains(successes, n, x)
+
+    def below(x):
+        return n * x > successes and not wilson_contains(successes, n, x)
+
+    if direction == ">=":
+        holds, violated = above(bound.hi), below(bound.lo)
+    elif direction == "<=":
+        holds, violated = below(bound.lo), above(bound.hi)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    if holds:
+        return intervals.HOLDS
+    return intervals.VIOLATED if violated else intervals.INCONCLUSIVE
 
 
 @dataclass(frozen=True)
 class ProportionReport:
-    name: str
-    d: int
-    q: int
+    """Sample count and its float Wilson interval (for display)."""
+
     n: int
     successes: int
     estimate: float
     ci_low: float
     ci_high: float
-    exact: Fraction = None
-    bounds: tuple = ()
-
-    @property
-    def exact_in_ci(self):
-        if self.exact is None:
-            return None
-        return self.ci_low <= float(self.exact) <= self.ci_high
 
 
-def _statistical_verdict(ci_low, ci_high, bound, direction):
-    """Interval-vs-interval comparison; 'violated' only on disjointness."""
-    if direction == ">=":
-        if ci_low > float(bound.hi):
-            return intervals.HOLDS  # not falsified, comfortably above
-        if ci_high < float(bound.lo):
-            return intervals.VIOLATED
-        return intervals.INCONCLUSIVE
-    if direction == "<=":
-        if ci_high < float(bound.lo):
-            return intervals.HOLDS
-        if ci_low > float(bound.hi):
-            return intervals.VIOLATED
-        return intervals.INCONCLUSIVE
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def monte_carlo(predicate, d, ctx, n, seed, name="predicate", exact=None, bounds=(),
-                budget=None):
-    """Proportion of the samples ``sample_matrix(d, ctx, seed, j)``, j < n, in ``predicate``.
-
-    bounds: iterable of (name, direction, RInterval-or-Fraction) checked
-    against the confidence interval (or against ``exact`` exactly, when
-    it is supplied).
-    """
+def monte_carlo(predicate, d, ctx, n, seed, budget=None):
+    """Count the samples ``sample_matrix(d, ctx, seed, j)``, j < n, in ``predicate``."""
     cap = gf.enumeration_budget(budget)
     if n > cap:
         raise BudgetExceeded(f"sample count {n} exceeds budget {cap}")
@@ -158,23 +157,8 @@ def monte_carlo(predicate, d, ctx, n, seed, name="predicate", exact=None, bounds
         if predicate(sample_matrix(d, ctx, seed, j)):
             successes += 1
     ci_low, ci_high = wilson_interval(successes, n)
-    checks = []
-    for bname, direction, bound in bounds:
-        if not isinstance(bound, RInterval):
-            bound = RInterval.point(bound)
-        if exact is not None:
-            if direction == ">=":
-                verdict = intervals.verdict_value_ge(exact, bound)
-            else:
-                verdict = intervals.verdict_value_le(exact, bound)
-        else:
-            verdict = _statistical_verdict(ci_low, ci_high, bound, direction)
-        checks.append(BoundCheck(name=bname, direction=direction, bound=bound,
-                                 verdict=verdict))
-    return ProportionReport(name=name, d=d, q=ctx.order, n=n,
-                            successes=successes, estimate=successes / n,
-                            ci_low=ci_low, ci_high=ci_high, exact=exact,
-                            bounds=tuple(checks))
+    return ProportionReport(n=n, successes=successes, estimate=successes / n,
+                            ci_low=ci_low, ci_high=ci_high)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +167,7 @@ def monte_carlo(predicate, d, ctx, n, seed, name="predicate", exact=None, bounds
 
 
 def exact_and_bounds(spec, d, ctx, budget=None):
-    """(exact proportion of ``spec`` in M(d, q), theory bounds) for ``monte_carlo``.
+    """(exact proportion of ``spec`` in M(d, q), theory bounds) to check samples against.
 
     The spec's closed form where it has one; else the exhaustive census
     when M(d, q) has at most 65,536 matrices within the budget, which

@@ -500,9 +500,3 @@ def subfield_embedding(sub, ext):
             acc = ext.add(ext.mul(acc, rho), d)
         table.append(acc)
     return tuple(table)
-
-
-def subfield_lift(sub, ext):
-    """Partial inverse of the embedding: dict ext-value -> sub-value."""
-    table = subfield_embedding(sub, ext)
-    return {v: i for i, v in enumerate(table)}

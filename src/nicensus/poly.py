@@ -44,7 +44,6 @@ from . import gf
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
-    NotASubfield,
     ZeroPolynomial,
 )
 
@@ -563,18 +562,15 @@ def is_squarefree(f):
 # ---------------------------------------------------------------------------
 
 
-def galois_conjugate(g, q, i=1):
-    """Apply tau: x -> x**(q**i) to each coefficient of g.
+def galois_conjugate(g, q):
+    """Apply tau: x -> x**q to each coefficient of g.
 
     q must be a subfield order of g's field; the map preserves degree
     and irreducibility.
     """
     ctx = g.ctx
     ctx.subfield_degree(q)
-    e = q ** (i % ctx.k if ctx.k else 1)
-    if i == 0:
-        return g
-    return Poly(ctx, tuple(ctx.pow_elt(c, e) for c in g.coeffs))
+    return Poly(ctx, tuple(ctx.pow_elt(c, q) for c in g.coeffs))
 
 
 def galois_orbit_length(g, q):
@@ -582,47 +578,20 @@ def galois_orbit_length(g, q):
     ctx = g.ctx
     m = ctx.subfield_degree(q)
     bound = ctx.k // m
-    conj = galois_conjugate(g, q, 1)
+    conj = galois_conjugate(g, q)
     length = 1
     while conj != g:
-        conj = galois_conjugate(conj, q, 1)
+        conj = galois_conjugate(conj, q)
         length += 1
         if length > bound:  # pragma: no cover
             raise AssertionError("orbit length exceeded Galois group order")
     return length
 
 
-def express_over_subfield(f, sub):
-    """Rewrite f (whose coefficients lie in the embedded subfield) over ``sub``."""
-    ext = f.ctx
-    lift = gf.subfield_lift(sub, ext)
-    try:
-        coeffs = tuple(lift[c] for c in f.coeffs)
-    except KeyError:
-        raise NotASubfield("a coefficient lies outside the embedded subfield")
-    return Poly(sub, coeffs)
-
-
 def embed_into_extension(f, ext):
     """Rewrite f over an extension field of f's field."""
     table = gf.subfield_embedding(f.ctx, ext)
     return Poly(ext, tuple(table[c] for c in f.coeffs))
-
-
-def norm(f, base):
-    """prod over tau in Gal(K/F) of f^tau, rewritten over F.
-
-    K is f's field and F = ``base`` one of its subfields; the product of
-    the b = [K:F] conjugates under coefficientwise x -> x**q has its
-    coefficients in F.
-    """
-    ext = f.ctx
-    q = base.order
-    conj = prod = f
-    for _ in range(ext.k // base.k - 1):
-        conj = galois_conjugate(conj, q, 1)
-        prod = prod * conj
-    return express_over_subfield(prod, base)
 
 
 def count_regular_orbit_irr(r, b, q, budget=None):

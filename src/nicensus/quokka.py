@@ -24,13 +24,12 @@ only through outward-rounded rational intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intervals, poly
 from .census import flag_sum, omega
 from .errors import RangeError
-from .intervals import RInterval, log2_interval, rational_power_interval
+from .intervals import log2_interval, rational_power_interval
 
 
 # ---------------------------------------------------------------------------
@@ -212,45 +211,3 @@ def thm_pc_m_exact(c, q, b):
 def thm_pc_m_verdict(c, q, b):
     """exact >= bound, decided exactly (vacuous when the bound is negative)."""
     return intervals.verdict_value_ge(thm_pc_m_exact(c, q, b), thm_pc_m_bound(c, q, b))
-
-
-# ---------------------------------------------------------------------------
-# Bound sheet: everything about one (c, q, b) instance
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundSheet:
-    c: int
-    q: int
-    b: int
-    exact_by_r: tuple        # of (r, Fraction)
-    exact_total: Fraction    # ngl_exact
-    lower: RInterval
-    upper: RInterval
-    thm_bound: RInterval     # None-like sentinel avoided: always present for c,b >= 2
-    thm_exact: Fraction
-    verdicts: tuple          # of (name, verdict)
-
-    @property
-    def overall(self):
-        return intervals.combine_verdicts(v for _, v in self.verdicts)
-
-
-def bound_sheet(c, q, b):
-    """Evaluate every exact value and band for one instance (c, q, b >= 2)."""
-    _check_cb(c, b)
-    by_r = tuple((r, pc_r(q, b, r)) for r in range(c // 2 + 1, c + 1))
-    exact_total = sum((v for _, v in by_r), Fraction(0))
-    lower, upper = ngl_band(c, q, b)
-    thm_bound = thm_pc_m_bound(c, q, b)
-    thm_exact = thm_pc_m_exact(c, q, b)
-    verdicts = (
-        ("gl-band-lower", intervals.verdict_value_gt(exact_total, lower)),
-        ("gl-band-upper", intervals.verdict_value_le(exact_total, upper)),
-        ("harmonic-band", harmonic_band_verdict(c)),
-        ("algebra-lower-bound", intervals.verdict_value_ge(thm_exact, thm_bound)),
-    )
-    return BoundSheet(c=c, q=q, b=b, exact_by_r=by_r, exact_total=exact_total,
-                      lower=lower, upper=upper, thm_bound=thm_bound,
-                      thm_exact=thm_exact, verdicts=verdicts)

@@ -1,5 +1,10 @@
-"""Matrix helpers for the tests: a constructor and the row-space oracle."""
+"""Helpers for the tests: a matrix constructor and two oracles.
 
+``row_space_basis`` checks ``fitting_decompose``; ``norm`` checks that
+the charpoly of a blow-up is the norm of the charpoly.
+"""
+
+from nicensus import gf, poly
 from nicensus.matrix import Mat
 
 
@@ -32,3 +37,18 @@ def row_space_basis(M):
                 other[:] = [ctx.sub(a, ctx.mul(c, e)) for a, e in zip(other, pivot)]
         basis.append(pivot)
     return tuple(map(tuple, basis))
+
+
+def norm(f, base):
+    """prod over tau in Gal(K/F) of f^tau, rewritten over F.
+
+    K is f's field and F = ``base`` one of its subfields; the product of
+    the b = [K:F] conjugates under coefficientwise x -> x**q has its
+    coefficients in F.
+    """
+    conj = prod = f
+    for _ in range(f.ctx.k // base.k - 1):
+        conj = poly.galois_conjugate(conj, base.order)
+        prod = prod * conj
+    lift = {v: i for i, v in enumerate(gf.subfield_embedding(base, f.ctx))}
+    return poly.Poly(base, tuple(lift[c] for c in prod.coeffs))

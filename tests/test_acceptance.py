@@ -143,13 +143,14 @@ def test_criterion_7_end_to_end():
     for c, q, b in [(8, 2, 2), (6, 3, 2)]:
         spec, ctx = get_spec(f"pc-large-degree({b})"), gf.field_create(q, b)
         exact, ((_, _, bound),) = estimate.exact_and_bounds(spec, c, ctx)
-        report = estimate.monte_carlo(spec.member, c, ctx, 200_000, 42, exact=exact)
+        report = estimate.monte_carlo(spec.member, c, ctx, 200_000, 42)
+        count = (report.successes, report.n)
         assert exact == quokka.thm_pc_m_exact(c, q, b)
-        assert report.exact_in_ci, (
+        assert estimate.wilson_contains(*count, exact), (
             f"(c,q,b)=({c},{q},{b}): exact {float(exact):.6f} "
             f"outside [{report.ci_low:.6f}, {report.ci_high:.6f}]")
         if bound.lo > 0:
-            assert report.ci_low > float(bound.hi)
+            assert estimate.wilson_verdict(*count, bound, ">=") == intervals.HOLDS
         details.append(f"({c},{q},{b}) est={report.estimate:.5f} "
                        f"exact={float(exact):.5f}")
     _report(7, "exhaustive M(2,4) count 112/256 equals closed form 7/16; "

@@ -193,9 +193,9 @@ def test_verify_thm15_samples_at_seed(monkeypatch, capsys):
     seen = []
     sample = estimate.monte_carlo
 
-    def record(predicate, d, ctx, n, seed, **kwargs):
+    def record(predicate, d, ctx, n, seed, budget=None):
         seen.append(seed)
-        return sample(predicate, d, ctx, 200, seed, **kwargs)
+        return sample(predicate, d, ctx, 200, seed, budget=budget)
 
     monkeypatch.setattr(estimate, "monte_carlo", record)
     code, out = run_cli(["verify", "--suite", "thm15", "--seed", "7"], capsys)
@@ -308,6 +308,29 @@ PINNED = {
     "decompose-4x4-q3": (
         ["decompose", "--matrix", "4 3 : 2 1 0 2 2 2 2 0 0 1 0 1 1 2 1 1"],
         "dc7d54a71465e0b6098fca960899c83f53ed9d43d8cc4998296ed100c8d18576"),
+    "estimate-pc-large-degree": (
+        ["estimate", "--spec", "pc-large-degree(2)", "--d", "2", "--q", "2^2", "--n", "1000",
+         "--seed", "1"],
+        "641a8716726a744a3ed928c09be9a1c4c8fa850fc14f6259dc6926adcdc9fb0e"),
+    "estimate-invertible": (
+        ["estimate", "--spec", "invertible", "--d", "2", "--q", "2", "--n", "2000", "--seed", "9"],
+        "1fc1035d4fcb39e05373a8febc933a1e7ce04b62116707cc75b95c4a07eb0cbf"),
+    "quokka-r": (["quokka", "--c", "2", "--q", "2", "--b", "1", "--r", "2"],
+                 "54e63745753e03e8d3abefbbea080543d3079d4afa834fb21c1fbf876aa3c239"),
+    "quokka-6-2-2": (["quokka", "--c", "6", "--q", "2", "--b", "2"],
+                     "45086d4bc6c15be49719090669eea42eb8b27e6c95a5e80a0d6defffed4e203a"),
+    "quokka-8-3-3": (["quokka", "--c", "8", "--q", "3", "--b", "3"],
+                     "723d0666c8a35379359ad926680d81f5bd7ddc57cb5811137695569fbaf81c59"),
+}
+
+# the CSV files of pinned runs, byte for byte
+PINNED_CSV = {
+    "estimate-invertible": (
+        "instance,n,estimate,ci_low,ci_high,exact_num,exact_den,bound,verdict\n"
+        '"invertible:d=2,q=2",2000,0.39150000,0.36379055,0.41992695,3,8,,\n'),
+    "quokka-8-3-3": (
+        "r,value_num,value_den\n5,1434864,7174453\n6,177381,1064342\n"
+        "7,57474456,402321277\n8,43053201,344426264\n"),
 }
 
 
@@ -317,6 +340,22 @@ def test_pinned_digests(name, capsys):
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert json.loads(out)["manifest"]["digest"] == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV))
+def test_pinned_csv(name, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code, _ = run_cli(PINNED[name][0] + ["--csv", str(path)], capsys)
+    assert code == 0
+    assert path.read_bytes() == PINNED_CSV[name].encode()
+
+
+@pytest.mark.parametrize("c,b", [(1, 2), (4, 1)])
+def test_quokka_rejects_c_or_b_below_2(c, b, capsys):
+    code = cli.main(["quokka", "--c", str(c), "--q", "2", "--b", str(b)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"error: need b, c >= 2, got c={c}, b={b}\n"
 
 
 def test_budget_flag(capsys):

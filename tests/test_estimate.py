@@ -1,12 +1,22 @@
-"""Sampling determinism, Wilson intervals, uniformity, calibration."""
+"""Sampling determinism, Wilson intervals and verdicts, uniformity, calibration."""
 
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from nicensus import census, estimate, gf, intervals, matrix
 from nicensus.errors import BudgetExceeded
-from nicensus.estimate import monte_carlo, sample_gl, sample_matrix, wilson_interval
+from nicensus.estimate import (
+    monte_carlo,
+    sample_gl,
+    sample_matrix,
+    wilson_contains,
+    wilson_interval,
+    wilson_verdict,
+)
+from nicensus.intervals import HOLDS, INCONCLUSIVE, VIOLATED, RInterval
 from nicensus.matrix import Mat
 
 from matrices import from_rows
@@ -53,16 +63,16 @@ def test_wilson_interval_shape():
 
 def test_monte_carlo_constant_predicates():
     rep = monte_carlo(lambda X: True, 2, F2, 500, 1)
+    assert (rep.n, rep.successes) == (500, 500)
     assert rep.estimate == 1.0 and rep.ci_high == 1.0
     rep = monte_carlo(lambda X: False, 2, F2, 500, 1)
     assert rep.estimate == 0.0 and rep.ci_low == 0.0
 
 
 def test_monte_carlo_invertibility_near_omega():
-    rep = monte_carlo(matrix.is_invertible, 2, F2,
-                      100_000, 123, exact=Fraction(3, 8))
+    rep = monte_carlo(matrix.is_invertible, 2, F2, 100_000, 123)
     assert rep.ci_low <= 0.375 <= rep.ci_high
-    assert rep.exact_in_ci
+    assert wilson_contains(rep.successes, rep.n, Fraction(3, 8))
 
 
 def test_monte_carlo_nilpotency():
@@ -141,34 +151,116 @@ def test_calibration_twenty_known_proportions():
     covered = 0
     for i, (name, ctx, pred) in enumerate(predicates):
         exact = _exact_proportion(pred, 2, ctx)
-        rep = monte_carlo(pred, 2, ctx, 4000, 4242 + i, exact=exact)
-        if rep.exact_in_ci:
+        rep = monte_carlo(pred, 2, ctx, 4000, 4242 + i)
+        if wilson_contains(rep.successes, rep.n, exact):
             covered += 1
     assert covered >= 18, f"only {covered}/20 intervals covered the exact value"
 
 
+def test_wilson_contains_matches_the_float_interval_off_its_endpoints():
+    rng = random.Random(1405)
+    checked = 0
+    for _ in range(2000):
+        n = rng.randint(1, 400_000)
+        s = rng.randint(0, n)
+        low, high = wilson_interval(s, n)
+        for x in (low - rng.uniform(1e-6, 1e-3), low + rng.uniform(1e-6, 1e-3),
+                  high - rng.uniform(1e-6, 1e-3), high + rng.uniform(1e-6, 1e-3),
+                  rng.random()):
+            if min(abs(x - low), abs(x - high)) < 1e-6:
+                continue
+            assert wilson_contains(s, n, Fraction(x)) == (low <= x <= high), (s, n, x)
+            checked += 1
+    assert checked > 9000
+
+
+def _decimal_wilson_endpoints(s, n):
+    """Roots of (n^2 + z^2 n) x^2 - (2 s n + z^2 n) x + s^2, to 60 digits."""
+    with localcontext() as dec:
+        dec.prec = 60
+        z2 = Decimal(estimate.Z2.numerator) / Decimal(estimate.Z2.denominator)
+        a = Decimal(n * n) + z2 * n
+        b = Decimal(2 * s * n) + z2 * n
+        root = (b * b - 4 * a * Decimal(s * s)).sqrt()
+        return (b - root) / (2 * a), (b + root) / (2 * a)
+
+
+def test_wilson_contains_decides_float_endpoints_exactly():
+    # the float test ci_low <= x <= ci_high calls every float endpoint
+    # inside; the exact set, checked against 60-digit endpoints, excludes
+    # 11 of these 20
+    excluded = 0
+    for s, n in [(1, 3), (7, 10), (375, 1000), (3750, 10_000), (12_345, 200_000),
+                 (99_999, 100_000), (1, 400_000), (5, 17), (83, 89), (2, 2), (0, 5)]:
+        low, high = _decimal_wilson_endpoints(s, n)
+        for e in wilson_interval(s, n):
+            if e in (0.0, 1.0):
+                continue
+            x = Fraction(e)
+            inside = low <= Decimal(x.numerator) / Decimal(x.denominator) <= high
+            assert wilson_contains(s, n, x) == inside, (s, n, e)
+            excluded += not inside
+    assert excluded == 11
+
+
+def test_wilson_contains_at_the_ends():
+    # s = 0 and s = n: the set reaches 0 (resp. 1) and stops there
+    assert wilson_contains(0, 50, 0) and not wilson_contains(0, 50, Fraction(-1, 10 ** 30))
+    assert wilson_contains(50, 50, 1) and not wilson_contains(50, 50, 1 + Fraction(1, 10 ** 30))
+    assert wilson_contains(0, 50, Fraction(1, 10)) and not wilson_contains(0, 50, Fraction(1, 5))
+    assert not wilson_contains(50, 50, Fraction(4, 5))
+
+
+@pytest.mark.parametrize("s,n,bound,direction,verdict", [
+    (3750, 10_000, Fraction(1, 10), ">=", HOLDS),
+    (3750, 10_000, Fraction(9, 10), ">=", VIOLATED),
+    (3750, 10_000, Fraction(3, 8), ">=", INCONCLUSIVE),
+    (3750, 10_000, Fraction(9, 10), "<=", HOLDS),
+    (3750, 10_000, Fraction(1, 10), "<=", VIOLATED),
+    (3750, 10_000, Fraction(3, 8), "<=", INCONCLUSIVE),
+    # an enclosure is decided by the end that matters, else inconclusive
+    (3750, 10_000, RInterval(Fraction(1, 10), Fraction(3, 8)), ">=", INCONCLUSIVE),
+    (3750, 10_000, RInterval(Fraction(1, 10), Fraction(1, 5)), ">=", HOLDS),
+    (3750, 10_000, RInterval(Fraction(3, 8), Fraction(9, 10)), "<=", INCONCLUSIVE),
+    # s = 0 and s = n: the end of the set is its own bound
+    (0, 50, Fraction(0), ">=", INCONCLUSIVE),
+    (0, 50, Fraction(-1, 10 ** 30), ">=", HOLDS),
+    (0, 50, Fraction(1, 2), ">=", VIOLATED),
+    (50, 50, Fraction(1), "<=", INCONCLUSIVE),
+    (50, 50, 1 + Fraction(1, 10 ** 30), "<=", HOLDS),
+    (50, 50, Fraction(1, 2), "<=", VIOLATED),
+])
+def test_wilson_verdict_both_directions(s, n, bound, direction, verdict):
+    if not isinstance(bound, RInterval):
+        bound = RInterval.point(bound)
+    assert wilson_verdict(s, n, bound, direction) == verdict
+
+
+def test_wilson_verdict_rejects_unknown_direction():
+    with pytest.raises(ValueError):
+        wilson_verdict(1, 2, RInterval.point(Fraction(1, 2)), "<")
+
+
 def test_bound_verdicts_exact_path():
-    rep = monte_carlo(matrix.is_invertible, 2, F2, 1000, 3,
-                      exact=Fraction(3, 8),
-                      bounds=(("one-third", ">=", Fraction(1, 3)),
-                              ("half", "<=", Fraction(1, 2))))
-    assert all(b.verdict == intervals.HOLDS for b in rep.bounds)
-    rep = monte_carlo(matrix.is_invertible, 2, F2, 1000, 3,
-                      exact=Fraction(3, 8),
-                      bounds=(("too-big", ">=", Fraction(1, 2)),))
-    assert rep.bounds[0].verdict == intervals.VIOLATED
+    # a count at exactly 3/8: the set [0.3365, 0.4151] decides 1/3 and 1/2
+    def verdict(bound, direction):
+        return wilson_verdict(375, 1000, RInterval.point(bound), direction)
+
+    assert verdict(Fraction(1, 3), ">=") == HOLDS
+    assert verdict(Fraction(1, 2), "<=") == HOLDS
+    assert verdict(Fraction(1, 2), ">=") == VIOLATED
 
 
 def test_bound_verdicts_statistical_path():
-    rep = monte_carlo(matrix.is_invertible, 2, F2, 10_000, 3,
-                      bounds=(("one-tenth", ">=", Fraction(1, 10)),
-                              ("nine-tenths", "<=", Fraction(9, 10)),
-                              ("near-exact", ">=", Fraction(3, 8))))
-    byname = {b.name: b.verdict for b in rep.bounds}
-    assert byname["one-tenth"] == intervals.HOLDS
-    assert byname["nine-tenths"] == intervals.HOLDS
+    rep = monte_carlo(matrix.is_invertible, 2, F2, 10_000, 3)
+
+    def verdict(bound, direction):
+        return wilson_verdict(rep.successes, rep.n, RInterval.point(bound), direction)
+
+    assert verdict(Fraction(1, 10), ">=") == HOLDS
+    assert verdict(Fraction(9, 10), "<=") == HOLDS
     # a bound inside the interval cannot be settled by sampling
-    assert byname["near-exact"] == intervals.INCONCLUSIVE
+    assert verdict(Fraction(3, 8), ">=") == INCONCLUSIVE
 
 
 def test_exact_and_bounds():
@@ -178,8 +270,10 @@ def test_exact_and_bounds():
     assert exact == Fraction(7, 16)
     assert (name, direction) == ("algebra-lower-bound", ">=")
     assert not bound.lo > 0  # vacuous at c = 2
-    assert intervals.verdict_value_ge(exact, bound) == intervals.HOLDS
-    assert monte_carlo(spec.member, 2, F4, 3000, 11, exact=exact).exact_in_ci
+    assert intervals.verdict_value_ge(exact, bound) == HOLDS
+    rep = monte_carlo(spec.member, 2, F4, 3000, 11)
+    assert wilson_contains(rep.successes, rep.n, exact)
+    assert wilson_verdict(rep.successes, rep.n, bound, ">=") == HOLDS
     # no closed form: the census while M(d, q) is small and in budget, else nothing
     assert estimate.exact_and_bounds(spec, 1, F4) == (Fraction(1, 2), ())
     invertible = census.get_spec("invertible")

@@ -7,7 +7,6 @@ import pytest
 from nicensus import embed, gf, intervals, matrix, poly, quokka
 from nicensus.errors import RangeError
 from nicensus.quokka import (
-    bound_sheet,
     cycle_types,
     harmonic_band_verdict,
     harmonic_sum,
@@ -183,11 +182,3 @@ def test_per_dim_closed_form_matches_gl_enumeration():
 def test_thm_verdicts_hold():
     for c, q, b in [(2, 2, 2), (4, 2, 2), (6, 3, 2), (8, 2, 2), (5, 2, 3)]:
         assert quokka.thm_pc_m_verdict(c, q, b) == intervals.HOLDS
-
-
-def test_bound_sheet():
-    sheet = bound_sheet(6, 2, 2)
-    assert sheet.exact_total == ngl_exact(6, 2, 2)
-    assert sheet.overall == intervals.HOLDS
-    assert dict(sheet.verdicts)["harmonic-band"] == intervals.HOLDS
-    assert [r for r, _ in sheet.exact_by_r] == [4, 5, 6]
