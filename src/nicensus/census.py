@@ -12,7 +12,9 @@ sum identity states, with omega(j, q) = prod_{k<=j} (1 - q^-k),
 and the per-dimension count identity reads
 |N(i)| = qbinom(d, i) * q^((d-i)(d-1)) * |N_i|.  ``census_exact``
 computes every quantity by exhaustive enumeration and asserts both
-identities as exact rationals.
+identities as exact rationals.  ``count_members`` is the one plain count
+of a family over M(d, q), and ``ni_verify`` the one exhaustive audit of
+the NI hypothesis; both refuse sizes past their budget.
 """
 
 from __future__ import annotations
@@ -81,13 +83,13 @@ class NISubsetSpec:
 
     ``member`` must depend only on the invertible part and be invariant
     under conjugation (that is what ``ni_verify`` audits).  Only its
-    truth value counts: ``census_exact`` and ``ni_verify`` decide on
-    bool(member(X)), so a predicate returning 1/0 or any other truthy
-    value describes the same family.  ``contains_nilpotents`` may be
-    None, in which case it is derived from member(0).  ``closed_form``,
-    when set, maps (d, ctx) to (exact proportion in M(d, q), theory
-    bounds as (name, direction, RInterval) triples), or to None where the
-    family has no closed form.
+    truth value counts: ``census_exact``, ``count_members`` and
+    ``ni_verify`` decide on bool(member(X)), so a predicate returning
+    1/0 or any other truthy value describes the same family.
+    ``contains_nilpotents`` may be None, in which case it is derived
+    from member(0).  ``closed_form``, when set, maps (d, ctx) to (exact
+    proportion in M(d, q), theory bounds as (name, direction, RInterval)
+    triples), or to None where the family has no closed form.
     """
 
     name: str
@@ -255,7 +257,12 @@ class _Verdicts:
         return v == 2
 
 
-def census_exact(spec, d, ctx, budget=None, check_ni=True):
+def count_members(member, d, ctx, budget=None):
+    """The number of X in M(d, q) with bool(member(X)), within the budget."""
+    return sum(1 for X in matrix.all_matrices(d, ctx, budget=budget) if member(X))
+
+
+def census_exact(spec, d, ctx, budget=None):
     """Count the family exhaustively and assert the flag-sum identity.
 
     Enumerates all of M(d, q) for |N| and the per-dimension |N(i)|, and
@@ -277,10 +284,8 @@ def census_exact(spec, d, ctx, budget=None, check_ni=True):
     n_of_i = [0] * (d + 1)
     for X in matrix.all_matrices(d, ctx, budget=budget):
         in_n = member(X)
-        if not (in_n or check_ni):
-            continue
         split = matrix.fitting_decompose(X)
-        if check_ni and member(_nilpotent_canonical(X, split)) != in_n:
+        if member(_nilpotent_canonical(X, split)) != in_n:
             raise NIViolation(
                 f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
                 f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
@@ -424,7 +429,6 @@ class NIAuditReport:
     spec_name: str
     d: int
     q: int
-    exhaustive: bool
     matrices_checked: int
     conjugations_checked: int
     violations: tuple  # of (kind, witness Mat, conjugator Mat or None)
@@ -434,81 +438,54 @@ class NIAuditReport:
         return not self.violations
 
 
-# ni_verify enumerates M(d, q) up to AUDIT_EXHAUSTIVE_MAX matrices and
-# GL(d, q) up to AUDIT_MAX_GL conjugators; past them it samples
-# AUDIT_TRIALS matrices at AUDIT_SEED, with three conjugators each.  It
+# ni_verify enumerates M(d, q) up to AUDIT_EXHAUSTIVE_MAX matrices, and
 # stops after AUDIT_MAX_VIOLATIONS violations.
 AUDIT_EXHAUSTIVE_MAX = 4096
-AUDIT_MAX_GL = 512
-AUDIT_TRIALS = 2000
-AUDIT_SEED = 0
 AUDIT_MAX_VIOLATIONS = 5
 
 
 def ni_verify(spec, d, ctx, budget=None):
-    """Audit both NI conditions, exhaustively when the budget allows.
+    """Audit both NI conditions over all of M(d, q) and GL(d, q).
 
     Condition (i): membership is conjugation invariant.  Condition (ii):
     membership of X equals membership of X_inv + 0.  Violations are
     collected with witnesses rather than raised, so deliberately broken
-    predicates can be inspected.
+    predicates can be inspected.  Raises BudgetExceeded when M(d, q) has
+    more than AUDIT_EXHAUSTIVE_MAX matrices or more than the budget.
 
-    The exhaustive audit decides through a ``_Verdicts`` table of
-    q^(d^2) <= AUDIT_EXHAUSTIVE_MAX bytes, so ``spec.member`` runs at most
-    once per matrix.  When GL(d, q) is enumerated too, the orbit
-    {g^-1 X g} of the first X of each orbit is built once and marked
-    uniform when its verdicts agree; a uniform X counts every conjugator
-    as checked, any other X scans g for the first differing verdict.
+    The audit decides through a ``_Verdicts`` table of q^(d^2) bytes, so
+    ``spec.member`` runs at most once per matrix.  The orbit {g^-1 X g}
+    of the first X of each orbit is built once and marked uniform when
+    its verdicts agree; a uniform X counts every conjugator as checked,
+    any other X scans g for the first differing verdict.
     """
-    from . import estimate  # local import: estimate builds on census for specs
-
     q = ctx.order
     total = q ** (d * d)
-    cap = gf.enumeration_budget(budget)
-    exhaustive = total <= min(cap, AUDIT_EXHAUSTIVE_MAX)
-
-    if exhaustive:
-        mats = matrix.all_matrices(d, ctx, budget=budget)
-        n_mats = total
-        member = _Verdicts(spec.member, d, ctx)
-    else:
-        mats = (estimate.sample_matrix(d, ctx, AUDIT_SEED, j) for j in range(AUDIT_TRIALS))
-        n_mats = AUDIT_TRIALS
-
-        def member(X):
-            return bool(spec.member(X))
-
-    # Each conjugator is inverted once: once per audit when GL(d, q) is
-    # enumerated, once per draw when it is sampled.
-    pairs = None
-    if matrix.gl_order(d, q) <= AUDIT_MAX_GL:
-        pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx))
+    cap = min(gf.enumeration_budget(budget), AUDIT_EXHAUSTIVE_MAX)
+    if total > cap:
+        raise BudgetExceeded(f"NI audit over M({d},{q}) needs {total} matrices, limit {cap}")
+    member = _Verdicts(spec.member, d, ctx)
+    # each conjugator is inverted once per audit
+    pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx, budget=budget))
     # per matrix index: 0 while its orbit is unbuilt, else 1 + whether it is uniform
-    orbit_marks = bytearray(total) if exhaustive and pairs is not None else None
+    orbit_marks = bytearray(total)
 
     violations = []
     conj_count = 0
-    for j, X in enumerate(mats):
+    for X in matrix.all_matrices(d, ctx, budget=budget):
         m_x = member(X)
         if m_x != member(_nilpotent_canonical(X)):
             violations.append(("nilpotent-part-dependence", X, None))
-        uniform = False
-        if orbit_marks is not None:
-            k = member.index(X)
-            if not orbit_marks[k]:
-                orbit = [g_inv * X * g for g_inv, g in pairs]
-                mark = 1 + all(member(Y) == m_x for Y in orbit)
-                for Y in orbit:
-                    orbit_marks[member.index(Y)] = mark
-            uniform = orbit_marks[k] == 2
-        if uniform:
+        k = member.index(X)
+        if not orbit_marks[k]:
+            orbit = [g_inv * X * g for g_inv, g in pairs]
+            mark = 1 + all(member(Y) == m_x for Y in orbit)
+            for Y in orbit:
+                orbit_marks[member.index(Y)] = mark
+        if orbit_marks[k] == 2:
             conj_count += len(pairs)
         else:
-            gs = pairs if pairs is not None else (
-                (matrix.inverse(g), g) for g in
-                (estimate.sample_gl(d, ctx, AUDIT_SEED ^ 0x9E3779B9, j * 3 + t)
-                 for t in range(3)))
-            for g_inv, g in gs:
+            for g_inv, g in pairs:
                 conj_count += 1
                 if member(g_inv * X * g) != m_x:
                     violations.append(("conjugation-dependence", X, g))
@@ -516,6 +493,5 @@ def ni_verify(spec, d, ctx, budget=None):
         if len(violations) >= AUDIT_MAX_VIOLATIONS:
             break
 
-    return NIAuditReport(spec_name=spec.name, d=d, q=q, exhaustive=exhaustive,
-                         matrices_checked=n_mats, conjugations_checked=conj_count,
-                         violations=tuple(violations))
+    return NIAuditReport(spec_name=spec.name, d=d, q=q, matrices_checked=total,
+                         conjugations_checked=conj_count, violations=tuple(violations))

@@ -30,6 +30,7 @@ from . import gf, matrix, poly
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
+    NonPrimeCharacteristic,
     NotADivisor,
     NotASubfield,
     NotIrreducible,
@@ -108,15 +109,13 @@ def parse_tower(text):
         base_q = _order(base_s)
     except ValueError:
         raise ParseError(f"bad tower descriptor {text!r}", position=0)
-    pf_ext = gf.factor_int(ext_q)
-    pf_base = gf.factor_int(base_q)
-    if len(pf_ext) != 1 or len(pf_base) != 1:
-        raise ParseError(f"tower orders must be prime powers: {text!r}", position=0)
-    ((p, ke),) = pf_ext.items()
-    ((pb, kb),) = pf_base.items()
-    if p != pb or ke % kb != 0:
+    try:
+        ext, base = gf.field_of_order(ext_q), gf.field_of_order(base_q)
+    except NonPrimeCharacteristic:
+        raise ParseError(f"tower orders must be prime powers: {text!r}", position=0) from None
+    if ext.p != base.p or ext.k % base.k != 0:
         raise ParseError(f"{base_q} is not a subfield order of {ext_q}", position=0)
-    return make_tower(gf.field_create(p, ke), gf.field_create(p, kb))
+    return make_tower(ext, base)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +319,10 @@ def pc_counts_by_f(c, tower, r, budget=None):
     fs = poly.irr_enumerate(tower.b * r, base, budget=budget)
     counts = {f: 0 for f in fs}
     gl_size = 0
-    for X in matrix.all_matrices(c, tower.ext, budget=budget):
-        if not matrix.is_invertible(X):
-            continue
+    for X in matrix.all_invertible(c, tower.ext, budget=budget):
         gl_size += 1
         for f in matrix.primary_cyclic_factors(blow_up(X, tower)):
             if f in counts:
                 counts[f] += 1
     return counts, gl_size
 
-
-def pc_membership_count(c, tower, budget=None):
-    """Exhaustive count of the large-degree family over all of M(c, q^b).
-
-    Uses the direct blow-up route (``pc_membership``), which makes this
-    the independent oracle for the closed-form flag-sum assembly.
-    """
-    total = 0
-    members = 0
-    for X in matrix.all_matrices(c, tower.ext, budget=budget):
-        total += 1
-        if pc_membership(X, tower).member:
-            members += 1
-    return members, total

@@ -14,7 +14,7 @@ verdict is three-valued, and a sampled "holds" means the bound survived
 the 99% test, not that it is proved.  The floats of ``wilson_interval``
 are for display only.
 ``exact_and_bounds`` supplies the exact value and bounds of a
-registered spec: its closed form, else a small census.
+registered spec: its closed form, else its count over a small M(d, q).
 """
 
 from __future__ import annotations
@@ -169,14 +169,14 @@ def monte_carlo(predicate, d, ctx, n, seed, budget=None):
 def exact_and_bounds(spec, d, ctx, budget=None):
     """(exact proportion of ``spec`` in M(d, q), theory bounds) to check samples against.
 
-    The spec's closed form where it has one; else the exhaustive census
-    when M(d, q) has at most 65,536 matrices within the budget, which
+    The spec's closed form where it has one; else its member count over
+    M(d, q) when that has at most 65,536 matrices within the budget, which
     otherwise need only cover the samples; else (None, ()).
     """
     form = spec.closed_form(d, ctx) if spec.closed_form else None
     if form is not None:
         return form
-    if ctx.order ** (d * d) <= min(65536, gf.enumeration_budget(budget)):
-        fc = census.census_exact(spec, d, ctx, budget=budget, check_ni=False)
-        return fc.proportion_in_m, ()
+    total = ctx.order ** (d * d)
+    if total <= min(65536, gf.enumeration_budget(budget)):
+        return Fraction(census.count_members(spec.member, d, ctx, budget), total), ()
     return None, ()

@@ -397,6 +397,19 @@ def field_order(p, k):
     return p ** k
 
 
+def field_of_order(q):
+    """The canonical field F_q of a prime power q.
+
+    The size bound is checked first, as in :func:`field_order`, so an
+    oversized q is refused before it is factored.
+    """
+    field_order(q, 1)
+    primes = factor_int(q)
+    if len(primes) != 1:
+        raise NonPrimeCharacteristic(f"{q} is not a prime power")
+    return field_create(*primes.popitem())
+
+
 def field_create(p, k=1, modulus=None):
     """Create (or fetch from cache) the field F_{p^k}.
 

@@ -598,11 +598,8 @@ def count_regular_orbit_irr(r, b, q, budget=None):
     """Count g in Irr_r(q^b) whose Galois orbit over F_q has full length b."""
     if r < 1 or b < 1:
         raise ValueError("r and b must be >= 1")
-    pf = gf.factor_int(q)
-    if len(pf) != 1:
-        raise gf.NonPrimeCharacteristic(f"{q} is not a prime power")
-    ((p, m),) = pf.items()
-    ext = gf.field_create(p, m * b)
+    base = gf.field_of_order(q)
+    ext = gf.field_create(base.p, base.k * b)
     count = 0
     for g in irr_enumerate(r, ext, budget=budget):
         if galois_orbit_length(g, q) == b:

@@ -1,7 +1,9 @@
 """Flag-sum censuses: anchors, identities, audits, transfer bounds."""
 
+import ast
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +146,9 @@ def test_census_ni_violation_names_the_failing_side(member, message):
 def test_census_budget():
     with pytest.raises(BudgetExceeded):
         census_exact(get_spec("all"), 2, F3, budget=10)
+    assert census.count_members(matrix.is_nilpotent, 2, F2, budget=16) == 4
+    with pytest.raises(BudgetExceeded):
+        census.count_members(matrix.is_nilpotent, 2, F2, budget=15)
 
 
 def test_flag_independence():
@@ -204,7 +209,7 @@ def test_ni_verify_builtin_specs():
     for name in ("all", "invertible", "separable", "unipotent", "has-eigenvalue(1)"):
         for ctx in (F2, F3):
             rep = census.ni_verify(get_spec(name), 2, ctx)
-            assert rep.ok and rep.exhaustive
+            assert rep.ok
 
 
 def test_ni_verify_finds_violations():
@@ -243,18 +248,6 @@ _BROKEN_AUDITS = {
         ("conjugation-dependence", ((0, 1), (0, 0)), ((1, 0), (1, 1))),
         ("conjugation-dependence", ((1, 1), (0, 0)), ((0, 1), (1, 0))),
         ("conjugation-dependence", ((2, 1), (0, 0)), ((2, 0), (1, 1)))]),
-    # M(3, 3) and GL(3, 3) are past the exhaustive range: sampled matrices
-    # and three sampled conjugators each
-    ("first-entry", 3, 3): (8, [
-        ("conjugation-dependence", ((0, 2, 2), (0, 2, 2), (2, 2, 2)),
-         ((0, 2, 2), (2, 0, 0), (2, 0, 2))),
-        ("conjugation-dependence", ((2, 0, 2), (2, 1, 0), (1, 0, 0)),
-         ((0, 2, 0), (0, 1, 1), (1, 1, 2))),
-        ("conjugation-dependence", ((2, 1, 1), (2, 2, 0), (1, 1, 1)),
-         ((2, 0, 2), (0, 2, 2), (0, 0, 2))),
-        ("nilpotent-part-dependence", ((1, 0, 1), (0, 0, 0), (2, 2, 0)), None),
-        ("conjugation-dependence", ((1, 0, 1), (0, 0, 0), (2, 2, 0)),
-         ((1, 0, 2), (0, 2, 0), (1, 2, 0)))]),
 }
 
 
@@ -310,7 +303,7 @@ def _census_loop(spec, d, ctx):
     return n_total, n_of_i, n_i
 
 
-def _ni_verify_per_pair(specs, d, ctx, budget=None):
+def _ni_verify_per_pair(specs, d, ctx):
     """ni_verify's report for each spec, from one scan over every (X, g) pair.
 
     The specs' scans run side by side, X by X, so that each conjugate is
@@ -318,25 +311,10 @@ def _ni_verify_per_pair(specs, d, ctx, budget=None):
     violation.  The predicates are pure, so their verdicts are kept by
     matrix; every pair is still conjugated and compared.
     """
-    q = ctx.order
-    total = q ** (d * d)
-    exhaustive = total <= min(gf.enumeration_budget(budget), census.AUDIT_EXHAUSTIVE_MAX)
-    if exhaustive:
-        mats, n_mats = matrix.all_matrices(d, ctx), total
-    else:
-        mats = (estimate.sample_matrix(d, ctx, census.AUDIT_SEED, j)
-                for j in range(census.AUDIT_TRIALS))
-        n_mats = census.AUDIT_TRIALS
-    pairs = None
-    if matrix.gl_order(d, q) <= census.AUDIT_MAX_GL:
-        pairs = [(matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx)]
+    pairs = [(matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx)]
     scans = [(spec, {}, [], [0]) for spec in specs]  # verdicts, violations, conjugations
     active = list(scans)
-    for j, X in enumerate(mats):
-        gs = pairs if pairs is not None else [
-            (matrix.inverse(g), g) for g in
-            (estimate.sample_gl(d, ctx, census.AUDIT_SEED ^ 0x9E3779B9, j * 3 + t)
-             for t in range(3))]
+    for X in matrix.all_matrices(d, ctx):
         conjugates = []
         for scan in list(active):
             spec, seen, violations, conjugations = scan
@@ -349,7 +327,7 @@ def _ni_verify_per_pair(specs, d, ctx, budget=None):
             m_x = member(X)
             if m_x != member(census._nilpotent_canonical(X)):
                 violations.append(("nilpotent-part-dependence", X, None))
-            for t, (g_inv, g) in enumerate(gs):
+            for t, (g_inv, g) in enumerate(pairs):
                 if t == len(conjugates):
                     conjugates.append(g_inv * X * g)
                 conjugations[0] += 1
@@ -358,8 +336,9 @@ def _ni_verify_per_pair(specs, d, ctx, budget=None):
                     break
             if len(violations) >= census.AUDIT_MAX_VIOLATIONS:
                 active.remove(scan)
-    return [census.NIAuditReport(spec_name=spec.name, d=d, q=q, exhaustive=exhaustive,
-                                 matrices_checked=n_mats, conjugations_checked=conjugations[0],
+    return [census.NIAuditReport(spec_name=spec.name, d=d, q=ctx.order,
+                                 matrices_checked=ctx.order ** (d * d),
+                                 conjugations_checked=conjugations[0],
                                  violations=tuple(violations))
             for spec, _, violations, conjugations in scans]
 
@@ -381,7 +360,6 @@ _SIZES = [(2, F2), (2, F3), (3, F2)]
 def test_ni_verify_matches_per_pair_scan(d, ctx):
     expected = _ni_verify_per_pair(_DIFFERENTIAL_SPECS, d, ctx)
     for spec, rep in zip(_DIFFERENTIAL_SPECS, expected):
-        assert rep.exhaustive
         assert census.ni_verify(spec, d, ctx) == rep, spec.name
     # the one-orbit spec fails only on regular nilpotents
     rep = census.ni_verify(_ONE_ORBIT_BROKEN, d, ctx)
@@ -389,12 +367,11 @@ def test_ni_verify_matches_per_pair_scan(d, ctx):
                                   for _, X, _ in rep.violations)
 
 
-def test_ni_verify_sampled_path_matches_per_pair_scan():
-    specs = (get_spec("separable"), _BROKEN_SPECS["first-entry"], _ONE_ORBIT_BROKEN)
-    for spec, expected in zip(specs, _ni_verify_per_pair(specs, 2, F2, budget=10)):
-        rep = census.ni_verify(spec, 2, F2, budget=10)
-        assert not rep.exhaustive
-        assert rep == expected, spec.name
+def test_ni_verify_refuses_past_the_exhaustive_range():
+    # M(3, 3) has 19,683 matrices, past AUDIT_EXHAUSTIVE_MAX; M(2, 2) has 16
+    for d, ctx, budget in [(3, F3, None), (2, F2, 10)]:
+        with pytest.raises(BudgetExceeded):
+            census.ni_verify(get_spec("separable"), d, ctx, budget=budget)
 
 
 @pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
@@ -434,10 +411,37 @@ def test_member_decides_on_truth_value():
         as_int = NISubsetSpec("p", lambda X: int(pred(X)))
         # truthy values that differ between conjugates and between X and X_inv + 0
         as_rows = NISubsetSpec("p", lambda X: X.rows if pred(X) else ())
-        for budget in (None, 10):
-            expected = census.ni_verify(plain, 2, F2, budget=budget)
-            assert census.ni_verify(as_int, 2, F2, budget=budget) == expected
-            assert census.ni_verify(as_rows, 2, F2, budget=budget) == expected
+        expected = census.ni_verify(plain, 2, F2)
+        assert census.ni_verify(as_int, 2, F2) == expected
+        assert census.ni_verify(as_rows, 2, F2) == expected
+        assert census.count_members(as_rows.member, 2, F2) == \
+            census.count_members(plain.member, 2, F2)
     as_rows = NISubsetSpec("invertible", lambda X: X.rows if matrix.is_invertible(X) else (),
                            contains_nilpotents=False)
     assert census_exact(as_rows, 2, F3) == census_exact(get_spec("invertible"), 2, F3)
+
+
+_REGISTERED = list(census._PLAIN_SPECS) + ["has-eigenvalue(0)", "has-eigenvalue(1)",
+                                            "pc-large-degree(1)"]
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_count_members_matches_census(d, ctx):
+    for name in _REGISTERED:
+        spec = get_spec(name)
+        assert census.count_members(spec.member, d, ctx) == census_exact(spec, d, ctx).n_total, \
+            name
+
+
+def test_census_does_not_import_estimate():
+    # estimate builds on census (specs, counts); the reverse import would be a cycle
+    tree = ast.parse(Path(census.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+    assert "estimate" not in imported

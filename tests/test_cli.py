@@ -151,6 +151,15 @@ def test_quokka_single_r(capsys):
     assert doc["result"]["per_polynomial"] == {"num": "1", "den": "3"}
 
 
+def test_quokka_per_degree_at_b_r_1(capsys):
+    # at b*r = 1 every nonzero scalar is (t - a)-primary cyclic: pc_r is 1
+    for q in (2, 3, 4, 5):
+        code, out = run_cli(["quokka", "--c", "1", "--q", str(q), "--b", "1", "--r", "1"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["per_degree"] == {"num": "1", "den": "1"}
+
+
 def test_verify_fast_suite(capsys):
     code, out = run_cli(["verify", "--suite", "corollary-sums"], capsys)
     assert code == 0

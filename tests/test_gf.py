@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nicensus import gf, intervals, poly
 from nicensus.errors import (
+    BudgetExceeded,
     DegreeMismatch,
     NonPrimeCharacteristic,
     NotASubfield,
@@ -302,6 +303,17 @@ def test_descriptor_roundtrip():
         gf.parse_field_descriptor("2^x")
     with pytest.raises(ParseError):
         gf.parse_field_descriptor("2^2/zz")
+
+
+def test_field_of_order():
+    for p, k in [(2, 1), (2, 4), (3, 2), (5, 1), (7, 2)]:
+        assert gf.field_of_order(p ** k) is gf.field_create(p, k)
+    for q in (1, 6, 12, 100):
+        with pytest.raises(NonPrimeCharacteristic):
+            gf.field_of_order(q)
+    # refused by size before factoring: trial division of 10^18 + 3 would not finish
+    with pytest.raises(BudgetExceeded):
+        gf.field_of_order(10 ** 18 + 3)
 
 
 def test_is_prime_power_matches_factor_int():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nicensus import embed, gf, intervals, matrix, poly, quokka
+from nicensus import census, embed, gf, intervals, matrix, poly, quokka
 from nicensus.errors import RangeError
 from nicensus.quokka import (
     cycle_types,
@@ -160,8 +160,9 @@ def test_thm_pc_m_exact_anchor():
 
 def test_thm_pc_m_exact_matches_exhaustion():
     tower = embed.parse_tower("4/2")
-    members, total = embed.pc_membership_count(2, tower)
-    assert Fraction(members, total) == thm_pc_m_exact(2, 2, 2)
+    members = census.count_members(lambda X: embed.pc_membership(X, tower).member,
+                                   2, tower.ext)
+    assert Fraction(members, 256) == thm_pc_m_exact(2, 2, 2)
 
 
 def test_per_dim_closed_form_matches_gl_enumeration():
