@@ -225,17 +225,16 @@ class FlagCensus:
         return self.lhs * omega(self.d, self.q)
 
 
-def _nilpotent_canonical(M, split=None):
+def _nilpotent_canonical(M):
     """X_inv + 0 on the nilpotent part, in the Fitting basis."""
-    if split is None:
-        split = matrix.fitting_decompose(M)
+    split = matrix.fitting_decompose(M)
     return matrix.direct_sum(split.x_inv, Mat.zero(M.ctx, split.nil_dim))
 
 
 class _Verdicts:
     """bool(member(X)) for X in M(d, q), decided at most once per matrix.
 
-    One byte per matrix, indexed by the inverse of ``matrix.matrix_from_index``
+    One byte per matrix, at its position in ``matrix.all_matrices``' order
     (entries row-major, the first least significant): 0 while undecided,
     else 1 + the verdict.  The key is the matrix itself, never a similarity
     invariant, so X and X_inv + 0 are decided independently.
@@ -284,15 +283,14 @@ def census_exact(spec, d, ctx, budget=None):
     n_of_i = [0] * (d + 1)
     for X in matrix.all_matrices(d, ctx, budget=budget):
         in_n = member(X)
-        split = matrix.fitting_decompose(X)
-        if member(_nilpotent_canonical(X, split)) != in_n:
+        if member(_nilpotent_canonical(X)) != in_n:
             raise NIViolation(
                 f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
                 f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
                 witness=X)
         if in_n:
             n_total += 1
-            n_of_i[split.inv_dim] += 1
+            n_of_i[matrix.fitting_decompose(X).inv_dim] += 1
 
     per = [PerDimension(i=i, n_i=n_i, gl_i=matrix.gl_order(i, q), n_of_i=n_of_i[i])
            for i, n_i in enumerate(_flag_counts(member, d, ctx, budget))]

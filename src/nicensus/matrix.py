@@ -10,14 +10,18 @@ minimal polynomials are least common multiples of per-start-vector
 annihilators read off Krylov chains.  Both are deterministic.
 
 The Fitting split is one change of basis: a single elimination of
-[X^n | I] gives the canonical bases of the image and the kernel of X^n,
-and conjugating X by the matrix of those rows gives the invertible and
-nilpotent blocks.  Inverse, row space and left kernel read the same
-augmented elimination.
+[X^n | I] gives the canonical bases of the image and the kernel of X^n.
+Both are in reduced row-echelon form, so the coordinates of b X in
+either basis are its entries at that basis's pivot columns: the
+invertible and nilpotent blocks are read off n row products, with no
+inverse.  The split is memoized by the exact matrix in a bounded LRU.
+Inverse, row space and left kernel read the same augmented elimination.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from . import gf, poly
@@ -326,21 +330,39 @@ class FittingSplit:
         return len(self.nil_basis)
 
 
+# Above the 512 matrices of M(3, 2), the largest space a verify suite
+# enumerates more than once: an LRU smaller than one cyclic enumeration
+# never hits.  The 609 matrices of one verify pass all fit.
+_SPLIT_MEMO_MAX = 1 << 10
+
+
+def _restricted(M, basis):
+    """X restricted to the X-invariant span of ``basis``, in that basis.
+
+    ``basis`` is in reduced row-echelon form, so the coordinates of b X
+    are its entries at the basis's pivot columns.
+    """
+    pivots = [next(j for j, a in enumerate(b) if a) for b in basis]
+    return Mat(M.ctx, len(basis), tuple(
+        tuple(row[j] for j in pivots) for row in map(M.apply_to_row, basis)))
+
+
+@functools.lru_cache(maxsize=_SPLIT_MEMO_MAX)
 def fitting_decompose(M):
     """Split V into the invertible and nilpotent parts of X, as one change of basis.
 
     V_inv is the image of X^n and V_nil its kernel; both are X-invariant
     and come from one elimination of [X^n | I].  With B the rows of
     inv_basis then nil_basis, B X B^-1 is block diagonal: X restricted to
-    V_inv (invertible) and to V_nil (nilpotent).
+    V_inv (invertible) and to V_nil (nilpotent).  Each block is read off
+    the pivot columns of its basis, so B is never inverted.
+
+    Memoized by the exact matrix (its field compares by identity) in an
+    LRU of ``_SPLIT_MEMO_MAX`` splits.  Membership is never memoized:
+    X and X_inv + 0 are still decided separately.
     """
     inv_basis, nil_basis = _image_and_kernel(M ** M.n)
-    r = len(inv_basis)
-    B = Mat(M.ctx, M.n, inv_basis + nil_basis)
-    C = (B * M * inverse(B)).rows
-    return FittingSplit(inv_basis, nil_basis,
-                        Mat(M.ctx, r, tuple(row[:r] for row in C[:r])),
-                        Mat(M.ctx, M.n - r, tuple(row[r:] for row in C[r:])))
+    return FittingSplit(inv_basis, nil_basis, _restricted(M, inv_basis), _restricted(M, nil_basis))
 
 
 def is_nilpotent(M):
@@ -482,27 +504,21 @@ def direct_sum(A, B):
 # ---------------------------------------------------------------------------
 
 
-def matrix_from_index(ctx, n, idx):
-    q = ctx.order
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            row.append(idx % q)
-            idx //= q
-        rows.append(tuple(row))
-    return Mat(ctx, n, tuple(rows))
-
-
 def all_matrices(n, ctx, budget=None):
-    """Iterate M(n, q) in index order; refuses counts beyond the budget."""
+    """Iterate M(n, q) in index order; refuses counts beyond the budget.
+
+    Matrix i has the base-q digits of i as its entries, row-major with the
+    first least significant: the reversed tuples of ``itertools.product``,
+    cut into rows of n.
+    """
     q = ctx.order
     total = q ** (n * n)
     cap = gf.enumeration_budget(budget)
     if total > cap:
         raise BudgetExceeded(f"enumerating {total} matrices exceeds budget {cap}")
-    for idx in range(total):
-        yield matrix_from_index(ctx, n, idx)
+    for entries in itertools.product(range(q), repeat=n * n):
+        digits = reversed(entries)
+        yield Mat(ctx, n, tuple(zip(*[digits] * n)))
 
 
 def all_invertible(n, ctx, budget=None):

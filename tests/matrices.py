@@ -1,10 +1,12 @@
-"""Helpers for the tests: a matrix constructor and two oracles.
+"""Helpers for the tests: matrix constructors and oracles.
 
-``row_space_basis`` checks ``fitting_decompose``; ``norm`` checks that
-the charpoly of a blow-up is the norm of the charpoly.
+``from_index`` checks the order of ``all_matrices``;
+``row_space_basis`` and ``fitting_blocks`` check ``fitting_decompose``;
+``norm`` checks that the charpoly of a blow-up is the norm of the
+charpoly.
 """
 
-from nicensus import gf, poly
+from nicensus import gf, matrix, poly
 from nicensus.matrix import Mat
 
 
@@ -13,6 +15,34 @@ def from_rows(ctx, rows):
     rows = tuple(tuple(int(e) for e in r) for r in rows)
     assert all(len(r) == len(rows) for r in rows), "matrix must be square"
     return Mat(ctx, len(rows), rows)
+
+
+def from_index(ctx, n, idx):
+    """Matrix idx of M(n, q): the base-q digits of idx, row-major, the first least significant."""
+    q = ctx.order
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            row.append(idx % q)
+            idx //= q
+        rows.append(tuple(row))
+    return Mat(ctx, n, tuple(rows))
+
+
+def fitting_blocks(M):
+    """(x_inv, x_nil) as the diagonal blocks of B X B^-1.
+
+    B holds the rows of the image of X^n, then those of its kernel, in
+    the canonical bases that ``fitting_decompose`` returns.
+    """
+    Y = M ** M.n
+    inv_basis, nil_basis = row_space_basis(Y), matrix.left_kernel_basis(Y)
+    r = len(inv_basis)
+    B = Mat(M.ctx, M.n, inv_basis + nil_basis)
+    C = (B * M * matrix.inverse(B)).rows
+    return (Mat(M.ctx, r, tuple(row[:r] for row in C[:r])),
+            Mat(M.ctx, M.n - r, tuple(row[r:] for row in C[r:])))
 
 
 def row_space_basis(M):

@@ -15,6 +15,8 @@ import pytest
 from nicensus import census, cli, embed, estimate, gf, intervals, matrix, poly, quokka
 from nicensus.census import census_exact, corollary_sum_check, gaussian_binomial, get_spec
 
+from matrices import from_index
+
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 F4 = gf.field_create(2, 2)
@@ -101,7 +103,7 @@ def test_criterion_5_blow_up_equivalence():
     checked = 0
     for c, total in [(1, 4), (2, 256)]:
         for idx in range(total):
-            X = matrix.matrix_from_index(F4, c, idx)
+            X = from_index(F4, c, idx)
             for f in embed.qualifying_divisors(X, tower):
                 assert embed.proposition_check(X, f, tower).agree
                 checked += 1

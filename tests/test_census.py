@@ -290,7 +290,7 @@ def _census_loop(spec, d, ctx):
     for X in matrix.all_matrices(d, ctx):
         in_n = bool(spec.member(X))
         split = matrix.fitting_decompose(X)
-        if bool(spec.member(census._nilpotent_canonical(X, split))) != in_n:
+        if bool(spec.member(census._nilpotent_canonical(X))) != in_n:
             raise NIViolation(spec.name, witness=X)
         if in_n:
             n_total += 1

@@ -99,8 +99,9 @@ def test_byte_identical_repeat_runs(capsys):
 
 
 def test_verify_repeat_runs_share_no_memo_state(capsys):
-    first = [run_cli(["verify", "--suite", s], capsys) for s in ("theorem1", "prop-polys")]
-    second = [run_cli(["verify", "--suite", s], capsys) for s in ("prop-polys", "theorem1")]
+    suites = ("theorem1", "prop-polys", "lemma31", "bounds")
+    first = [run_cli(["verify", "--suite", s], capsys) for s in suites]
+    second = [run_cli(["verify", "--suite", s], capsys) for s in reversed(suites)]
     assert first == second[::-1]
     assert all(code == 0 for code, _ in first)
 
@@ -317,6 +318,9 @@ PINNED = {
     "decompose-4x4-q3": (
         ["decompose", "--matrix", "4 3 : 2 1 0 2 2 2 2 0 0 1 0 1 1 2 1 1"],
         "dc7d54a71465e0b6098fca960899c83f53ed9d43d8cc4998296ed100c8d18576"),
+    "decompose-2x2-2^16": (
+        ["decompose", "--matrix", "2 2^16 : 1 2 3 4"],
+        "ca6c54f05edd5755bf4827809ea203f5b5f4af32750d9b76c4274128a814b6bd"),
     "estimate-pc-large-degree": (
         ["estimate", "--spec", "pc-large-degree(2)", "--d", "2", "--q", "2^2", "--n", "1000",
          "--seed", "1"],

@@ -16,7 +16,7 @@ from nicensus.errors import (
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import from_rows, norm
+from matrices import from_index, from_rows, norm
 
 F2 = gf.field_create(2)
 F4 = gf.field_create(2, 2)
@@ -78,7 +78,7 @@ def test_blow_up_injective_on_m_1_4():
 
 def test_charpoly_norm_identity_exhaustive():
     for idx in range(256):
-        X = matrix.matrix_from_index(F4, 2, idx)
+        X = from_index(F4, 2, idx)
         lhs = matrix.charpoly(embed.blow_up(X, TOWER))
         rhs = norm(matrix.charpoly(X), TOWER.base)
         assert lhs == rhs
@@ -101,7 +101,7 @@ def test_pc_membership_identity_2x2():
 
 def test_pc_membership_nilpotent_never_member():
     for idx in range(256):
-        X = matrix.matrix_from_index(F4, 2, idx)
+        X = from_index(F4, 2, idx)
         if matrix.is_nilpotent(X):
             assert not embed.pc_membership(X, TOWER).member
 
@@ -109,7 +109,7 @@ def test_pc_membership_nilpotent_never_member():
 def test_fast_route_equals_direct_route_exhaustive():
     for c, total in [(1, 4), (2, 256)]:
         for idx in range(total):
-            X = matrix.matrix_from_index(F4, c, idx)
+            X = from_index(F4, c, idx)
             assert embed.pc_member_charpoly(X, TOWER) == embed.pc_membership(X, TOWER).member
 
 
@@ -139,7 +139,7 @@ def test_fast_route_equals_direct_route_on_large_fields(c, k, indices, member):
 
 def test_membership_depends_only_on_invertible_part():
     for idx in range(256):
-        X = matrix.matrix_from_index(F4, 2, idx)
+        X = from_index(F4, 2, idx)
         split = matrix.fitting_decompose(X)
         canon = matrix.direct_sum(split.x_inv, Mat.zero(F4, split.nil_dim))
         assert embed.pc_membership(X, TOWER).member == embed.pc_membership(canon, TOWER).member
@@ -149,7 +149,7 @@ def test_per_polynomial_sets_pairwise_disjoint():
     """No invertible X in GL(2,4) is counted for two distinct degree-4 polynomials."""
     fs = poly.irr_enumerate(4, F2)
     for idx in range(256):
-        X = matrix.matrix_from_index(F4, 2, idx)
+        X = from_index(F4, 2, idx)
         if not matrix.is_invertible(X):
             continue
         hits = [f for f in matrix.primary_cyclic_factors(embed.blow_up(X, TOWER)) if f in fs]

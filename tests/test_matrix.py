@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from nicensus import estimate, gf, matrix, poly
+from nicensus import census, estimate, gf, matrix, poly
 from nicensus.errors import DegreeMismatch, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import from_rows, row_space_basis
+from matrices import fitting_blocks, from_index, from_rows, row_space_basis
 
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 F4 = gf.field_create(2, 2)
+F5 = gf.field_create(5)
 
 
 def test_charpoly_minpoly_examples():
@@ -97,6 +98,44 @@ def test_fitting_invariants_exhaustive(n, ctx):
         P = from_rows(ctx, s.inv_basis + s.nil_basis)
         assert matrix.is_invertible(P)
         assert P * M == matrix.direct_sum(s.x_inv, s.x_nil) * P
+
+
+@pytest.mark.parametrize("n, ctx", [(2, F2), (2, F3), (3, F2), (2, F4)],
+                         ids=["q2", "q3", "d3-q2", "q4"])
+def test_fitting_blocks_equal_change_of_basis(n, ctx):
+    mats = list(matrix.all_matrices(n, ctx))
+    expected = [fitting_blocks(M) for M in mats]
+    for cleared in (False, True):
+        if cleared:
+            matrix.fitting_decompose.cache_clear()
+        for M, (x_inv, x_nil) in zip(mats, expected):
+            for s in (matrix.fitting_decompose.__wrapped__(M), matrix.fitting_decompose(M)):
+                assert s.x_inv.rows == x_inv.rows and s.x_nil.rows == x_nil.rows
+                assert s.x_inv.ctx is s.x_nil.ctx is ctx
+
+
+def test_fitting_memo_keys_the_field_by_identity():
+    A = gf.field_create(2, 3, modulus=(1, 1, 0, 1))
+    B = gf.field_create(2, 3, modulus=(1, 0, 1, 1))
+    # the image of X^2 is spanned by (1, 3/2), and 3/2 depends on the modulus
+    rows = ((2, 3), (0, 0))
+    X, Y = Mat(A, 2, rows), Mat(B, 2, rows)
+    assert X != Y
+    sx, sy = matrix.fitting_decompose(X), matrix.fitting_decompose(Y)
+    assert sx.x_inv.ctx is A and sy.x_inv.ctx is B
+    assert sx == matrix.fitting_decompose.__wrapped__(X)
+    assert sy == matrix.fitting_decompose.__wrapped__(Y)
+    assert sx.inv_basis == ((1, 4),) and sy.inv_basis == ((1, 7),)
+
+
+def test_fitting_memo_stays_at_its_bound():
+    F7 = gf.field_create(7)
+    assert 7 ** 4 > matrix._SPLIT_MEMO_MAX
+    for M in matrix.all_matrices(2, F7):
+        matrix.fitting_decompose(M)
+    info = matrix.fitting_decompose.cache_info()
+    assert info.maxsize == matrix._SPLIT_MEMO_MAX
+    assert info.currsize == info.maxsize
 
 
 def test_fitting_examples():
@@ -246,7 +285,18 @@ def test_gl_order_and_enumeration():
 
 
 def test_index_roundtrip():
-    assert len({matrix.matrix_from_index(F3, 2, idx) for idx in range(81)}) == 81
+    assert len({from_index(F3, 2, idx) for idx in range(81)}) == 81
+
+
+@pytest.mark.parametrize("n, ctx", [(0, F2), (1, F5), (2, F2), (2, F3), (3, F2), (2, F4)],
+                         ids=["d0-q2", "d1-q5", "q2", "q3", "d3-q2", "q4"])
+def test_all_matrices_in_index_order(n, ctx):
+    q = ctx.order
+    mats = list(matrix.all_matrices(n, ctx))
+    assert mats == [from_index(ctx, n, idx) for idx in range(q ** (n * n))]
+    verdicts = census._Verdicts(bool, n, ctx)
+    assert [verdicts.index(M) for M in mats] == list(range(len(mats)))
+    assert sum(1 for _ in matrix.all_invertible(n, ctx)) == matrix.gl_order(n, q)
 
 
 def test_text_roundtrip_and_errors():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nicensus
-from nicensus import gf, poly
+from nicensus import gf, matrix, poly
 from nicensus.errors import BudgetExceeded, NotASubfield, ZeroPolynomial
 from nicensus.poly import Poly
 
@@ -127,6 +127,7 @@ def test_cache_inventory():
         "poly._irr_sieve": None,
         "poly.factorize": poly._MEMO_MAX,
         "poly.equal_multiplicity_factors": poly._MEMO_MAX,
+        "matrix.fitting_decompose": matrix._SPLIT_MEMO_MAX,
     }
     assert dicts == {"gf._field_cache"}
 
