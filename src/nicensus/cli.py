@@ -271,16 +271,15 @@ _AUDIT_SPECS = ("all", "invertible", "nilpotent-complement",
 def suite_theorem1(budget=None, seed=42):
     """Flag-sum identity by brute force on (2,2), (2,3), (3,2) + NI audits."""
     checks = []
-    anchors = {(2, 2): (11, Fraction(11, 6))}
+    # (|N|, lhs, |N_2| / |GL(2, q)|)
+    anchors = {(2, 2): (11, Fraction(11, 6), Fraction(5, 6))}
     for d, q in [(2, 2), (2, 3), (3, 2)]:
         ctx = gf.field_of_order(q)
+        # census_exact raises NIViolation when the flag sum differs from brute force
         fc = census.census_exact(census.get_spec("primary-cyclic-some-f-not-t"),
                                  d, ctx, budget=budget)
-        ok = fc.lhs == fc.rhs
-        if (d, q) in anchors:
-            n_exp, lhs_exp = anchors[(d, q)]
-            ok = ok and fc.n_total == n_exp and fc.lhs == lhs_exp
-            ok = ok and Fraction(fc.per_i[2].n_i, fc.per_i[2].gl_i) == Fraction(5, 6)
+        ok = (d, q) not in anchors or anchors[(d, q)] == (
+            fc.n_total, fc.lhs, Fraction(fc.per_i[2].n_i, fc.per_i[2].gl_i))
         checks.append(SuiteCheck(
             f"flag-sum primary-cyclic-some-f-not-t d={d} q={q}",
             "pass" if ok else "fail",
@@ -315,13 +314,10 @@ def suite_lemma31(budget=None, seed=42):
         ctx = gf.field_of_order(q)
         for name in ("all", "invertible", "nilpotent-complement",
                      "primary-cyclic-some-f-not-t", "separable", "unipotent"):
+            # census_exact raises NIViolation when the count identity fails
             fc = census.census_exact(census.get_spec(name), d, ctx, budget=budget)
-            ok = all(
-                p.n_of_i == census.gaussian_binomial(d, p.i, q) * q ** ((d - p.i) * (d - 1)) * p.n_i
-                for p in fc.per_i)
             checks.append(SuiteCheck(
-                f"count-identity {name} d={d} q={q}",
-                "pass" if ok else "fail",
+                f"count-identity {name} d={d} q={q}", "pass",
                 f"N(i)={[p.n_of_i for p in fc.per_i]}"))
     for q in (2, 3):
         ctx = gf.field_create(q)

@@ -58,11 +58,14 @@ def enumeration_budget(budget=None):
 
 
 def power(x, e, mul, one):
-    """x**e for e >= 0 by left-to-right square-and-multiply; ``one`` is x**0.
+    """x**e by left-to-right square-and-multiply; ``one`` is x**0.
 
     ``mul`` is the product of the structure x lives in: field elements,
-    polynomials, matrices or residues modulo a polynomial.
+    polynomials, matrices or residues modulo a polynomial.  A negative e
+    raises ValueError for all of them.
     """
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     if e == 0:
         return one
     out = x
@@ -427,9 +430,7 @@ def field_create(p, k=1, modulus=None):
     if modulus is None:
         mod = canonical_modulus(p, k)
     else:
-        if hasattr(modulus, "coeffs"):
-            mod = tuple(int(c) for c in modulus.coeffs)
-        elif isinstance(modulus, int):
+        if isinstance(modulus, int):
             digs = []
             m = modulus
             while m:

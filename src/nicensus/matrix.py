@@ -81,11 +81,7 @@ class Mat:
         return Mat(self.ctx, self.n, tuple(other.apply_to_row(ra) for ra in self.rows))
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        if e == 0:
-            return Mat.identity(self.ctx, self.n)
-        return gf.power(self, e, Mat.__mul__, None)
+        return gf.power(self, e, Mat.__mul__, Mat.identity(self.ctx, self.n))
 
     @property
     def is_zero(self):
@@ -183,9 +179,6 @@ def inverse(M):
     if r < M.n:
         raise SingularMatrix("matrix is not invertible")
     return Mat(M.ctx, M.n, tuple(tuple(row[M.n:]) for row in rows))
-
-
-Mat.inverse = inverse
 
 
 # ---------------------------------------------------------------------------
@@ -428,46 +421,23 @@ def gl_order(n, q):
     return out
 
 
-def element_order(M):
-    """Multiplicative order of an invertible matrix, via the factored group order."""
-    if not is_invertible(M):
-        raise SingularMatrix("order is defined for invertible matrices only")
-    ident = Mat.identity(M.ctx, M.n)
-    if M == ident:
-        return 1
-    N = gl_order(M.n, M.ctx.order)
-    order = 1
-    for p, e in gf.factor_int(N).items():
-        g = M ** (N // p ** e)
-        while g != ident:
-            g = g ** p
-            order *= p
-    return order
-
-
 def jordan_multiplicative(M):
     """Multiplicative Jordan decomposition g = s u = u s.
 
-    s (semisimple) has order coprime to the characteristic, u (unipotent)
-    has p-power order; s = g^{p^a m'} where |g| = p^a m with gcd(m,p)=1
-    and p^a m' = 1 mod m.
+    s (semisimple) has order coprime to the characteristic p, u
+    (unipotent) has p-power order.  With |GL(n, q)| = p^a m and
+    gcd(m, p) = 1, s = g^e for e = p^a (p^-a mod m): e is 0 modulo every
+    p-power order and 1 modulo every order dividing m, so g^e is the
+    p'-part of g, which is unique.
     """
     if not is_invertible(M):
         raise SingularMatrix("Jordan decomposition needs an invertible matrix")
     p = M.ctx.p
-    order = element_order(M)
-    a = 0
-    m = order
+    pa, m = 1, gl_order(M.n, M.ctx.order)
     while m % p == 0:
-        m //= p
-        a += 1
-    if m == 1:
-        s = Mat.identity(M.ctx, M.n)
-    else:
-        m_prime = pow(p ** a, -1, m)
-        s = M ** (p ** a * m_prime)
-    u = M * inverse(s)
-    return s, u
+        pa, m = pa * p, m // p
+    s = M ** (pa * pow(pa, -1, m))
+    return s, M * inverse(s)
 
 
 # ---------------------------------------------------------------------------

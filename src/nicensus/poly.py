@@ -3,9 +3,9 @@
 Coefficients are stored low degree first as a tuple of element ints;
 the zero polynomial is the empty tuple (degree -1).  Arithmetic runs on
 coefficient lists through the field's row kernel ``axpy``: products,
-division with remainder, gcd and modular powers build a ``Poly`` only
-for their result.  ``factorize`` runs one loop over degrees d = 1, 2, ...:
-a gcd with t^(q^d) - t collects the distinct factors of degree d, a
+division with remainder and gcd build a ``Poly`` only for their result.
+``factorize`` runs one loop over degrees d = 1, 2, ...: a gcd with
+t^(q^d) - t collects the distinct factors of degree d, a
 Cantor-Zassenhaus split separates them, and each is divided out with its
 multiplicity; nothing is enumerated.  The split draws from a generator
 seeded by the polynomial it splits, and factors are sorted canonically,
@@ -14,12 +14,12 @@ so the output is canonical and does not depend on the draws.
 t^(q^d) - t over deg f / 4 < d <= deg f / 2 collects every irreducible
 factor of at most half the degree (each such degree divides some d in
 that range), and what is left after dividing them out is the factor of
-more than half the degree, if any.  Its powers t^(q^d) mod f are k steps
-each of the semilinear p-th power map x^p = sum of c_i^p t^(p*i), read
-off rows t^(p*i) mod f built once per call; ``factorize``, its split
-and ``pow_mod`` square and multiply through ``gf.power``, as does
-``Poly.__pow__``.  f is irreducible exactly when it is its own large
-factor, so ``is_irreducible`` asks ``large_factor``.
+more than half the degree, if any.  Both loops step t^(q^d) mod f from
+t^(q^(d-1)) by k applications of the semilinear p-th power map
+x^p = sum of c_i^p t^(p*i), read off rows t^(p*i) mod f built once per
+call.  The row t^p, the odd-q split and ``Poly.__pow__`` square and
+multiply through ``gf.power``.  f is irreducible exactly when it is its
+own large factor, so ``is_irreducible`` asks ``large_factor``.
 
 ``factorize(f)`` and ``equal_multiplicity_factors(cp, mp)``, the
 polynomial tail of ``matrix.primary_cyclic_factors``, are pure and
@@ -230,8 +230,6 @@ class Poly:
         return (other % self).is_zero
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative polynomial power")
         return gf.power(self, e, Poly.__mul__, Poly.one(self.ctx))
 
     def monic(self):
@@ -261,7 +259,7 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# gcd and modular exponentiation
+# gcd
 # ---------------------------------------------------------------------------
 
 
@@ -275,14 +273,6 @@ def poly_lcm(a, b):
     if a.is_zero or b.is_zero:
         return Poly.zero(a.ctx)
     return ((a * b) // poly_gcd(a, b)).monic()
-
-
-def pow_mod(base, e, mod):
-    """base**e mod mod for e >= 0."""
-    if e < 0:
-        raise ValueError("negative polynomial power")
-    ctx = mod.ctx
-    return Poly(ctx, tuple(_powmod_lists(ctx, (base % mod).coeffs, e, mod.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +310,21 @@ def _index_of_monic(f):
 def irr_enumerate(m, ctx, budget=None):
     """All monic irreducibles of degree m over ctx, canonically ordered.
 
-    Checks the q^m candidates against the budget on every call, then
-    returns the sieve's tuple, cached per (degree, field).
+    Checks the q^m candidates against the budget, then sieves them:
+    every composite monic of degree m is a multiple of an irreducible of
+    degree <= m/2, so marking those multiples leaves the irreducibles.
     """
     if m < 1:
         raise ValueError("degree must be >= 1")
     q = ctx.order
-    cap = gf.enumeration_budget(budget)
-    if q ** m > cap:
-        raise BudgetExceeded(f"irreducible enumeration needs {q}^{m} candidates, budget {cap}")
-    return _irr_sieve(m, ctx)
-
-
-@functools.cache
-def _irr_sieve(m, ctx):
-    """The degree-m irreducibles by a sieve over all q^m monics.
-
-    Every composite monic of degree m is a multiple of an irreducible of
-    degree <= m/2, so marking those multiples leaves the irreducibles.
-    """
-    q = ctx.order
     total = q ** m
+    cap = gf.enumeration_budget(budget)
+    if total > cap:
+        raise BudgetExceeded(f"irreducible enumeration needs {q}^{m} candidates, budget {cap}")
     composite = bytearray(total)
     for r in range(1, m // 2 + 1):
         cof = m - r
-        for g in _irr_sieve(r, ctx):
+        for g in irr_enumerate(r, ctx, budget=cap):
             for h_idx in range(q ** cof):
                 h = _monic_from_index(ctx, h_idx, cof)
                 composite[_index_of_monic(g * h)] = 1
@@ -439,11 +419,13 @@ def _split_equal_degree(g, d):
 def factorize(f):
     """Exact factorization into monic irreducibles.
 
-    One pass per degree d = 1, 2, ... on u = f.monic(): with w = t^(q^d)
-    mod u, g = gcd(u, w - t) is the product of the distinct irreducible
-    factors of u of degree dividing d, which are those of degree exactly
-    d once the smaller ones are stripped (u need not be squarefree: g
-    takes each factor once).  g is split by ``_split_equal_degree`` and
+    One pass per degree d = 1, 2, ... on u, which starts as f.monic():
+    with w = t^(q^d) mod f.monic(), g = gcd(u, w - t) is the product of
+    the distinct irreducible factors of u of degree dividing d, which are
+    those of degree exactly d once the smaller ones are stripped (u need
+    not be squarefree: g takes each factor once; u divides f, so w may
+    stay reduced mod f).  w steps as in ``large_factor``, through the
+    ``_frobenius_rows`` of f.  g is split by ``_split_equal_degree`` and
     each factor h is divided out of u by repeated division, which counts
     its multiplicity on the way and keeps the last quotient.  Once
     2d > deg u, what is left is 1 or irreducible.  The factors are sorted
@@ -456,11 +438,14 @@ def factorize(f):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     ctx = f.ctx
     t = Poly.x(ctx)
-    u, w, d = f.monic(), t, 1
+    u, w, d = f.monic(), [0, 1], 1
+    if u.degree >= 2:
+        rows = _frobenius_rows(ctx, u.coeffs)
     factors = []
     while 2 * d <= u.degree:
-        w = pow_mod(w, ctx.order, u)
-        g = poly_gcd(u, w - t)
+        for _ in range(ctx.k):
+            w = _pth_power(ctx, rows, w)
+        g = poly_gcd(u, Poly(ctx, tuple(w)) - t)
         if g.degree > 0:
             for h in _split_equal_degree(g, d):
                 e = 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicensus import gf, intervals, poly
+from nicensus import gf, intervals, matrix, poly
 from nicensus.errors import (
     BudgetExceeded,
     DegreeMismatch,
@@ -141,7 +141,15 @@ def test_power_equals_repeated_products():
         assert f ** e == _repeated_product(f, e, poly.Poly.__mul__, poly.Poly.one(F3))
         for c in (0, 1, 2, 12345, raw.order - 1):
             assert raw.pow_elt(c, e) == _repeated_product(c, e, raw.mul, 1)
-        assert M ** -e * M ** e == Mat.identity(F3, 3)
+        assert matrix.inverse(M) ** e * M ** e == Mat.identity(F3, 3)
+
+
+def test_negative_powers_raise():
+    M = from_rows(gf.field_create(3), [(1, 2), (0, 1)])
+    f = poly.Poly.x(gf.field_create(3))
+    for power in (lambda: gf.power(2, -3, lambda a, b: a * b, 1), lambda: M ** -1, lambda: f ** -1):
+        with pytest.raises(ValueError):
+            power()
 
 
 def test_pow_elt_squares_with_one_product_on_raw_tier(monkeypatch):

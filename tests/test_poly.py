@@ -1,5 +1,6 @@
 """Polynomials: factorization oracle, irreducible counts, Galois orbits."""
 
+import hashlib
 import importlib
 import itertools
 import pkgutil
@@ -80,6 +81,50 @@ def test_factorize_is_pure():
     assert random.getstate() == state
 
 
+def factorization_grid():
+    """Every monic polynomial of small degree over F_2, F_3, F_4 and F_9,
+    seeded random ones of degree <= 12 over eight fields of every tier,
+    and seeded products with repeated factors."""
+    for (p, k), top in [((2, 1), 5), ((3, 1), 5), ((2, 2), 5), ((3, 2), 3)]:
+        ctx = gf.field_create(p, k)
+        for deg in range(1, top + 1):
+            yield from all_monic(ctx, deg)
+    for (p, k), n in [((2, 1), 120), ((3, 1), 120), ((2, 2), 120), ((3, 2), 120),
+                      ((2, 10), 80), ((5, 1), 120), ((2, 17), 12), ((1021, 1), 80)]:
+        ctx = gf.field_create(p, k)
+        rng = random.Random(p ** k)
+        for _ in range(n):
+            coeffs = [rng.randrange(ctx.order) for _ in range(rng.randrange(1, 13))]
+            yield Poly.make(ctx, coeffs + [rng.randrange(1, ctx.order)])
+    for p, k in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+        ctx = gf.field_create(p, k)
+        rng = random.Random(1000 + p ** k)
+        for _ in range(60):
+            f = Poly.one(ctx)
+            for _ in range(rng.randrange(1, 4)):
+                g = Poly.make(ctx, [rng.randrange(ctx.order) for _ in range(rng.randrange(1, 4))] + [1])
+                f = f * g ** rng.randrange(1, 4)
+            yield f.scale(rng.randrange(1, ctx.order))
+
+
+# sha256 of the factorizations of ``factorization_grid()``, as computed
+# when t^(q^d) was still stepped by square-and-multiply modulo the
+# shrinking cofactor: any change to a factorization moves it.
+FACTORIZATION_GRID_SHA256 = "22d536bc346a3c6ea64dd0b37fbf12d98855c4246a48a7ee93b0e7a0da6e7c4d"
+
+
+def test_factorization_grid_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for f in factorization_grid():
+        fac = poly.factorize(f)
+        digest.update(repr((f.ctx.order, f.coeffs, fac.unit,
+                            [(g.coeffs, e) for g, e in fac.factors])).encode())
+        count += 1
+    assert count == 3620
+    assert digest.hexdigest() == FACTORIZATION_GRID_SHA256
+
+
 def all_monic(ctx, deg):
     for tail in itertools.product(range(ctx.order), repeat=deg):
         yield Poly(ctx, tail + (1,))
@@ -124,7 +169,6 @@ def test_cache_inventory():
         "gf.subfield_embedding": None,
         "embed.make_tower": None,
         "intervals.log2_interval": None,
-        "poly._irr_sieve": None,
         "poly.factorize": poly._MEMO_MAX,
         "poly.equal_multiplicity_factors": poly._MEMO_MAX,
         "matrix.fitting_decompose": matrix._SPLIT_MEMO_MAX,
@@ -223,7 +267,8 @@ def test_pth_power_matches_pow_mod(p, k, m, x):
     x = Poly.make(ctx, [c % ctx.order for c in x]) % m
     rows = poly._frobenius_rows(ctx, m.coeffs)
     assert len(rows) == m.degree
-    assert poly._pth_power(ctx, rows, list(x.coeffs)) == list(poly.pow_mod(x, p, m).coeffs)
+    reference = gf.power(x, p, lambda a, b: a * b % m, Poly.one(ctx))
+    assert poly._pth_power(ctx, rows, list(x.coeffs)) == list(reference.coeffs)
 
 
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F8, 3), (F9, 3)],
@@ -252,10 +297,11 @@ def test_pow_mod_matches_repeated_multiplication(ctx):
         for a in bases:
             acc = Poly.one(ctx) % m
             for e in range(41):
-                assert poly.pow_mod(a, e, m) == acc, (a, e, m)
+                got = poly._powmod_lists(ctx, list((a % m).coeffs), e, m.coeffs)
+                assert Poly(ctx, tuple(got)) == acc, (a, e, m)
                 acc = (acc * a) % m
     with pytest.raises(ValueError):
-        poly.pow_mod(Poly.x(ctx), -1, moduli[3])
+        poly._powmod_lists(ctx, [0, 1], -1, moduli[3].coeffs)
 
 
 def test_factorize_examples():
