@@ -14,7 +14,8 @@ and the per-dimension count identity reads
 computes every quantity by exhaustive enumeration and asserts both
 identities as exact rationals.  ``count_members`` is the one plain count
 of a family over M(d, q), and ``ni_verify`` the one exhaustive audit of
-the NI hypothesis; both refuse sizes past their budget.
+the NI hypothesis.  Both refuse a q^(d^2) past the budget through
+``gf.admit``, in the exponent, before any table is allocated.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from fractions import Fraction
 
 from . import embed, gf, matrix, poly
 from .errors import (
-    BudgetExceeded,
     IndexOutOfRange,
     NIViolation,
     NonPositiveConstants,
@@ -237,13 +237,15 @@ class _Verdicts:
     One byte per matrix, at its position in ``matrix.all_matrices``' order
     (entries row-major, the first least significant): 0 while undecided,
     else 1 + the verdict.  The key is the matrix itself, never a similarity
-    invariant, so X and X_inv + 0 are decided independently.
+    invariant, so X and X_inv + 0 are decided independently.  ``gf.admit``
+    gates the table, the one allocation of q^(d^2) in a census or audit.
     """
 
-    def __init__(self, member, d, ctx):
+    def __init__(self, member, d, ctx, budget=None, limit=None):
+        size = gf.admit(ctx.order, d * d, f"matrices of M({d}, {ctx.order})", budget, limit)
         self.member = member
         self.weights = tuple(ctx.order ** k for k in range(d * d))
-        self.table = bytearray(ctx.order ** (d * d))
+        self.table = bytearray(size)
 
     def index(self, X):
         return sum(map(operator.mul, itertools.chain.from_iterable(X.rows), self.weights))
@@ -274,10 +276,7 @@ def census_exact(spec, d, ctx, budget=None):
     checked first, so ``spec.member`` runs at most once per matrix.
     """
     q = ctx.order
-    cap = gf.enumeration_budget(budget)
-    if q ** (d * d) > cap:
-        raise BudgetExceeded(f"census over M({d},{q}) needs {q ** (d*d)} matrices, budget {cap}")
-    member = _Verdicts(spec.member, d, ctx)
+    member = _Verdicts(spec.member, d, ctx, budget)
 
     n_total = 0
     n_of_i = [0] * (d + 1)
@@ -378,12 +377,6 @@ def _check_constants(a, k):
     return a, k
 
 
-def transfer_bound_exp(a, k, d, q):
-    """Lower bound a - (a+k) d q^-d for families with |N_i|/|GL_i| >= a - k q^-i."""
-    a, k = _check_constants(a, k)
-    return a - (a + k) * d * Fraction(1, q ** d)
-
-
 @dataclass(frozen=True)
 class LinearTransferBound:
     tight: Fraction    # (a - 3k/d)(1 - q^-d)
@@ -458,11 +451,8 @@ def ni_verify(spec, d, ctx, budget=None):
     any other X scans g for the first differing verdict.
     """
     q = ctx.order
-    total = q ** (d * d)
-    cap = min(gf.enumeration_budget(budget), AUDIT_EXHAUSTIVE_MAX)
-    if total > cap:
-        raise BudgetExceeded(f"NI audit over M({d},{q}) needs {total} matrices, limit {cap}")
-    member = _Verdicts(spec.member, d, ctx)
+    member = _Verdicts(spec.member, d, ctx, budget, limit=AUDIT_EXHAUSTIVE_MAX)
+    total = len(member.table)
     # each conjugator is inverted once per audit
     pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx, budget=budget))
     # per matrix index: 0 while its orbit is unbuilt, else 1 + whether it is uniform

@@ -631,15 +631,20 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    manifest = build_manifest(args.command, _parameters_of(args),
-                              getattr(args, "seed", None), result)
-    document = canonical_json({"manifest": manifest, "result": result})
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(document + "\n")
-    print(document)
-    if csv_rows and getattr(args, "csv", None):
-        _write_csv(args.csv, csv_rows)
+    previous = sys.get_int_max_str_digits()  # lifted for the output only
+    sys.set_int_max_str_digits(0)
+    try:
+        manifest = build_manifest(args.command, _parameters_of(args),
+                                  getattr(args, "seed", None), result)
+        document = canonical_json({"manifest": manifest, "result": result})
+        if getattr(args, "json", None):
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(document + "\n")
+        print(document)
+        if csv_rows and getattr(args, "csv", None):
+            _write_csv(args.csv, csv_rows)
+    finally:
+        sys.set_int_max_str_digits(previous)
     return code
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, gf, intervals, matrix
-from .errors import BudgetExceeded
 from .matrix import Mat
 
 _MASK64 = (1 << 64) - 1
@@ -149,9 +148,8 @@ class ProportionReport:
 
 def monte_carlo(predicate, d, ctx, n, seed, budget=None):
     """Count the samples ``sample_matrix(d, ctx, seed, j)``, j < n, in ``predicate``."""
-    cap = gf.enumeration_budget(budget)
-    if n > cap:
-        raise BudgetExceeded(f"sample count {n} exceeds budget {cap}")
+    gf.admit(n, 1, "samples", budget)
+    gf.admit(d, 2, f"entries per sample of M({d}, {ctx.order})", budget)
     successes = 0
     for j in range(n):
         if predicate(sample_matrix(d, ctx, seed, j)):
@@ -176,7 +174,6 @@ def exact_and_bounds(spec, d, ctx, budget=None):
     form = spec.closed_form(d, ctx) if spec.closed_form else None
     if form is not None:
         return form
-    total = ctx.order ** (d * d)
-    if total <= min(65536, gf.enumeration_budget(budget)):
-        return Fraction(census.count_members(spec.member, d, ctx, budget), total), ()
+    if gf.fits(ctx.order, d * d, budget, limit=65536):
+        return Fraction(census.count_members(spec.member, d, ctx, budget), ctx.order ** (d * d)), ()
     return None, ()

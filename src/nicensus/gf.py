@@ -13,12 +13,16 @@ anything larger multiplies directly in F_p[t]/(modulus) (still exact,
 just slower).  Products in F_p[t] and their reduction by the modulus run
 on ``poly``'s coefficient-list kernels over the prime field, for the raw
 tier and for the powers of the generator that fill the log tables.
-Enumeration-style helpers refuse fields beyond 2**20 elements.
 
 Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
 adds ``c * src[j]`` to ``dst[off + j]`` in place with the tier's table
 lookups hoisted out of the loop; the polynomial, charpoly and sampling
 loops run on coefficient lists through it.
+
+Every size built, enumerated or sampled is a power q**e: field orders
+p^k (at most 2**20), matrices q^(d^2), candidates q^m, n samples, d^2
+entries per sample.  :func:`fits` decides q**e <= cap, in the exponent
+when q**e is far past it, and :func:`admit` is its raising form.
 """
 
 from __future__ import annotations
@@ -44,17 +48,30 @@ FIELD_SIZE_LIMIT = 1 << 20
 _DEFAULT_BUDGET = 1 << 24
 
 
-def enumeration_budget(budget=None):
-    """Resolve the enumeration cap: explicit arg, else NICENSUS_BUDGET, else 2**24."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("NICENSUS_BUDGET")
-    if env:
+def enumeration_budget(budget=None, limit=None):
+    """The enumeration cap: explicit arg, else NICENSUS_BUDGET, else 2**24; at most ``limit``."""
+    if budget is None:
+        env = os.environ.get("NICENSUS_BUDGET")
         try:
-            return int(env)
+            budget = int(env) if env else _DEFAULT_BUDGET
         except ValueError:
             raise ParseError(f"bad NICENSUS_BUDGET {env!r}: expected an integer") from None
-    return _DEFAULT_BUDGET
+    return int(budget) if limit is None else min(int(budget), limit)
+
+
+def fits(q, e, budget=None, limit=None):
+    """q**e <= enumeration_budget(budget, limit) for q, e >= 0, never computing a
+    q**e of more bits than the cap, as q**e >= 2**(e * (bit_length(q) - 1))."""
+    cap = enumeration_budget(budget, limit)
+    return e * (q.bit_length() - 1) < cap.bit_length() and q ** e <= cap
+
+
+def admit(q, e, what, budget=None, limit=None):
+    """q**e when :func:`fits` admits it, else BudgetExceeded naming the size as q^e."""
+    if not fits(q, e, budget, limit):
+        size = q if e == 1 else f"{q}^{e}"
+        raise BudgetExceeded(f"{size} {what} exceed the cap {enumeration_budget(budget, limit)}")
+    return q ** e
 
 
 def power(x, e, mul, one):
@@ -395,7 +412,7 @@ def field_order(p, k):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if k < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
-    if k > 20 or p ** k > FIELD_SIZE_LIMIT:  # 2**k > FIELD_SIZE_LIMIT once k > 20
+    if not fits(p, k, FIELD_SIZE_LIMIT):
         raise BudgetExceeded(f"field order {p}^{k} exceeds the supported size {FIELD_SIZE_LIMIT}")
     return p ** k
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from . import gf, poly
 from .errors import (
-    BudgetExceeded,
     DegreeMismatch,
     FieldMismatch,
     SingularMatrix,
@@ -482,10 +481,7 @@ def all_matrices(n, ctx, budget=None):
     cut into rows of n.
     """
     q = ctx.order
-    total = q ** (n * n)
-    cap = gf.enumeration_budget(budget)
-    if total > cap:
-        raise BudgetExceeded(f"enumerating {total} matrices exceeds budget {cap}")
+    gf.admit(q, n * n, f"matrices of M({n}, {q})", budget)
     for entries in itertools.product(range(q), repeat=n * n):
         digits = reversed(entries)
         yield Mat(ctx, n, tuple(zip(*[digits] * n)))
@@ -519,6 +515,8 @@ def parse_matrix(text):
         n = int(parts[0])
     except ValueError:
         raise ParseError(f"bad dimension {parts[0]!r}", position=0)
+    if n < 0:
+        raise ParseError(f"negative dimension {n}", position=0)
     ctx = gf.parse_field_descriptor(parts[1])
     entries = body.split()
     if len(entries) != n * n:

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import (
-    BudgetExceeded,
     FieldMismatch,
     ZeroPolynomial,
 )
@@ -150,10 +149,6 @@ class Poly:
     @staticmethod
     def one(ctx):
         return Poly(ctx, (1,))
-
-    @staticmethod
-    def constant(ctx, c):
-        return Poly.make(ctx, (c,))
 
     @staticmethod
     def x(ctx):
@@ -317,14 +312,11 @@ def irr_enumerate(m, ctx, budget=None):
     if m < 1:
         raise ValueError("degree must be >= 1")
     q = ctx.order
-    total = q ** m
-    cap = gf.enumeration_budget(budget)
-    if total > cap:
-        raise BudgetExceeded(f"irreducible enumeration needs {q}^{m} candidates, budget {cap}")
+    total = gf.admit(q, m, f"candidates for the irreducibles of degree {m} over F_{q}", budget)
     composite = bytearray(total)
     for r in range(1, m // 2 + 1):
         cof = m - r
-        for g in irr_enumerate(r, ctx, budget=cap):
+        for g in irr_enumerate(r, ctx, budget=budget):
             for h_idx in range(q ** cof):
                 h = _monic_from_index(ctx, h_idx, cof)
                 composite[_index_of_monic(g * h)] = 1

@@ -170,12 +170,9 @@ def test_corollary_sums_exact():
 
 
 def test_transfer_bounds():
-    assert census.transfer_bound_exp(1, Fraction(1, 2), 3, 2) == 1 - Fraction(3, 2) * 3 * Fraction(1, 8)
     lb = census.transfer_bound_linear(1, Fraction(1, 100), 4, 2)
     assert lb.tight == (1 - Fraction(3, 400)) * Fraction(15, 16)
     assert lb.tight > lb.relaxed
-    with pytest.raises(NonPositiveConstants):
-        census.transfer_bound_exp(0, 1, 2, 2)
     with pytest.raises(NonPositiveConstants):
         census.transfer_bound_linear(1, 0, 2, 2)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -243,8 +244,10 @@ def test_usage_error_exit_4(capsys):
     ["estimate", "--spec", "pc-large-degree(0)", "--d", "2", "--q", "2", "--n", "10"],
     ["estimate", "--spec", "has-eigenvalue(1-2)", "--d", "2", "--q", "2", "--n", "10"],
     ["census", "--spec", "pc-large-degree(--)", "--d", "2", "--q", "2"],
+    ["decompose", "--matrix", "-1 2 : 1"],
+    ["pc-test", "--matrix", "-1 2^2 : 1", "--tower", "4/2"],
 ], ids=["n0", "n-3", "estimate-d0", "census-d-1", "quokka-q1", "quokka-q0", "quokka-q6",
-        "pc-large-degree0", "spec-arg-1-2", "spec-arg-dashes"])
+        "pc-large-degree0", "spec-arg-1-2", "spec-arg-dashes", "decompose-d-1", "pc-test-d-1"])
 def test_out_of_range_arguments_exit_4(argv, capsys):
     assert cli.main(argv) == 4
     assert capsys.readouterr().err.startswith("usage error:")
@@ -282,6 +285,30 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--spec", "all", "--d", "3000", "--q", "2"],
+    ["census", "--spec", "all", "--d", "100000", "--q", "2"],
+    ["estimate", "--spec", "all", "--d", "100000", "--q", "2", "--n", "1"],
+], ids=["census-d3000", "census-d100000", "estimate-d100000"])
+def test_oversized_enumerations_are_refused_in_the_exponent(argv, capsys):
+    # 2^(10^10) would be a 1.25 GB integer: the gate must refuse it uncomputed,
+    # and name it as q^e, not by its digits
+    with time_limit(2):
+        assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "exceed the cap" in err and not re.search(r"[0-9]{31}", err)
+
+
+def test_results_past_the_int_digit_limit_are_written(capsys):
+    # the exact rationals at c = 120 have more than 4,300 digits
+    limit = sys.get_int_max_str_digits()
+    with time_limit(10):
+        assert cli.main(["quokka", "--c", "120", "--q", "2", "--b", "2"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["result"]["algebra_exact"]["num"]) > limit
 
 
 @pytest.mark.parametrize("q,code", [

@@ -324,6 +324,19 @@ def test_field_of_order():
         gf.field_of_order(10 ** 18 + 3)
 
 
+def test_fits_matches_the_plain_comparison():
+    for q in (0, 1, 2, 3, 4, 7, 256, 1021):
+        for e in range(12):
+            size = q ** e
+            for cap in {size - 1, size, size + 1, 0, -1, -size - 1, 2 ** 24}:
+                for limit in (None, size, size - 1):
+                    expected = size <= (cap if limit is None else min(cap, limit))
+                    assert gf.fits(q, e, cap, limit) == expected, (q, e, cap, limit)
+    assert gf.admit(3, 4, "matrices", 81) == 81
+    with pytest.raises(BudgetExceeded, match=r"^2\^10000000000 matrices exceed the cap 4096$"):
+        gf.admit(2, 10 ** 10, "matrices", limit=4096)
+
+
 def test_is_prime_power_matches_factor_int():
     for q in range(2, 5000):
         assert gf.is_prime_power(q) == (len(gf.factor_int(q)) == 1), q

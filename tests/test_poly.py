@@ -40,7 +40,7 @@ def all_polys_up_to(ctx, max_deg):
 
 def recompose(fac, ctx):
     """unit * prod(f ** e) of a Factorization."""
-    out = Poly.constant(ctx, fac.unit)
+    out = Poly.make(ctx, (fac.unit,))
     for f, e in fac.factors:
         out = out * f ** e
     return out
@@ -276,7 +276,7 @@ def test_pth_power_matches_pow_mod(p, k, m, x):
 def test_is_irreducible_matches_sieve(ctx, max_deg):
     assert not poly.is_irreducible(Poly.zero(ctx))
     for c in range(1, ctx.order):
-        assert not poly.is_irreducible(Poly.constant(ctx, c))
+        assert not poly.is_irreducible(Poly.make(ctx, (c,)))
     for deg in range(1, max_deg + 1):
         irr = set(poly.irr_enumerate(deg, ctx))
         for f in all_monic(ctx, deg):
