@@ -226,7 +226,7 @@ def cmd_decompose(args):
         "primary_components": [
             {"f": f, "dim": len(basis), "charpoly_multiplicity": m_f,
              "minpoly_multiplicity": e_f, "basis": [list(r) for r in basis]}
-            for f, basis, m_f, e_f in prim.components
+            for f, basis, m_f, e_f in prim
         ],
     }
     return result, EXIT_OK, None
@@ -239,7 +239,7 @@ def cmd_pc_test(args):
         raise ParseError(
             f"matrix field {M.ctx.order} does not match tower extension {tower.ext.order}")
     if M.ctx is not tower.ext:
-        tower = embed.make_tower(M.ctx, tower.base)
+        tower = embed.tower_for(M.ctx, tower.b)
     res = embed.pc_membership(M, tower)
     result = {
         "member": res.member,
@@ -335,7 +335,7 @@ def suite_quokka_closed_forms(budget=None, seed=42):
     checks = []
     for c, b, q, r in [(2, 1, 2, 2), (2, 1, 3, 2), (1, 2, 2, 1), (2, 2, 2, 2), (3, 1, 2, 2)]:
         base = gf.field_of_order(q)
-        tower = embed.make_tower(gf.field_create(base.p, base.k * b), base)
+        tower = embed.tower_for(gf.field_create(base.p, base.k * b), b)
         counts, gl_size = embed.pc_counts_by_f(c, tower, r, budget=budget)
         expected = Fraction(b, q ** (b * r) - 1)
         ok = all(Fraction(cnt, gl_size) == expected for cnt in counts.values())

@@ -4,7 +4,11 @@ A TowerCtx fixes K = F_{q^b} over F = F_q together with the power basis
 (1, g, ..., g^{b-1}) of the canonical generator g of K, so the regular
 representation of K is companion-matrix substitution.  Blowing a matrix
 up replaces each entry by its regular representation; this is an
-injective F-algebra homomorphism.
+injective F-algebra homomorphism.  ``tower_for`` is the one constructor.
+Coordinates need no table of K: (c_0, ..., c_{b-1}) -> sum c_j g^j is
+F_p-linear and bijective in the base-p digits of the c_j, so one k x k
+inverse over F_p, built on the first coordinate asked for, reads them
+off the digits of an element of K.  The charpoly route never builds it.
 
 Membership in the large-degree primary cyclic family asks for a monic
 irreducible f != t over F, of degree b*r with r greater than half the
@@ -24,11 +28,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf, matrix, poly
 from .errors import (
-    BudgetExceeded,
     FieldMismatch,
     NonPrimeCharacteristic,
     NotADivisor,
@@ -44,52 +47,40 @@ from .poly import Poly
 class TowerCtx:
     """K = F_{q^b} viewed as a b-dimensional F_q-algebra."""
 
-    base: gf.FieldCtx
     ext: gf.FieldCtx
     b: int
+    base: gf.FieldCtx
     basis: tuple          # power basis elements of ext
-    _coords: dict         # ext value -> tuple of b base values
-    _rep_cache: dict      # ext value -> Mat over base
+    _rep_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def q(self):
         return self.base.order
 
+    @functools.cached_property
+    def _uncoord(self):
+        """Inverse over F_p of the map from the digits of (c_0, ..., c_{b-1}) to
+        those of sum emb(c_j) basis[j]: row j*m + i is emb(t^i) basis[j]."""
+        ext, m = self.ext, self.base.k
+        emb = gf.subfield_embedding(self.base, ext)
+        rows = tuple(ext.digits(ext.mul(emb[ext.p ** i], e)) for e in self.basis for i in range(m))
+        return matrix.inverse(Mat(gf.field_create(ext.p), ext.k, rows))
+
     def coords(self, alpha):
         """Coordinates of an extension element in the power basis (row tuple)."""
-        return self._coords[alpha]
+        x = self._uncoord.apply_to_row(self.ext.digits(alpha))
+        m = self.base.k
+        return tuple(self.base.from_digits(x[i:i + m]) for i in range(0, self.ext.k, m))
 
 
 @functools.cache
-def make_tower(ext, base):
-    """Build (and cache) the tower for ext over base."""
-    if base.p != ext.p or ext.k % base.k != 0:
-        raise NotASubfield(f"F_{base.order} is not a subfield of F_{ext.order}")
-    if ext.order > (1 << 16):
-        raise BudgetExceeded("tower coordinate tables capped at 2^16 elements")
-    b = ext.k // base.k
-    emb = gf.subfield_embedding(base, ext)
-    if b == 1:
-        gamma = 1
-    else:
-        gamma = ext.p  # the class of t generates ext over any subfield
-    basis = tuple(ext.pow_elt(gamma, j) for j in range(b))
-    coords = {}
-    for combo in itertools.product(range(base.order), repeat=b):
-        val = 0
-        for c, e in zip(combo, basis):
-            val = ext.add(val, ext.mul(emb[c], e))
-        coords[val] = combo
-    assert len(coords) == ext.order
-    return TowerCtx(base=base, ext=ext, b=b, basis=basis, _coords=coords, _rep_cache={})
-
-
 def tower_for(ext, b):
     """Tower of ext over its canonical index-b subfield."""
     if b < 1 or ext.k % b != 0:
         raise NotASubfield(f"F_{ext.order} has no index-{b} subfield")
-    base = gf.field_create(ext.p, ext.k // b)
-    return make_tower(ext, base)
+    # the class of t generates ext over any subfield
+    basis = tuple(itertools.accumulate(itertools.repeat(ext.p, b - 1), ext.mul, initial=1))
+    return TowerCtx(ext=ext, b=b, base=gf.field_create(ext.p, ext.k // b), basis=basis)
 
 
 def parse_tower(text):
@@ -115,7 +106,7 @@ def parse_tower(text):
         raise ParseError(f"tower orders must be prime powers: {text!r}", position=0) from None
     if ext.p != base.p or ext.k % base.k != 0:
         raise ParseError(f"{base_q} is not a subfield order of {ext_q}", position=0)
-    return make_tower(ext, base)
+    return tower_for(ext, ext.k // base.k)
 
 
 # ---------------------------------------------------------------------------

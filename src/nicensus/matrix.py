@@ -374,27 +374,17 @@ def is_nilpotent(M):
     return True
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
-    """Per irreducible divisor f of the charpoly: (basis of V_f, m_f, e_f).
+def primary_components(M):
+    """Per irreducible divisor f of the charpoly, canonically ordered:
+    (f, basis of V_f, m_f, e_f).
 
     m_f and e_f are the multiplicities of f in the characteristic and
     minimal polynomials; V_f = ker f(X)^{m_f}.
     """
-
-    components: tuple  # of (Poly, basis rows, m_f, e_f), canonically ordered
-
-
-def primary_components(M):
-    cp = charpoly(M)
     mp = minpoly(M)
-    comps = []
-    for f, m_f in poly.factorize(cp).factors:
-        e_f = poly.multiplicity_in(f, mp)
-        fm = evaluate_poly_at(f ** m_f, M)
-        basis = left_kernel_basis(fm)
-        comps.append((f, basis, m_f, e_f))
-    return PrimaryDecomposition(components=tuple(comps))
+    return tuple((f, left_kernel_basis(evaluate_poly_at(f ** m_f, M)), m_f,
+                  poly.multiplicity_in(f, mp))
+                 for f, m_f in poly.factorize(charpoly(M)).factors)
 
 
 def primary_cyclic_factors(M):

@@ -3,8 +3,10 @@
 ``from_index`` checks the order of ``all_matrices``;
 ``row_space_basis`` and ``fitting_blocks`` check ``fitting_decompose``;
 ``norm`` checks that the charpoly of a blow-up is the norm of the
-charpoly.
+charpoly; ``tower_coords`` checks ``TowerCtx.coords``.
 """
+
+import itertools
 
 from nicensus import gf, matrix, poly
 from nicensus.matrix import Mat
@@ -82,3 +84,21 @@ def norm(f, base):
         prod = prod * conj
     lift = {v: i for i, v in enumerate(gf.subfield_embedding(base, f.ctx))}
     return poly.Poly(base, tuple(lift[c] for c in prod.coeffs))
+
+
+def tower_coords(tower):
+    """Every element of K -> its coordinates in the tower's power basis.
+
+    Sums emb(c_j) basis[j] over all (c_0, ..., c_{b-1}) in F^b, so it
+    needs no linear algebra and builds a dict of |K| entries.
+    """
+    ext = tower.ext
+    emb = gf.subfield_embedding(tower.base, ext)
+    coords = {}
+    for combo in itertools.product(range(tower.base.order), repeat=tower.b):
+        val = 0
+        for c, e in zip(combo, tower.basis):
+            val = ext.add(val, ext.mul(emb[c], e))
+        coords[val] = combo
+    assert len(coords) == ext.order
+    return coords

@@ -86,7 +86,7 @@ def test_criterion_3_count_identity_and_nilpotents():
 def test_criterion_4_closed_form_vs_exhaustive_gl():
     for c, b, q, r in [(2, 1, 2, 2), (2, 1, 3, 2), (1, 2, 2, 1), (2, 2, 2, 2), (3, 1, 2, 2)]:
         ((p, m),) = gf.factor_int(q).items()
-        tower = embed.make_tower(gf.field_create(p, m * b), gf.field_create(p, m))
+        tower = embed.tower_for(gf.field_create(p, m * b), b)
         counts, gl_size = embed.pc_counts_by_f(c, tower, r)
         assert len(counts) == poly.irr_count(b * r, q)
         expected = Fraction(b, q ** (b * r) - 1)

@@ -264,13 +264,20 @@ def test_oversized_fields_exit_4(argv, capsys):
     assert "exceeds the supported size" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["pc-test", "--matrix", "1 2^17 : 5", "--tower", "2^17/2"],
-    ["estimate", "--spec", "pc-large-degree(17)", "--d", "2", "--q", "2^17", "--n", "5"],
-], ids=["pc-test", "estimate"])
-def test_towers_past_the_table_tier_exit_4(argv, capsys):
-    assert cli.main(argv) == 4
-    assert "tower coordinate tables capped at 2^16 elements" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,key,value", [
+    (["pc-test", "--matrix", "1 2^17 : 5", "--tower", "2^17/2"], "member", True),
+    (["estimate", "--spec", "pc-large-degree(17)", "--d", "2", "--q", "2^17", "--n", "5"],
+     "successes", 3),
+    (["pc-test", "--matrix", "2 2^18 : 1 2 3 4", "--tower", "2^18/2^9"], "member", True),
+    (["estimate", "--spec", "pc-large-degree(2)", "--d", "2", "--q", "2^18", "--n", "20"],
+     "successes", 4),
+], ids=["pc-test", "estimate", "pc-test-2^18", "estimate-2^18"])
+def test_towers_past_the_log_table_tier_exit_0(argv, key, value, capsys):
+    # K = F_2^17 or F_2^18 has no log tables, and its tower builds no table
+    # of K: the direct route (pc-test) reads coordinates off one inverse
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["result"][key] == value
 
 
 @contextmanager

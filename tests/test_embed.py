@@ -6,7 +6,6 @@ import pytest
 
 from nicensus import embed, estimate, gf, matrix, poly
 from nicensus.errors import (
-    BudgetExceeded,
     FieldMismatch,
     NotADivisor,
     NotASubfield,
@@ -16,11 +15,11 @@ from nicensus.errors import (
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import from_index, from_rows, norm
+from matrices import from_index, from_rows, norm, tower_coords
 
 F2 = gf.field_create(2)
 F4 = gf.field_create(2, 2)
-TOWER = embed.make_tower(F4, F2)
+TOWER = embed.tower_for(F4, 2)
 LAM = 2  # the class of t in F_4: lam^2 = lam + 1
 
 
@@ -61,9 +60,11 @@ def test_blow_up_examples():
 
 
 def test_blow_up_homomorphism_random_pairs():
-    # 4/2 on the full-table tier, 2^10/2^5 with K on the log-table tier
+    # 4/2 on the full-table tier, 2^10/2^5 with K on the log-table tier,
+    # 2^18/2^9 with K on the raw tier
     log_tier = embed.tower_for(gf.field_create(2, 10), 2)
-    for tower, n, pairs in [(TOWER, 2, 1000), (log_tier, 3, 50)]:
+    raw_tier = embed.tower_for(gf.field_create(2, 18), 2)
+    for tower, n, pairs in [(TOWER, 2, 1000), (log_tier, 3, 50), (raw_tier, 2, 20)]:
         for j in range(pairs):
             A = estimate.sample_matrix(n, tower.ext, seed=7, index=2 * j)
             B = estimate.sample_matrix(n, tower.ext, seed=7, index=2 * j + 1)
@@ -192,7 +193,44 @@ def test_tower_min_poly():
         embed.tower_for(F4, 3)
 
 
-def test_make_tower_refuses_past_the_table_tier():
-    # coordinate tables stop at 2^16 elements; F_2^17 itself is built cheaply
-    with pytest.raises(BudgetExceeded, match=r"capped at 2\^16 elements"):
-        embed.make_tower(gf.field_create(2, 17), F2)
+@pytest.mark.parametrize("p,k,b", [
+    (2, 2, 2), (2, 4, 2), (2, 6, 2), (2, 10, 2), (2, 12, 3), (3, 4, 2), (2, 4, 1),
+    (3, 1, 1), (5, 2, 2), (3, 6, 3), (2, 8, 4), (2, 9, 3), (2, 6, 6), (2, 16, 16),
+])
+def test_coords_match_the_table_oracle(p, k, b):
+    tower = embed.tower_for(gf.field_create(p, k), b)
+    table = tower_coords(tower)
+    assert all(tower.coords(alpha) == table[alpha] for alpha in tower.ext.elements())
+
+
+def test_tower_for_builds_past_the_log_table_tier():
+    # F_2^17 has no log tables, and its tower over F_2 builds no table of K
+    ext = gf.field_create(2, 17)
+    tower = embed.tower_for(ext, 17)
+    assert tower.base is F2 and tower.b == 17 and tower is embed.tower_for(ext, 17)
+    for alpha in (0, 1, 2, 5, 99999, ext.order - 1):
+        coords = tower.coords(alpha)
+        assert ext.from_digits(coords) == alpha  # over F_2 the basis is 1, t, ..., t^16
+        assert embed.regular_rep(ext.mul(alpha, 3), tower) == (
+            embed.regular_rep(alpha, tower) * embed.regular_rep(3, tower))
+
+
+@pytest.mark.parametrize("p,k", [(2, 18), (3, 12)], ids=["F2_18", "F3_12"])
+def test_fast_route_equals_direct_route_past_the_log_table_tier(p, k):
+    ext = gf.field_create(p, k)
+    tower = embed.tower_for(ext, 2)
+    for j in range(10):
+        X = estimate.sample_matrix(2, ext, 42, j)
+        assert embed.pc_member_charpoly(X, tower) == embed.pc_membership(X, tower).member
+
+
+def test_fast_route_builds_no_coordinates():
+    # the inverse behind the coordinates needs the subfield embedding,
+    # which takes about a second into F_2^20; the charpoly route never asks
+    ext = gf.field_create(2, 20)
+    tower = embed.tower_for(ext, 4)
+    misses = gf.subfield_embedding.cache_info().misses
+    X = estimate.sample_matrix(2, ext, 42, 0)
+    assert isinstance(embed.pc_member_charpoly(X, tower), bool)
+    assert gf.subfield_embedding.cache_info().misses == misses
+    assert "_uncoord" not in vars(tower)

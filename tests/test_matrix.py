@@ -225,23 +225,23 @@ def test_minpoly_is_minimal_exhaustive():
 
 def test_primary_components():
     X = matrix.companion(Poly.make(F2, (1, 1, 1)))
-    pd = matrix.primary_components(X)
-    assert len(pd.components) == 1
-    f, basis, m_f, e_f = pd.components[0]
+    comps = matrix.primary_components(X)
+    assert len(comps) == 1
+    f, basis, m_f, e_f = comps[0]
     assert len(basis) == 2 and m_f == e_f == 1
 
     D = from_rows(F3, [(1, 0), (0, 2)])
-    pd = matrix.primary_components(D)
-    assert [(str(f), len(b), m, e) for f, b, m, e in pd.components] == [
+    comps = matrix.primary_components(D)
+    assert [(str(f), len(b), m, e) for f, b, m, e in comps] == [
         ("1+1*t", 1, 1, 1), ("2+1*t", 1, 1, 1)]
 
     D = from_rows(F3, [(1, 0), (0, 0)])
-    pd = matrix.primary_components(D)
+    comps = matrix.primary_components(D)
     split = matrix.fitting_decompose(D)
-    t_comp = next(b for f, b, m, e in pd.components if f == Poly.x(F3))
+    t_comp = next(b for f, b, m, e in comps if f == Poly.x(F3))
     assert t_comp == split.nil_basis
     # dimensions add up: dim V_f = m_f * deg f
-    for f, basis, m_f, e_f in pd.components:
+    for f, basis, m_f, e_f in comps:
         assert len(basis) == m_f * f.degree
         assert 1 <= e_f <= m_f
 

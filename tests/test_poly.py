@@ -167,7 +167,7 @@ def test_cache_inventory():
     assert caches == {
         "gf.canonical_modulus": None,
         "gf.subfield_embedding": None,
-        "embed.make_tower": None,
+        "embed.tower_for": None,
         "intervals.log2_interval": None,
         "poly.factorize": poly._MEMO_MAX,
         "poly.equal_multiplicity_factors": poly._MEMO_MAX,
