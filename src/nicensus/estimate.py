@@ -2,8 +2,11 @@
 
 Randomness comes from a counter-based construction: the j-th sample is a
 pure function of (seed, j), with words drawn from a SplitMix64-style
-finalizer over an inner counter.  Samples are therefore assigned by
-global index, so any partition of the index range gives the same results.
+finalizer (``_mix64``) over an inner counter.  Samples are therefore
+assigned by global index, so any partition of the index range gives the
+same results.  The words are evaluated up to 64 at a time, each in its
+own 128-bit lane of one int (``_mix64_lanes``); every word is still
+``_mix64`` of its counter.
 
 ``monte_carlo`` only counts.  Every decision on a count is exact: the
 99% Wilson score interval is the set {x : n (s/n - x)^2 <= z^2 x (1 - x)}
@@ -19,7 +22,9 @@ registered spec: its closed form, else its count over a small M(d, q).
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +33,8 @@ from .matrix import Mat
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_LANES = 64  # words per packed pass
+_LANE_BITS = 128  # room for a 64 x 64-bit product
 
 # two-sided 99% standard normal quantile (norm.ppf(0.995)), and its exact square
 Z99 = 2.5758293035489004
@@ -41,6 +48,33 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=_LANES)
+def _lane_constants(n):
+    """(ONES, _GAMMA * RAMP, MASK, unpacker) for ``n`` 128-bit lanes.
+
+    Lane i of ONES is 1 and of RAMP is i + 1; MASK keeps the low 64 bits of
+    every lane.  The unpacker reads each lane's low word, little-endian.
+    """
+    ones = sum(1 << (_LANE_BITS * i) for i in range(n))
+    ramp = sum((i + 1) << (_LANE_BITS * i) for i in range(n))
+    return ones, _GAMMA * ramp, _MASK64 * ones, struct.Struct("<" + "Q8x" * n)
+
+
+def _mix64_lanes(base, w, n):
+    """``[_mix64(base + _GAMMA * (w + i)) for i in 1..n]``, for n <= 64.
+
+    Each word is computed in its own 128-bit lane of one int: a 64 x 64-bit
+    product fits its lane, and masking after every shift and product keeps
+    bits from crossing into the next lane.
+    """
+    ones, ramp, mask, unpack = _lane_constants(n)
+    z = (((base + _GAMMA * w) & _MASK64) * ones + ramp) & mask
+    z = ((z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ z >> 27 & mask) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31 & mask
+    return unpack.unpack(z.to_bytes(unpack.size, "little"))
+
+
 class SampleStream:
     """Deterministic 64-bit word stream for sample ``index`` of ``seed``."""
 
@@ -51,23 +85,24 @@ class SampleStream:
         self._w = 0
 
     def below(self, bound, count):
-        """``count`` uniform ints in [0, bound), by rejection (no modulo bias)."""
+        """``count`` uniform ints in [0, bound), by rejection (no modulo bias).
+
+        Each pass draws as many words as values are still missing, at most
+        ``_LANES``, so the counter advances by exactly the words consumed.
+        """
         limit = _MASK64 + 1 - (_MASK64 + 1) % bound
-        base, w = self._base, self._w
         out = []
         while len(out) < count:
-            w += 1
-            z = _mix64(base + _GAMMA * w)
-            if z < limit:
-                out.append(z % bound)
-        self._w = w
+            n = min(count - len(out), _LANES)
+            out += [z % bound for z in _mix64_lanes(self._base, self._w, n) if z < limit]
+            self._w += n
         return out
 
 
 def _draw_matrix(stream, d, ctx):
     """The next d x d matrix of ``stream``, entries row by row."""
     words = stream.below(ctx.order, d * d)
-    return Mat(ctx, d, tuple(tuple(words[i * d:(i + 1) * d]) for i in range(d)))
+    return Mat(ctx, d, tuple(zip(*[iter(words)] * d)))
 
 
 def sample_matrix(d, ctx, seed, index):

@@ -16,8 +16,9 @@ tier and for the powers of the generator that fill the log tables.
 
 Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
 adds ``c * src[j]`` to ``dst[off + j]`` in place with the tier's table
-lookups hoisted out of the loop; the polynomial, charpoly and sampling
-loops run on coefficient lists through it.
+lookups hoisted out of the loop (a prime field past the full tables adds
+``c * s`` mod p directly); the polynomial, charpoly and sampling loops
+run on coefficient lists through it.
 
 Every size built, enumerated or sampled is a power q**e: field orders
 p^k (at most 2**20), matrices q^(d^2), candidates q^m, n samples, d^2
@@ -326,6 +327,11 @@ class FieldCtx:
                     for j, s in enumerate(src, off):
                         if s:
                             dst[j] ^= exp[lc + log[s]]
+        elif self.k == 1:
+            p = self.p
+            def axpy(dst, off, c, src):
+                for j, s in enumerate(src, off):
+                    dst[j] = (dst[j] + c * s) % p
         else:
             add, mul = self.add, self.mul
             def axpy(dst, off, c, src):

@@ -1,5 +1,7 @@
 """Sampling determinism, Wilson intervals and verdicts, uniformity, calibration."""
 
+import hashlib
+import json
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -48,6 +50,68 @@ def test_sample_gl_always_invertible():
 def test_sample_gl_d1_q2_constant():
     for j in range(10):
         assert sample_gl(1, F2, 3, j) == from_rows(F2, [(1,)])
+
+
+def per_word_below(base, w, bound, count):
+    """The per-word draw: one ``_mix64`` per word, words at or past the limit rejected."""
+    limit = 2 ** 64 - 2 ** 64 % bound
+    out = []
+    while len(out) < count:
+        w += 1
+        z = estimate._mix64(base + estimate._GAMMA * w)
+        if z < limit:
+            out.append(z % bound)
+    return out, w
+
+
+# Field orders never reject a word in practice; the bounds from 3 * 2^62
+# up reject a quarter to a half of them, so passes run short and repeat.
+BELOW_BOUNDS = [1, 2, 4, 9, 2 ** 20, 3 * 2 ** 62, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64,
+                *(random.Random(5).randrange(2, 2 ** 64 + 1) for _ in range(3)),
+                *(random.Random(6).randrange(2, 2 ** 16) for _ in range(3))]
+BELOW_COUNTS = [0, 1, 63, 64, 65, 200]
+
+
+@pytest.mark.parametrize("bound", BELOW_BOUNDS)
+def test_below_matches_the_per_word_draw(bound):
+    rng = random.Random(bound)
+    for seed, index in [(0, 0), (42, 7), (2 ** 64 - 1, 10 ** 6),
+                        (rng.randrange(2 ** 64), rng.randrange(2 ** 32))]:
+        stream = estimate.SampleStream(seed, index)
+        w = 0
+        for count in BELOW_COUNTS:  # one stream: each call starts where the last ended
+            expected, w = per_word_below(stream._base, w, bound, count)
+            assert stream.below(bound, count) == expected
+            assert stream._w == w
+
+
+@pytest.mark.parametrize("w", [0, 1, 2 ** 32, 2 ** 64 + 3, 2 ** 80])
+def test_mix64_lanes_is_mix64_per_lane(w):
+    base = estimate._mix64(12345)
+    for n in range(1, estimate._LANES + 1):
+        assert list(estimate._mix64_lanes(base, w, n)) == [
+            estimate._mix64(base + estimate._GAMMA * (w + i)) for i in range(1, n + 1)]
+
+
+# sha256 of sample_matrix and sample_gl over this grid, as drawn one
+# ``_mix64`` call per word: any change to a word, a rejection or the
+# cutting into rows moves it.
+SAMPLE_GRID_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 10), (1021, 1)]
+SAMPLE_GRID_SHA256 = "23d9b956c15319831d1ced5e4b906b8f0d4469872621d865a88d9ec249e07713"
+
+
+def test_sample_grid_is_pinned():
+    rows = []
+    for p, k in SAMPLE_GRID_FIELDS:
+        ctx = gf.field_create(p, k)
+        for d in (1, 2, 3, 8):
+            for seed in (0, 42, 2 ** 64 - 1):
+                for index in (0, 1, 199, 10 ** 6):
+                    rows.append([p, k, d, seed, index,
+                                 sample_matrix(d, ctx, seed, index).rows,
+                                 sample_gl(d, ctx, seed, index).rows])
+    assert len(rows) == 288
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SAMPLE_GRID_SHA256
 
 
 def test_wilson_interval_shape():

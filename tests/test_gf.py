@@ -69,7 +69,8 @@ def test_field_axioms_sampled(p, k, a, b, c):
         assert ctx.mul(ctx.div(b, a), a) == b
 
 
-ROW_KERNEL_FIELDS = [(2, 2), (3, 2), (2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (5, 8)]
+ROW_KERNEL_FIELDS = [(2, 2), (3, 2), (2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (5, 8),
+                     (509, 1), (1021, 1), (131071, 1)]
 
 
 @pytest.mark.parametrize("p,k", ROW_KERNEL_FIELDS)
@@ -79,7 +80,8 @@ ROW_KERNEL_FIELDS = [(2, 2), (3, 2), (2, 8), (3, 5), (2, 10), (3, 6), (2, 17), (
        st.integers(min_value=0), st.integers(min_value=0, max_value=4))
 def test_row_kernel_matches_element_ops(p, k, dst, src, c, off):
     # one bound kernel per tier: full table (p = 2 and odd p), log table
-    # (p = 2; odd p uses the generic loop) and raw
+    # (p = 2), prime field past the full tables (log tier and raw), and the
+    # generic loop (odd p^k past the full tables)
     ctx = gf.field_create(p, k)
     dst = [x % ctx.order for x in dst] + [0] * (off + len(src))
     src = [x % ctx.order for x in src]

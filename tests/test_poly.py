@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nicensus
-from nicensus import gf, matrix, poly
+from nicensus import estimate, gf, matrix, poly
 from nicensus.errors import BudgetExceeded, NotASubfield, ZeroPolynomial
 from nicensus.poly import Poly
 
@@ -172,6 +172,7 @@ def test_cache_inventory():
         "poly.factorize": poly._MEMO_MAX,
         "poly.equal_multiplicity_factors": poly._MEMO_MAX,
         "matrix.fitting_decompose": matrix._SPLIT_MEMO_MAX,
+        "estimate._lane_constants": estimate._LANES,
     }
     assert dicts == {"gf._field_cache"}
 
