@@ -10,12 +10,19 @@ sum identity states, with omega(j, q) = prod_{k<=j} (1 - q^-k),
     |N| / |GL(d,q)| = sum_i  q^-(d-i) / omega(d-i, q) * |N_i| / |GL(i,q)|
 
 and the per-dimension count identity reads
-|N(i)| = qbinom(d, i) * q^((d-i)(d-1)) * |N_i|.  ``census_exact``
+|N(i)| = qbinom(d, i) * q^((d-i)(d-1)) * |N_i|.  ``census_exact_all``
 computes every quantity by exhaustive enumeration and asserts both
 identities as exact rationals.  ``count_members`` is the one plain count
-of a family over M(d, q), and ``ni_verify`` the one exhaustive audit of
-the NI hypothesis.  Both refuse a q^(d^2) past the budget through
+of a family over M(d, q), and ``ni_verify_all`` the one exhaustive audit
+of the NI hypothesis.  Both refuse a q^(d^2) past the budget through
 ``gf.admit``, in the exponent, before any table is allocated.
+
+The census and the audit take a list of specs and make one pass over
+M(d, q) for all of them: what does not depend on the spec (the canonical
+form X_inv + 0, the matrix positions, the flag matrices, the inverted
+conjugators, each conjugation orbit) is built once per call, and each
+spec keeps its own verdict table, counts and findings.  ``census_exact``
+and ``ni_verify`` are the one-spec case.
 """
 
 from __future__ import annotations
@@ -231,27 +238,30 @@ def _nilpotent_canonical(M):
     return matrix.direct_sum(split.x_inv, Mat.zero(M.ctx, split.nil_dim))
 
 
+def _indexer(d, q):
+    """The position of a matrix of M(d, q) in ``matrix.all_matrices``' order:
+    its entries as base-q digits, row-major, the first least significant."""
+    weights = tuple(q ** k for k in range(d * d))
+    return lambda X: sum(map(operator.mul, itertools.chain.from_iterable(X.rows), weights))
+
+
 class _Verdicts:
     """bool(member(X)) for X in M(d, q), decided at most once per matrix.
 
-    One byte per matrix, at its position in ``matrix.all_matrices``' order
-    (entries row-major, the first least significant): 0 while undecided,
+    One byte per matrix, at its ``_indexer`` position: 0 while undecided,
     else 1 + the verdict.  The key is the matrix itself, never a similarity
     invariant, so X and X_inv + 0 are decided independently.  ``gf.admit``
-    gates the table, the one allocation of q^(d^2) in a census or audit.
+    gates the table, the one allocation of q^(d^2) per spec in a census or
+    audit.
     """
 
     def __init__(self, member, d, ctx, budget=None, limit=None):
         size = gf.admit(ctx.order, d * d, f"matrices of M({d}, {ctx.order})", budget, limit)
         self.member = member
-        self.weights = tuple(ctx.order ** k for k in range(d * d))
         self.table = bytearray(size)
 
-    def index(self, X):
-        return sum(map(operator.mul, itertools.chain.from_iterable(X.rows), self.weights))
-
-    def __call__(self, X):
-        k = self.index(X)
+    def at(self, k, X):
+        """bool(member(X)) for the matrix X at position k."""
         v = self.table[k]
         if not v:
             v = self.table[k] = 1 + bool(self.member(X))
@@ -264,35 +274,65 @@ def count_members(member, d, ctx, budget=None):
 
 
 def census_exact(spec, d, ctx, budget=None):
-    """Count the family exhaustively and assert the flag-sum identity.
+    """``census_exact_all`` for one spec."""
+    return census_exact_all([spec], d, ctx, budget)[0]
 
-    Enumerates all of M(d, q) for |N| and the per-dimension |N(i)|, and
-    GL(i, q) for each |N_i| against the standard flag.  Raises
-    NIViolation (with a witness) if the predicate is found to depend on
-    the nilpotent part, or if either exact identity fails.
 
+def census_exact_all(specs, d, ctx, budget=None):
+    """Count each family exhaustively and assert the flag-sum identity.
+
+    Enumerates all of M(d, q) once for every |N| and per-dimension |N(i)|,
+    and GL(i, q) once for every |N_i| against the standard flag.  Raises
+    NIViolation (with a witness) if a predicate is found to depend on the
+    nilpotent part, or if either exact identity fails.
+
+    The canonical form X_inv + 0, the positions and the Fitting dimension
+    of each X are computed once for every spec.  Each spec decides
     member(X), member(X_inv + 0) and the flag counts' member(Y + 0_{d-i})
-    share one ``_Verdicts`` table of q^(d^2) bytes, within the budget
-    checked first, so ``spec.member`` runs at most once per matrix.
+    through its own ``_Verdicts`` table of q^(d^2) bytes, each admitted
+    against the budget, so ``spec.member`` runs at most once per matrix.
+    The checks run spec by spec in the order given, so the first failure
+    raised is the one of the sequential ``census_exact`` calls: a spec that
+    fails in the pass drops out with every spec after it.
     """
     q = ctx.order
-    member = _Verdicts(spec.member, d, ctx, budget)
-
-    n_total = 0
-    n_of_i = [0] * (d + 1)
+    tables = [_Verdicts(spec.member, d, ctx, budget) for spec in specs]
+    n_of_i = [[0] * (d + 1) for _ in specs]
+    index = _indexer(d, q)
+    failure = None
     for X in matrix.all_matrices(d, ctx, budget=budget):
-        in_n = member(X)
-        if member(_nilpotent_canonical(X)) != in_n:
-            raise NIViolation(
-                f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
-                f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
-                witness=X)
-        if in_n:
-            n_total += 1
-            n_of_i[matrix.fitting_decompose(X).inv_dim] += 1
+        if not tables:
+            break
+        k, canon = index(X), _nilpotent_canonical(X)
+        kc, inv_dim = index(canon), None
+        for s, (spec, member) in enumerate(zip(specs, tables)):
+            in_n = member.at(k, X)
+            if member.at(kc, canon) != in_n:
+                failure = NIViolation(
+                    f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
+                    f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
+                    witness=X)
+                del tables[s:]
+                break
+            if in_n:
+                if inv_dim is None:
+                    inv_dim = matrix.fitting_decompose(X).inv_dim
+                n_of_i[s][inv_dim] += 1
 
-    per = [PerDimension(i=i, n_i=n_i, gl_i=matrix.gl_order(i, q), n_of_i=n_of_i[i])
-           for i, n_i in enumerate(_flag_counts(member, d, ctx, budget))]
+    n_i = _flag_counts([lambda Y, t=t: t.at(index(Y), Y) for t in tables], d, ctx, budget)
+    out = [_check_census(spec, d, ctx, counts, flags)
+           for spec, counts, flags in zip(specs, n_of_i, n_i)]
+    if failure is not None:
+        raise failure
+    return out
+
+
+def _check_census(spec, d, ctx, n_of_i, n_i):
+    """The FlagCensus of one spec, or NIViolation if an identity fails."""
+    q = ctx.order
+    per = [PerDimension(i=i, n_i=n, gl_i=matrix.gl_order(i, q), n_of_i=n_of_i[i])
+           for i, n in enumerate(n_i)]
+    n_total = sum(n_of_i)
 
     if spec.contains_nilpotents is not None:
         if per[0].n_i != (1 if spec.contains_nilpotents else 0):
@@ -303,8 +343,6 @@ def census_exact(spec, d, ctx, budget=None):
     lhs = Fraction(n_total, matrix.gl_order(d, q))
     rhs = flag_sum(d, q, [Fraction(p.n_i, p.gl_i) for p in per])
 
-    if sum(n_of_i) != n_total:  # pragma: no cover - partition by construction
-        raise NIViolation(f"spec {spec.name!r}: N(i) do not partition N")
     for p in per:
         expected = gaussian_binomial(d, p.i, q) * q ** ((d - p.i) * (d - 1)) * p.n_i
         if p.n_of_i != expected:
@@ -318,14 +356,26 @@ def census_exact(spec, d, ctx, budget=None):
                       per_i=tuple(per), lhs=lhs, rhs=rhs)
 
 
-def _flag_counts(member, d, ctx, budget):
-    """|N_i| for i = 0..d: the Y in GL(i, q) with member(Y + 0_{d-i})."""
-    out = [1 if member(Mat.zero(ctx, d)) else 0]
+def _flag_counts(members, d, ctx, budget):
+    """|N_i| for i = 0..d per member: the Y in GL(i, q) with member(Y + 0_{d-i}).
+
+    One enumeration of the standard flag's matrices serves every member.
+    """
+    counts = [[0] * (d + 1) for _ in members]
+    for i, X in _flag_matrices(d, ctx, budget):
+        for n_i, member in zip(counts, members):
+            if member(X):
+                n_i[i] += 1
+    return counts
+
+
+def _flag_matrices(d, ctx, budget):
+    """(i, Y + 0_{d-i}) for i = 0..d and Y in GL(i, q), GL(0, q) being one matrix."""
+    yield 0, Mat.zero(ctx, d)
     for i in range(1, d + 1):
         pad = Mat.zero(ctx, d - i)
-        out.append(sum(1 for Y in matrix.all_invertible(i, ctx, budget=budget)
-                       if member(matrix.direct_sum(Y, pad))))
-    return out
+        for Y in matrix.all_invertible(i, ctx, budget=budget):
+            yield i, matrix.direct_sum(Y, pad)
 
 
 def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
@@ -336,7 +386,7 @@ def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
     genuine NI family the cardinalities match the standard-flag ones.
     """
     g_inv = matrix.inverse(g)
-    return tuple(_flag_counts(lambda X: spec.member(g_inv * X * g), d, ctx, budget))
+    return tuple(_flag_counts([lambda X: spec.member(g_inv * X * g)], d, ctx, budget)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +486,30 @@ AUDIT_MAX_VIOLATIONS = 5
 
 
 def ni_verify(spec, d, ctx, budget=None):
-    """Audit both NI conditions over all of M(d, q) and GL(d, q).
+    """``ni_verify_all`` for one spec."""
+    return ni_verify_all([spec], d, ctx, budget)[0]
+
+
+@dataclass
+class _Audit:
+    """One spec's state in an audit pass: verdicts, orbit marks and findings."""
+
+    member: _Verdicts
+    # per matrix position: 0 while its orbit is unbuilt, else 1 + whether it is uniform
+    marks: bytearray
+    violations: list
+    conjugations: int = 0
+
+
+def _conjugates(X, pairs, index):
+    """(position, g^-1 X g) for each (g^-1, g) of ``pairs``, in their order."""
+    for g_inv, g in pairs:
+        Y = g_inv * X * g
+        yield index(Y), Y
+
+
+def ni_verify_all(specs, d, ctx, budget=None):
+    """Audit both NI conditions for each spec over all of M(d, q) and GL(d, q).
 
     Condition (i): membership is conjugation invariant.  Condition (ii):
     membership of X equals membership of X_inv + 0.  Violations are
@@ -444,42 +517,58 @@ def ni_verify(spec, d, ctx, budget=None):
     predicates can be inspected.  Raises BudgetExceeded when M(d, q) has
     more than AUDIT_EXHAUSTIVE_MAX matrices or more than the budget.
 
-    The audit decides through a ``_Verdicts`` table of q^(d^2) bytes, so
-    ``spec.member`` runs at most once per matrix.  The orbit {g^-1 X g}
-    of the first X of each orbit is built once and marked uniform when
-    its verdicts agree; a uniform X counts every conjugator as checked,
-    any other X scans g for the first differing verdict.
+    One pass serves every spec: each conjugator is inverted once, and the
+    canonical form and position of each X are computed once.  The orbit
+    {g^-1 X g} of the first X of each orbit is built once, and each spec
+    marks it uniform when its verdicts on the orbit agree; a uniform X
+    counts every conjugator as checked, any other X scans g for the first
+    differing verdict.  Each spec decides through its own ``_Verdicts``
+    table of q^(d^2) bytes, so ``spec.member`` runs at most once per
+    matrix, and leaves the pass at its AUDIT_MAX_VIOLATIONS-th violation.
     """
     q = ctx.order
-    member = _Verdicts(spec.member, d, ctx, budget, limit=AUDIT_EXHAUSTIVE_MAX)
-    total = len(member.table)
-    # each conjugator is inverted once per audit
+    total = gf.admit(q, d * d, f"matrices of M({d}, {q})", budget, AUDIT_EXHAUSTIVE_MAX)
+    audits = [_Audit(_Verdicts(spec.member, d, ctx, budget, limit=AUDIT_EXHAUSTIVE_MAX),
+                     bytearray(total), []) for spec in specs]
+    index = _indexer(d, q)
     pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx, budget=budget))
-    # per matrix index: 0 while its orbit is unbuilt, else 1 + whether it is uniform
-    orbit_marks = bytearray(total)
-
-    violations = []
-    conj_count = 0
+    built = bytearray(total)
+    live = list(audits)
     for X in matrix.all_matrices(d, ctx, budget=budget):
-        m_x = member(X)
-        if m_x != member(_nilpotent_canonical(X)):
-            violations.append(("nilpotent-part-dependence", X, None))
-        k = member.index(X)
-        if not orbit_marks[k]:
-            orbit = [g_inv * X * g for g_inv, g in pairs]
-            mark = 1 + all(member(Y) == m_x for Y in orbit)
-            for Y in orbit:
-                orbit_marks[member.index(Y)] = mark
-        if orbit_marks[k] == 2:
-            conj_count += len(pairs)
-        else:
-            for g_inv, g in pairs:
-                conj_count += 1
-                if member(g_inv * X * g) != m_x:
-                    violations.append(("conjugation-dependence", X, g))
-                    break
-        if len(violations) >= AUDIT_MAX_VIOLATIONS:
+        if not live:
             break
+        k, canon = index(X), _nilpotent_canonical(X)
+        kc = index(canon)
+        # the whole orbit at its first X, else only as far as a scan needs
+        more, conjugates = _conjugates(X, pairs, index), []
+        fresh = not built[k]
+        if fresh:
+            conjugates.extend(more)
+            for j, _ in conjugates:
+                built[j] = 1
+        for audit in list(live):
+            member = audit.member
+            m_x = member.at(k, X)
+            if m_x != member.at(kc, canon):
+                audit.violations.append(("nilpotent-part-dependence", X, None))
+            if fresh:
+                mark = 1 + all(member.at(j, Y) == m_x for j, Y in conjugates)
+                for j, _ in conjugates:
+                    audit.marks[j] = mark
+            if audit.marks[k] == 2:
+                audit.conjugations += len(pairs)
+            else:
+                for t, (_, g) in enumerate(pairs):
+                    if t == len(conjugates):
+                        conjugates.append(next(more))
+                    audit.conjugations += 1
+                    if member.at(*conjugates[t]) != m_x:
+                        audit.violations.append(("conjugation-dependence", X, g))
+                        break
+            if len(audit.violations) >= AUDIT_MAX_VIOLATIONS:
+                live.remove(audit)
 
-    return NIAuditReport(spec_name=spec.name, d=d, q=q, matrices_checked=total,
-                         conjugations_checked=conj_count, violations=tuple(violations))
+    return [NIAuditReport(spec_name=spec.name, d=d, q=q, matrices_checked=total,
+                          conjugations_checked=audit.conjugations,
+                          violations=tuple(audit.violations))
+            for spec, audit in zip(specs, audits)]

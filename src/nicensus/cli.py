@@ -127,7 +127,7 @@ def cmd_census(args):
 
 def cmd_quokka(args):
     if args.r is not None:
-        value = quokka.quokka_pc_single(args.c, args.q, args.b, args.r)
+        value = quokka.quokka_pc_single(args.c, args.q, args.b, args.r, args.budget)
         result = {
             "c": args.c, "q": args.q, "b": args.b, "r": args.r,
             "per_polynomial": value,
@@ -285,9 +285,9 @@ def suite_theorem1(budget=None, seed=42):
             "pass" if ok else "fail",
             f"|N|={fc.n_total}, lhs={fc.lhs}, rhs={fc.rhs}"))
     for q in (2, 3):
-        ctx = gf.field_create(q)
-        for name in _AUDIT_SPECS:
-            rep = census.ni_verify(census.get_spec(name), 2, ctx, budget=budget)
+        reports = census.ni_verify_all([census.get_spec(name) for name in _AUDIT_SPECS],
+                                       2, gf.field_create(q), budget=budget)
+        for name, rep in zip(_AUDIT_SPECS, reports):
             checks.append(SuiteCheck(
                 f"ni-audit {name} d=2 q={q}",
                 "pass" if rep.ok else "fail",
@@ -308,14 +308,17 @@ def suite_corollary_sums(budget=None, seed=42):
     return checks
 
 
+_LEMMA31_SPECS = ("all", "invertible", "nilpotent-complement",
+                  "primary-cyclic-some-f-not-t", "separable", "unipotent")
+
+
 def suite_lemma31(budget=None, seed=42):
     checks = []
     for d, q in [(2, 2), (2, 3), (3, 2)]:
-        ctx = gf.field_of_order(q)
-        for name in ("all", "invertible", "nilpotent-complement",
-                     "primary-cyclic-some-f-not-t", "separable", "unipotent"):
-            # census_exact raises NIViolation when the count identity fails
-            fc = census.census_exact(census.get_spec(name), d, ctx, budget=budget)
+        # census_exact_all raises NIViolation when a count identity fails
+        censuses = census.census_exact_all([census.get_spec(name) for name in _LEMMA31_SPECS],
+                                           d, gf.field_of_order(q), budget=budget)
+        for name, fc in zip(_LEMMA31_SPECS, censuses):
             checks.append(SuiteCheck(
                 f"count-identity {name} d={d} q={q}", "pass",
                 f"N(i)={[p.n_of_i for p in fc.per_i]}"))
@@ -349,7 +352,7 @@ def suite_quokka_closed_forms(budget=None, seed=42):
         for b in (1, 2, 3):
             for q in (2, 3):
                 for r in range(c // 2 + 1, c + 1):
-                    single = quokka.quokka_pc_single(c, q, b, r)
+                    single = quokka.quokka_pc_single(c, q, b, r, budget)
                     if single != Fraction(b, q ** (b * r) - 1):
                         grid_ok = False
     checks.append(SuiteCheck("class-sum collapse c<=6 b<=3 q in {2,3}",

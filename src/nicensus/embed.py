@@ -43,6 +43,12 @@ from .matrix import Mat
 from .poly import Poly
 
 
+# Regular representations kept per tower, the oldest evicted first.  One
+# verify-exact pass holds 9 in three towers.  At the bound, 2^16 over 2^8
+# holds about 1.9 MB (tracemalloc); all of 2^20 over 2^10 would be 350 MB.
+_REP_CACHE_MAX = 1 << 12
+
+
 @dataclass(frozen=True)
 class TowerCtx:
     """K = F_{q^b} viewed as a b-dimensional F_q-algebra."""
@@ -119,14 +125,18 @@ def regular_rep(alpha, tower):
 
     Row m holds the coordinates of basis[m] * alpha, so row vectors of
     coordinates multiply on the right, matching the matrix convention.
+    The tower keeps the last ``_REP_CACHE_MAX`` built.
     """
-    cached = tower._rep_cache.get(alpha)
+    cache = tower._rep_cache
+    cached = cache.get(alpha)
     if cached is not None:
         return cached
     ext = tower.ext
     rows = tuple(tower.coords(ext.mul(e, alpha)) for e in tower.basis)
     M = Mat(tower.base, tower.b, rows)
-    tower._rep_cache[alpha] = M
+    if len(cache) >= _REP_CACHE_MAX:
+        del cache[next(iter(cache))]
+    cache[alpha] = M
     return M
 
 

@@ -360,10 +360,13 @@ def fitting_decompose(M):
 def is_nilpotent(M):
     """True when M^n = 0, decided row by row without matrix products.
 
-    Row i of M^n is row i of M pushed through M n - 1 times.  A row is
-    no longer pushed once it is zero, and the first nonzero row of M^n
-    decides False.
+    A nilpotent M has charpoly t^n, hence trace 0, so a nonzero trace
+    decides False before any row is pushed.  Row i of M^n is row i of M
+    pushed through M n - 1 times.  A row is no longer pushed once it is
+    zero, and the first nonzero row of M^n decides False.
     """
+    if functools.reduce(M.ctx.add, (row[i] for i, row in enumerate(M.rows)), 0):
+        return False
     for row in M.rows:
         for _ in range(M.n - 1):
             if not any(row):

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import intervals, poly
+from . import gf, intervals, poly
 from .census import flag_sum, omega
-from .errors import RangeError
+from .errors import BudgetExceeded, RangeError
 from .intervals import log2_interval, rational_power_interval
 
 
@@ -48,33 +48,58 @@ def _partitions(c, cap=None):
             yield (first,) + rest
 
 
+def _admit_partitions(n, budget=None):
+    """Refuse with BudgetExceeded when the partitions of n exceed the budget.
+
+    p(k) follows Euler's pentagonal recurrence.  p grows with k, so the
+    count stops at the first p(k) past the cap: p(n) is never computed
+    beyond it.
+    """
+    cap = gf.enumeration_budget(budget)
+    p = [1]
+    while len(p) <= n and p[-1] <= cap:
+        k, total, j = len(p), 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= k:
+                    total += p[k - g] if j % 2 else -p[k - g]
+            j += 1
+        p.append(total)
+    if p[-1] > cap:
+        raise BudgetExceeded(f"partitions of {n} exceed the cap {cap}")
+
+
+def _class_proportion(parts):
+    """|class| / |S_c| = 1 / prod_j (j^{m_j} m_j!), with m_j the number of parts j."""
+    den = 1
+    for j in set(parts):
+        m = parts.count(j)
+        den *= j ** m * math.factorial(m)
+    return Fraction(1, den)
+
+
 def cycle_types(c):
     """All cycle types of S_c as (parts, |class| / |S_c|), parts descending.
 
-    The class proportion is 1 / prod_j (j^{m_j} m_j!), with m_j the
-    number of parts j; the proportions sum to 1.
+    The proportions sum to 1.
     """
     if c < 1:
         raise RangeError("cycle_types needs c >= 1")
-    out = []
-    for parts in _partitions(c):
-        den = 1
-        for j in set(parts):
-            m = parts.count(j)
-            den *= j ** m * math.factorial(m)
-        out.append((parts, Fraction(1, den)))
-    return tuple(out)
+    return tuple((parts, _class_proportion(parts)) for parts in _partitions(c))
 
 
-def r_cycle_proportion(c, r):
+def r_cycle_proportion(c, r, budget=None):
     """Proportion of permutations in S_c containing an r-cycle, r > c/2.
 
-    Computed as the partition sum; for r > c/2 an r-part cannot repeat
-    and the value is exactly 1/r (a closed form that fails below the
-    threshold, hence the range restriction).
+    For r > c/2 the cycle types with an r-part are exactly (r) + lambda
+    for the partitions lambda of c - r, so the partition sum runs over
+    those alone, once their number is admitted against the budget.  An
+    r-part cannot repeat, and the value is exactly 1/r (a closed form
+    that fails below the threshold, hence the range restriction).
     """
     _check_r(c, r)
-    return sum((prop for parts, prop in cycle_types(c) if r in parts), Fraction(0))
+    _admit_partitions(c - r, budget)
+    return sum((_class_proportion((r,) + rest) for rest in _partitions(c - r)), Fraction(0))
 
 
 def _check_r(c, r):
@@ -89,7 +114,7 @@ def _check_r(c, r):
 # ---------------------------------------------------------------------------
 
 
-def quokka_pc_single(c, q, b, r):
+def quokka_pc_single(c, q, b, r, budget=None):
     """Class sum for one fixed polynomial of degree b*r, r > c/2.
 
     Torus model: proportion b*r/(q^{b*r} - 1) on classes with an r-part
@@ -99,7 +124,7 @@ def quokka_pc_single(c, q, b, r):
     """
     if b < 1:
         raise RangeError(f"need b >= 1, got {b}")
-    return r_cycle_proportion(c, r) * Fraction(b * r, q ** (b * r) - 1)
+    return r_cycle_proportion(c, r, budget) * Fraction(b * r, q ** (b * r) - 1)
 
 
 def pc_r(q, b, r):

@@ -381,6 +381,111 @@ def test_census_exact_matches_plain_loop(d, ctx):
             (n_total, n_of_i, n_i), name
 
 
+# a spec that passes the enumeration and fails a check after it
+_FLAG_BROKEN = NISubsetSpec("all-but-flagged", lambda X: True, contains_nilpotents=False)
+_VALID_SPECS = [get_spec(name) for name in census._PLAIN_SPECS]
+
+
+def _outcome(run):
+    """run()'s value, or the message and witness rows of the NIViolation it raises."""
+    try:
+        return run()
+    except NIViolation as exc:
+        return str(exc), exc.witness and exc.witness.rows
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_census_exact_all_matches_plain_loop(d, ctx):
+    fcs = census.census_exact_all(_VALID_SPECS, d, ctx)
+    assert [fc.spec_name for fc in fcs] == [spec.name for spec in _VALID_SPECS]
+    for spec, fc in zip(_VALID_SPECS, fcs):
+        assert (fc.n_total, [p.n_of_i for p in fc.per_i], [p.n_i for p in fc.per_i]) == \
+            _census_loop(spec, d, ctx), spec.name
+    for broken in [*_BROKEN_SPECS.values(), _ONE_ORBIT_BROKEN, _FLAG_BROKEN]:
+        # first, second and last: each list raises what the calls in turn raise
+        for at in (0, 1, len(_VALID_SPECS)):
+            specs = _VALID_SPECS[:at] + [broken] + _VALID_SPECS[at:]
+            raised = _outcome(lambda: census.census_exact_all(specs, d, ctx))
+            assert raised == _outcome(lambda: [census_exact(s, d, ctx) for s in specs])
+            if broken is not _FLAG_BROKEN:
+                # the witness is the first X the plain loop rejects
+                with pytest.raises(NIViolation) as info:
+                    _census_loop(broken, d, ctx)
+                assert raised[1] == info.value.witness.rows, (broken.name, at)
+    # the first failing spec in the list decides, wherever the others fail
+    for specs in ([_FLAG_BROKEN, _BROKEN_SPECS["first-entry"]],
+                  [_BROKEN_SPECS["first-entry"], _FLAG_BROKEN]):
+        assert _outcome(lambda: census.census_exact_all(specs, d, ctx)) == \
+            _outcome(lambda: census_exact(specs[0], d, ctx))
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_ni_verify_all_matches_per_pair_scan(d, ctx):
+    expected = _ni_verify_per_pair(_DIFFERENTIAL_SPECS, d, ctx)
+    assert census.ni_verify_all(_DIFFERENTIAL_SPECS, d, ctx) == expected
+    assert census.ni_verify_all(_DIFFERENTIAL_SPECS[::-1], d, ctx) == expected[::-1]
+
+
+def test_audit_spec_that_stops_early_leaves_the_others_alone():
+    valid = [get_spec(name) for name in cli._AUDIT_SPECS]
+    early = _BROKEN_SPECS["first-entry"]
+    for d, ctx in _SIZES:
+        alone = [census.ni_verify(spec, d, ctx) for spec in valid]
+        reports = census.ni_verify_all([early, *valid[:3], early, *valid[3:]], d, ctx)
+        assert len(reports[0].violations) == census.AUDIT_MAX_VIOLATIONS
+        assert reports[0] == reports[4] == census.ni_verify(early, d, ctx)
+        assert reports[1:4] + reports[5:] == alone
+
+
+def _recorded(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_lemma31_enumerates_each_space_once(monkeypatch, capsys):
+    passes = _recorded(monkeypatch, matrix, "all_matrices")
+    canonical = _recorded(monkeypatch, census, "_nilpotent_canonical")
+    assert cli.main(["verify", "--suite", "lemma31"]) == 0
+    capsys.readouterr()
+    expected = Counter()
+    for d, q in [(2, 2), (2, 3), (3, 2)]:
+        # one pass over M(d, q) for all six specs, and one over each M(i, q)
+        # for the flag counts' GL(i, q)
+        expected.update([(d, q), *((i, q) for i in range(1, d + 1))])
+    expected.update((n, q) for n in (1, 2, 3) for q in (2, 3))  # the nilpotent counts
+    assert Counter((n, ctx.order) for n, ctx in passes) == expected
+    per_matrix = Counter((X.ctx.order, X.rows) for (X,) in canonical)
+    assert len(per_matrix) == 2 ** 4 + 3 ** 4 + 2 ** 9 and max(per_matrix.values()) == 1
+
+
+def test_theorem1_builds_each_orbit_once(monkeypatch, capsys):
+    orbits = {}  # (q, X) -> conjugates built at X
+    conjugates = census._conjugates
+
+    def recorded(X, pairs, index):
+        for k, Y in conjugates(X, pairs, index):
+            orbits.setdefault((X.ctx.order, X.rows), []).append(Y.rows)
+            yield k, Y
+
+    monkeypatch.setattr(census, "_conjugates", recorded)
+    assert cli.main(["verify", "--suite", "theorem1"]) == 0
+    capsys.readouterr()
+    for q in (2, 3):
+        built = [ys for (p, _), ys in orbits.items() if p == q]
+        # every conjugator at each first X, and orbits that partition M(2, q)
+        assert all(len(ys) == matrix.gl_order(2, q) for ys in built)
+        distinct = [set(ys) for ys in built]
+        assert sum(map(len, distinct)) == len(set().union(*distinct)) == q ** 4
+
+
 @pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
 def test_member_runs_once_per_matrix(d, ctx):
     for spec in (get_spec("primary-cyclic-some-f-not-t"), _BROKEN_SPECS["first-entry"],

@@ -195,7 +195,7 @@ def test_bounds_sandwich_check_fails_under_python_O():
 def test_class_sum_check_fails_instead_of_raising(flags):
     # quokka asserts no class-sum identity, so a wrong r-cycle proportion
     # 1/(2r) is reported as a failed check, with or without -O
-    patch = "quokka.r_cycle_proportion = lambda c, r: Fraction(1, 2 * r)"
+    patch = "quokka.r_cycle_proportion = lambda c, r, budget=None: Fraction(1, 2 * r)"
     assert _patched_suite_statuses(flags, patch, "suite_quokka_closed_forms",
                                    "class-sum") == ["fail"]
 
@@ -306,6 +306,17 @@ def test_oversized_enumerations_are_refused_in_the_exponent(argv, capsys):
         assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert "exceed the cap" in err and not re.search(r"[0-9]{31}", err)
+
+
+def test_quokka_r_is_bounded_by_the_budget(capsys):
+    # S_149 has about 10^11 cycle types: refused before any is enumerated
+    with time_limit(10):
+        assert cli.main(["quokka", "--c", "300", "--q", "2", "--b", "2", "--r", "151"]) == 4
+    assert "partitions of 149 exceed the cap" in capsys.readouterr().err
+    with time_limit(10):
+        assert cli.main(["quokka", "--c", "60", "--q", "2", "--b", "2", "--r", "31"]) == 0
+    assert cli.main(["quokka", "--c", "60", "--q", "2", "--b", "2", "--r", "31",
+                     "--budget", "4564"]) == 4  # p(29) = 4565
 
 
 def test_results_past_the_int_digit_limit_are_written(capsys):

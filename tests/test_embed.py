@@ -1,5 +1,6 @@
 """Blow-up: algebra homomorphism, charpoly norm, membership, equivalence."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,19 @@ def test_tower_for_builds_past_the_log_table_tier():
         assert ext.from_digits(coords) == alpha  # over F_2 the basis is 1, t, ..., t^16
         assert embed.regular_rep(ext.mul(alpha, 3), tower) == (
             embed.regular_rep(alpha, tower) * embed.regular_rep(3, tower))
+
+
+def test_rep_cache_is_bounded():
+    # F_2^14 over F_2^7 has 16,384 elements, four times the bound; 0..99
+    # are asked for again after the 100 entries past the bound evicted them
+    tower = dataclasses.replace(embed.tower_for(gf.field_create(2, 14), 2), _rep_cache={})
+    bound = embed._REP_CACHE_MAX
+    for n, alpha in enumerate([*range(bound + 100), *range(100)]):
+        M = embed.regular_rep(alpha, tower)
+        assert len(tower._rep_cache) <= bound
+        if n >= bound:
+            assert M == embed.regular_rep(alpha, dataclasses.replace(tower, _rep_cache={}))
+    assert len(tower._rep_cache) == bound and 0 in tower._rep_cache
 
 
 @pytest.mark.parametrize("p,k", [(2, 18), (3, 12)], ids=["F2_18", "F3_12"])

@@ -180,7 +180,8 @@ def _exhaustive_and_sampled(exhaustive, sampled, seed):
 
 
 def test_is_nilpotent_equals_power_oracle():
-    mats = _exhaustive_and_sampled([(0, F3), (1, F3), (3, F2), (2, F3), (2, F4)],
+    # M(3, 3) holds diagonals such as (1, 1, 1), whose trace is 0 only mod 3
+    mats = _exhaustive_and_sampled([(0, F3), (1, F3), (3, F2), (2, F3), (2, F4), (3, F3)],
                                    [(4, F3, 300), (5, F2, 300)], seed=31)
     hits = 0
     for M in mats:
@@ -188,7 +189,7 @@ def test_is_nilpotent_equals_power_oracle():
         assert matrix.is_nilpotent(M) == expected, M
         hits += expected
     # q^(n^2 - n) nilpotents per sweep, and 7 and 11 among the draws
-    assert hits == 1 + 1 + 64 + 9 + 16 + 7 + 11
+    assert hits == 1 + 1 + 64 + 9 + 16 + 729 + 7 + 11
 
 
 def test_primary_cyclic_factors_equals_multiplicity_oracle():
@@ -309,8 +310,8 @@ def test_all_matrices_in_index_order(n, ctx):
     q = ctx.order
     mats = list(matrix.all_matrices(n, ctx))
     assert mats == [from_index(ctx, n, idx) for idx in range(q ** (n * n))]
-    verdicts = census._Verdicts(bool, n, ctx)
-    assert [verdicts.index(M) for M in mats] == list(range(len(mats)))
+    index = census._indexer(n, q)
+    assert [index(M) for M in mats] == list(range(len(mats)))
     assert sum(1 for _ in matrix.all_invertible(n, ctx)) == matrix.gl_order(n, q)
 
 

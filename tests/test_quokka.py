@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nicensus import census, embed, gf, intervals, matrix, poly, quokka
-from nicensus.errors import RangeError
+from nicensus.errors import BudgetExceeded, RangeError
 from nicensus.quokka import (
     cycle_types,
     harmonic_band_verdict,
@@ -51,6 +51,21 @@ def test_r_cycle_proportion():
         r_cycle_proportion(6, 3)  # r <= c/2: repeats possible, no closed form
     with pytest.raises(RangeError):
         r_cycle_proportion(3, 4)
+
+
+def test_r_cycle_proportion_equals_the_full_cycle_type_sum():
+    for c in range(1, 13):
+        for r in range(c // 2 + 1, c + 1):
+            full = sum((prop for parts, prop in cycle_types(c) if r in parts), Fraction(0))
+            assert r_cycle_proportion(c, r) == full, (c, r)
+
+
+def test_partitions_are_admitted_at_their_count():
+    for n in range(30):
+        count = sum(1 for _ in quokka._partitions(n))
+        quokka._admit_partitions(n, budget=count)
+        with pytest.raises(BudgetExceeded):
+            quokka._admit_partitions(n, budget=count - 1)
 
 
 def test_quokka_pc_single_examples():
