@@ -19,10 +19,11 @@ of the NI hypothesis.  Both refuse a q^(d^2) past the budget through
 
 The census and the audit take a list of specs and make one pass over
 M(d, q) for all of them: what does not depend on the spec (the canonical
-form X_inv + 0, the matrix positions, the flag matrices, the inverted
-conjugators, each conjugation orbit) is built once per call, and each
-spec keeps its own verdict table, counts and findings.  ``census_exact``
-and ``ni_verify`` are the one-spec case.
+form X_inv + 0, the inverted conjugators, each conjugation orbit) is
+built once per call, and each spec keeps its own verdict table, counts
+and findings.  The flag matrices Y + 0_{d-i}, Y in GL(i, q), are exactly
+the fixed points of X -> X_inv + 0, so the census reads every |N_i| off
+the same pass.  ``census_exact`` and ``ni_verify`` are the one-spec case.
 """
 
 from __future__ import annotations
@@ -133,7 +134,10 @@ def _member_unipotent(X):
 
 def _make_member_eigenvalue(alpha):
     def member(X):
-        return matrix.charpoly(X).evaluate(alpha % X.ctx.order) == 0
+        if not 0 <= alpha < X.ctx.order:
+            raise ParseError(f"has-eigenvalue({alpha}): eigenvalue outside field of order "
+                             f"{X.ctx.order}")
+        return matrix.charpoly(X).evaluate(alpha) == 0
     return member
 
 
@@ -281,29 +285,33 @@ def census_exact(spec, d, ctx, budget=None):
 def census_exact_all(specs, d, ctx, budget=None):
     """Count each family exhaustively and assert the flag-sum identity.
 
-    Enumerates all of M(d, q) once for every |N| and per-dimension |N(i)|,
-    and GL(i, q) once for every |N_i| against the standard flag.  Raises
-    NIViolation (with a witness) if a predicate is found to depend on the
-    nilpotent part, or if either exact identity fails.
+    Enumerates all of M(d, q) once for every |N|, per-dimension |N(i)| and
+    |N_i| against the standard flag.  Raises NIViolation (with a witness)
+    if a predicate is found to depend on the nilpotent part, or if either
+    exact identity fails.
 
-    The canonical form X_inv + 0, the positions and the Fitting dimension
-    of each X are computed once for every spec.  Each spec decides
-    member(X), member(X_inv + 0) and the flag counts' member(Y + 0_{d-i})
-    through its own ``_Verdicts`` table of q^(d^2) bytes, each admitted
-    against the budget, so ``spec.member`` runs at most once per matrix.
-    The checks run spec by spec in the order given, so the first failure
-    raised is the one of the sequential ``census_exact`` calls: a spec that
-    fails in the pass drops out with every spec after it.
+    The canonical form X_inv + 0 and the Fitting dimension of each X are
+    computed once for every spec.  X is a flag matrix Y + 0_{d-i} with Y
+    in GL(i, q) exactly when it is its own canonical form, and then i is
+    its invertible dimension, so each member fixed point adds 1 to |N_i|.
+    Each spec decides member(X) and member(X_inv + 0) through its own
+    ``_Verdicts`` table of q^(d^2) bytes, each admitted against the budget,
+    so ``spec.member`` runs at most once per matrix.  The checks run spec
+    by spec in the order given, so the first failure raised is the one of
+    the sequential ``census_exact`` calls: a spec that fails in the pass
+    drops out with every spec after it.
     """
     q = ctx.order
     tables = [_Verdicts(spec.member, d, ctx, budget) for spec in specs]
     n_of_i = [[0] * (d + 1) for _ in specs]
+    n_i = [[0] * (d + 1) for _ in specs]
     index = _indexer(d, q)
     failure = None
-    for X in matrix.all_matrices(d, ctx, budget=budget):
+    # X's position is its enumeration counter
+    for k, X in enumerate(matrix.all_matrices(d, ctx, budget=budget)):
         if not tables:
             break
-        k, canon = index(X), _nilpotent_canonical(X)
+        canon = _nilpotent_canonical(X)
         kc, inv_dim = index(canon), None
         for s, (spec, member) in enumerate(zip(specs, tables)):
             in_n = member.at(k, X)
@@ -312,14 +320,15 @@ def census_exact_all(specs, d, ctx, budget=None):
                     f"spec {spec.name!r}: member(X) but not member(X_inv + 0)" if in_n else
                     f"spec {spec.name!r}: member(X_inv + 0) but not member(X)",
                     witness=X)
-                del tables[s:]
+                del tables[s:], n_i[s:]
                 break
             if in_n:
                 if inv_dim is None:
                     inv_dim = matrix.fitting_decompose(X).inv_dim
                 n_of_i[s][inv_dim] += 1
+                if kc == k:
+                    n_i[s][inv_dim] += 1
 
-    n_i = _flag_counts([lambda Y, t=t: t.at(index(Y), Y) for t in tables], d, ctx, budget)
     out = [_check_census(spec, d, ctx, counts, flags)
            for spec, counts, flags in zip(specs, n_of_i, n_i)]
     if failure is not None:
@@ -356,28 +365,6 @@ def _check_census(spec, d, ctx, n_of_i, n_i):
                       per_i=tuple(per), lhs=lhs, rhs=rhs)
 
 
-def _flag_counts(members, d, ctx, budget):
-    """|N_i| for i = 0..d per member: the Y in GL(i, q) with member(Y + 0_{d-i}).
-
-    One enumeration of the standard flag's matrices serves every member.
-    """
-    counts = [[0] * (d + 1) for _ in members]
-    for i, X in _flag_matrices(d, ctx, budget):
-        for n_i, member in zip(counts, members):
-            if member(X):
-                n_i[i] += 1
-    return counts
-
-
-def _flag_matrices(d, ctx, budget):
-    """(i, Y + 0_{d-i}) for i = 0..d and Y in GL(i, q), GL(0, q) being one matrix."""
-    yield 0, Mat.zero(ctx, d)
-    for i in range(1, d + 1):
-        pad = Mat.zero(ctx, d - i)
-        for Y in matrix.all_invertible(i, ctx, budget=budget):
-            yield i, matrix.direct_sum(Y, pad)
-
-
 def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
     """|N_i| recomputed for the flag spanned by the leading rows of g.
 
@@ -386,7 +373,10 @@ def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
     genuine NI family the cardinalities match the standard-flag ones.
     """
     g_inv = matrix.inverse(g)
-    return tuple(_flag_counts([lambda X: spec.member(g_inv * X * g)], d, ctx, budget)[0])
+    return tuple(
+        sum(1 for Y in matrix.all_invertible(i, ctx, budget=budget)
+            if spec.member(g_inv * matrix.direct_sum(Y, Mat.zero(ctx, d - i)) * g))
+        for i in range(d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +491,9 @@ class _Audit:
     conjugations: int = 0
 
 
-def _conjugates(X, pairs, index):
-    """(position, g^-1 X g) for each (g^-1, g) of ``pairs``, in their order."""
-    for g_inv, g in pairs:
-        Y = g_inv * X * g
-        yield index(Y), Y
+def _orbit(X, pairs, index):
+    """[(position, g^-1 X g)] for each (g^-1, g) of ``pairs``, in their order."""
+    return [(index(Y), Y) for Y in (g_inv * X * g for g_inv, g in pairs)]
 
 
 def ni_verify_all(specs, d, ctx, budget=None):
@@ -518,13 +506,15 @@ def ni_verify_all(specs, d, ctx, budget=None):
     more than AUDIT_EXHAUSTIVE_MAX matrices or more than the budget.
 
     One pass serves every spec: each conjugator is inverted once, and the
-    canonical form and position of each X are computed once.  The orbit
-    {g^-1 X g} of the first X of each orbit is built once, and each spec
-    marks it uniform when its verdicts on the orbit agree; a uniform X
-    counts every conjugator as checked, any other X scans g for the first
-    differing verdict.  Each spec decides through its own ``_Verdicts``
-    table of q^(d^2) bytes, so ``spec.member`` runs at most once per
-    matrix, and leaves the pass at its AUDIT_MAX_VIOLATIONS-th violation.
+    canonical form of each X is computed once.  The orbit {g^-1 X g} is
+    built once, as a list, at its first X, where each spec's orbit marks
+    are still 0, and each spec marks it uniform when its verdicts on the
+    orbit agree.  A uniform X counts every conjugator as checked; any other
+    X lists its own conjugates and stops at the first differing verdict,
+    which exists because they make up the whole orbit.  Each spec decides
+    through its own ``_Verdicts`` table of q^(d^2) bytes, so ``spec.member``
+    runs at most once per matrix, and leaves the pass at its
+    AUDIT_MAX_VIOLATIONS-th violation.
     """
     q = ctx.order
     total = gf.admit(q, d * d, f"matrices of M({d}, {q})", budget, AUDIT_EXHAUSTIVE_MAX)
@@ -532,39 +522,29 @@ def ni_verify_all(specs, d, ctx, budget=None):
                      bytearray(total), []) for spec in specs]
     index = _indexer(d, q)
     pairs = tuple((matrix.inverse(g), g) for g in matrix.all_invertible(d, ctx, budget=budget))
-    built = bytearray(total)
     live = list(audits)
-    for X in matrix.all_matrices(d, ctx, budget=budget):
+    for k, X in enumerate(matrix.all_matrices(d, ctx, budget=budget)):
         if not live:
             break
-        k, canon = index(X), _nilpotent_canonical(X)
-        kc = index(canon)
-        # the whole orbit at its first X, else only as far as a scan needs
-        more, conjugates = _conjugates(X, pairs, index), []
-        fresh = not built[k]
-        if fresh:
-            conjugates.extend(more)
-            for j, _ in conjugates:
-                built[j] = 1
+        canon = _nilpotent_canonical(X)
+        kc, orbit = index(canon), None
         for audit in list(live):
-            member = audit.member
+            member, marks = audit.member, audit.marks
             m_x = member.at(k, X)
             if m_x != member.at(kc, canon):
                 audit.violations.append(("nilpotent-part-dependence", X, None))
-            if fresh:
-                mark = 1 + all(member.at(j, Y) == m_x for j, Y in conjugates)
-                for j, _ in conjugates:
-                    audit.marks[j] = mark
-            if audit.marks[k] == 2:
+            if not marks[k]:  # the first X of its orbit
+                orbit = orbit or _orbit(X, pairs, index)
+                mark = 1 + all(member.at(j, Y) == m_x for j, Y in orbit)
+                for j, _ in orbit:
+                    marks[j] = mark
+            if marks[k] == 2:
                 audit.conjugations += len(pairs)
-            else:
-                for t, (_, g) in enumerate(pairs):
-                    if t == len(conjugates):
-                        conjugates.append(next(more))
-                    audit.conjugations += 1
-                    if member.at(*conjugates[t]) != m_x:
-                        audit.violations.append(("conjugation-dependence", X, g))
-                        break
+            else:  # X's conjugates make up the whole orbit, so one of them differs
+                orbit = orbit or _orbit(X, pairs, index)
+                t = next(t for t, (j, Y) in enumerate(orbit) if member.at(j, Y) != m_x)
+                audit.conjugations += t + 1
+                audit.violations.append(("conjugation-dependence", X, pairs[t][1]))
             if len(audit.violations) >= AUDIT_MAX_VIOLATIONS:
                 live.remove(audit)
 

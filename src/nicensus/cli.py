@@ -127,7 +127,7 @@ def cmd_census(args):
 
 def cmd_quokka(args):
     if args.r is not None:
-        value = quokka.quokka_pc_single(args.c, args.q, args.b, args.r, args.budget)
+        value = quokka.quokka_pc_single(args.c, args.q, args.b, args.r)
         result = {
             "c": args.c, "q": args.q, "b": args.b, "r": args.r,
             "per_polynomial": value,
@@ -352,7 +352,7 @@ def suite_quokka_closed_forms(budget=None, seed=42):
         for b in (1, 2, 3):
             for q in (2, 3):
                 for r in range(c // 2 + 1, c + 1):
-                    single = quokka.quokka_pc_single(c, q, b, r, budget)
+                    single = quokka.quokka_pc_single(c, q, b, r)
                     if single != Fraction(b, q ** (b * r) - 1):
                         grid_ok = False
     checks.append(SuiteCheck("class-sum collapse c<=6 b<=3 q in {2,3}",

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import gf, intervals, poly
+from . import intervals, poly
 from .census import flag_sum, omega
-from .errors import BudgetExceeded, RangeError
+from .errors import RangeError
 from .intervals import log2_interval, rational_power_interval
 
 
@@ -46,27 +46,6 @@ def _partitions(c, cap=None):
     for first in range(cap, 0, -1):
         for rest in _partitions(c - first, first):
             yield (first,) + rest
-
-
-def _admit_partitions(n, budget=None):
-    """Refuse with BudgetExceeded when the partitions of n exceed the budget.
-
-    p(k) follows Euler's pentagonal recurrence.  p grows with k, so the
-    count stops at the first p(k) past the cap: p(n) is never computed
-    beyond it.
-    """
-    cap = gf.enumeration_budget(budget)
-    p = [1]
-    while len(p) <= n and p[-1] <= cap:
-        k, total, j = len(p), 0, 1
-        while j * (3 * j - 1) // 2 <= k:
-            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-                if g <= k:
-                    total += p[k - g] if j % 2 else -p[k - g]
-            j += 1
-        p.append(total)
-    if p[-1] > cap:
-        raise BudgetExceeded(f"partitions of {n} exceed the cap {cap}")
 
 
 def _class_proportion(parts):
@@ -88,18 +67,22 @@ def cycle_types(c):
     return tuple((parts, _class_proportion(parts)) for parts in _partitions(c))
 
 
-def r_cycle_proportion(c, r, budget=None):
+def r_cycle_proportion(c, r):
     """Proportion of permutations in S_c containing an r-cycle, r > c/2.
 
     For r > c/2 the cycle types with an r-part are exactly (r) + lambda
-    for the partitions lambda of c - r, so the partition sum runs over
-    those alone, once their number is admitted against the budget.  An
-    r-part cannot repeat, and the value is exactly 1/r (a closed form
-    that fails below the threshold, hence the range restriction).
+    for the partitions lambda of c - r, and an r-part cannot repeat, so
+    the proportion is a_(c-r) / r with a_n = sum_{lambda |- n} 1/z_lambda.
+    The exponential formula gives a_0 = 1 and n a_n = sum_{j<n} a_j, so no
+    partition is enumerated.  The value is exactly 1/r (a closed form that
+    fails below the threshold, hence the range restriction).
     """
     _check_r(c, r)
-    _admit_partitions(c - r, budget)
-    return sum((_class_proportion((r,) + rest) for rest in _partitions(c - r)), Fraction(0))
+    a = total = Fraction(1)  # a_n and sum_{j<=n} a_j, from n = 0
+    for n in range(1, c - r + 1):
+        a = total / n
+        total += a
+    return a / r
 
 
 def _check_r(c, r):
@@ -114,7 +97,7 @@ def _check_r(c, r):
 # ---------------------------------------------------------------------------
 
 
-def quokka_pc_single(c, q, b, r, budget=None):
+def quokka_pc_single(c, q, b, r):
     """Class sum for one fixed polynomial of degree b*r, r > c/2.
 
     Torus model: proportion b*r/(q^{b*r} - 1) on classes with an r-part
@@ -124,7 +107,7 @@ def quokka_pc_single(c, q, b, r, budget=None):
     """
     if b < 1:
         raise RangeError(f"need b >= 1, got {b}")
-    return r_cycle_proportion(c, r, budget) * Fraction(b * r, q ** (b * r) - 1)
+    return r_cycle_proportion(c, r) * Fraction(b * r, q ** (b * r) - 1)
 
 
 def pc_r(q, b, r):

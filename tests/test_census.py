@@ -455,35 +455,56 @@ def test_lemma31_enumerates_each_space_once(monkeypatch, capsys):
     canonical = _recorded(monkeypatch, census, "_nilpotent_canonical")
     assert cli.main(["verify", "--suite", "lemma31"]) == 0
     capsys.readouterr()
-    expected = Counter()
-    for d, q in [(2, 2), (2, 3), (3, 2)]:
-        # one pass over M(d, q) for all six specs, and one over each M(i, q)
-        # for the flag counts' GL(i, q)
-        expected.update([(d, q), *((i, q) for i in range(1, d + 1))])
-    expected.update((n, q) for n in (1, 2, 3) for q in (2, 3))  # the nilpotent counts
+    # one pass over M(d, q) for all six specs, and none over M(i, q) for the
+    # flag counts' GL(i, q); then the nilpotent counts
+    expected = Counter([(2, 2), (2, 3), (3, 2)])
+    expected.update((n, q) for n in (1, 2, 3) for q in (2, 3))
     assert Counter((n, ctx.order) for n, ctx in passes) == expected
     per_matrix = Counter((X.ctx.order, X.rows) for (X,) in canonical)
     assert len(per_matrix) == 2 ** 4 + 3 ** 4 + 2 ** 9 and max(per_matrix.values()) == 1
 
 
 def test_theorem1_builds_each_orbit_once(monkeypatch, capsys):
-    orbits = {}  # (q, X) -> conjugates built at X
-    conjugates = census._conjugates
+    orbits = []  # (q, conjugators, the orbit's matrices) per orbit built
+    orbit = census._orbit
 
     def recorded(X, pairs, index):
-        for k, Y in conjugates(X, pairs, index):
-            orbits.setdefault((X.ctx.order, X.rows), []).append(Y.rows)
-            yield k, Y
+        conjugates = orbit(X, pairs, index)
+        orbits.append((X.ctx.order, len(pairs), {Y.rows for _, Y in conjugates}))
+        return conjugates
 
-    monkeypatch.setattr(census, "_conjugates", recorded)
+    monkeypatch.setattr(census, "_orbit", recorded)
     assert cli.main(["verify", "--suite", "theorem1"]) == 0
     capsys.readouterr()
     for q in (2, 3):
-        built = [ys for (p, _), ys in orbits.items() if p == q]
+        built = [(n, ys) for p, n, ys in orbits if p == q]
         # every conjugator at each first X, and orbits that partition M(2, q)
-        assert all(len(ys) == matrix.gl_order(2, q) for ys in built)
-        distinct = [set(ys) for ys in built]
+        assert all(n == matrix.gl_order(2, q) for n, _ in built)
+        distinct = [ys for _, ys in built]
         assert sum(map(len, distinct)) == len(set().union(*distinct)) == q ** 4
+
+
+def _flag_dim(X):
+    """i when X is Y + 0_{d-i} with Y invertible, else None."""
+    for i in range(X.n + 1):
+        Y = Mat(X.ctx, i, tuple(row[:i] for row in X.rows[:i]))
+        if X == matrix.direct_sum(Y, Mat.zero(X.ctx, X.n - i)) and matrix.is_invertible(Y):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
+def test_canonical_fixed_points_are_the_flag_matrices(d, ctx):
+    # the census reads |N_i| off the fixed points of X -> X_inv + 0
+    fixed = Counter()
+    for X in matrix.all_matrices(d, ctx):
+        i = _flag_dim(X)
+        assert (census._nilpotent_canonical(X) == X) == (i is not None), X.rows
+        if i is not None:
+            assert matrix.fitting_decompose(X).inv_dim == i
+            fixed[i] += 1
+    assert [fixed[i] for i in range(d + 1)] == [matrix.gl_order(i, ctx.order)
+                                                 for i in range(d + 1)]
 
 
 @pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])

@@ -253,6 +253,29 @@ def test_out_of_range_arguments_exit_4(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("a", ["4", "-1", "99999999999999999999"], ids=["q", "neg", "huge"])
+@pytest.mark.parametrize("command", ["census", "estimate"])
+def test_has_eigenvalue_outside_the_field_exit_4(command, a, capsys):
+    # F_4's elements are 0..3, the range matrix entries are checked against
+    argv = [command, "--spec", f"has-eigenvalue({a})", "--d", "1", "--q", "2^2"]
+    assert cli.main(argv + (["--n", "10"] if command == "estimate" else [])) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "outside field of order 4" in err
+
+
+@pytest.mark.parametrize("a, successes", [(0, 70), (1, 66), (2, 56), (3, 44)])
+def test_has_eigenvalue_inside_the_field_counts(a, successes, capsys):
+    # X -> X + (a - b) I carries eigenvalue b to a: each a has the 256 - 180
+    # singular matrices' count in M(2, 4)
+    spec = ["--spec", f"has-eigenvalue({a})", "--d", "2", "--q", "2^2"]
+    code, out = run_cli(["census", *spec], capsys)
+    assert code == 0 and json.loads(out)["result"]["n_total"] == 76
+    code, out = run_cli(["estimate", *spec, "--n", "200"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0 and (result["successes"], result["exact"]) == \
+        (successes, {"num": "19", "den": "64"})
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--spec", "all", "--d", "1", "--q", "1000000000000000003"],
     ["census", "--spec", "all", "--d", "1", "--q", "2^3000000000"],
@@ -308,15 +331,14 @@ def test_oversized_enumerations_are_refused_in_the_exponent(argv, capsys):
     assert "exceed the cap" in err and not re.search(r"[0-9]{31}", err)
 
 
-def test_quokka_r_is_bounded_by_the_budget(capsys):
-    # S_149 has about 10^11 cycle types: refused before any is enumerated
-    with time_limit(10):
-        assert cli.main(["quokka", "--c", "300", "--q", "2", "--b", "2", "--r", "151"]) == 4
-    assert "partitions of 149 exceed the cap" in capsys.readouterr().err
-    with time_limit(10):
-        assert cli.main(["quokka", "--c", "60", "--q", "2", "--b", "2", "--r", "31"]) == 0
-    assert cli.main(["quokka", "--c", "60", "--q", "2", "--b", "2", "--r", "31",
-                     "--budget", "4564"]) == 4  # p(29) = 4565
+def test_quokka_r_needs_no_enumeration(capsys):
+    # S_149 has about 10^11 cycle types, S_59 about 10^6: the r-cycle
+    # proportion is summed by a recurrence, not over them
+    for c, r in [(300, 151), (120, 61)]:
+        with time_limit(2):
+            assert cli.main(["quokka", "--c", str(c), "--q", "2", "--b", "2", "--r", str(r)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["per_polynomial"] == \
+            {"num": "2", "den": str(4 ** r - 1)}
 
 
 def test_results_past_the_int_digit_limit_are_written(capsys):

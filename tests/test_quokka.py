@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nicensus import census, embed, gf, intervals, matrix, poly, quokka
-from nicensus.errors import BudgetExceeded, RangeError
+from nicensus.errors import RangeError
 from nicensus.quokka import (
     cycle_types,
     harmonic_band_verdict,
@@ -58,14 +58,6 @@ def test_r_cycle_proportion_equals_the_full_cycle_type_sum():
         for r in range(c // 2 + 1, c + 1):
             full = sum((prop for parts, prop in cycle_types(c) if r in parts), Fraction(0))
             assert r_cycle_proportion(c, r) == full, (c, r)
-
-
-def test_partitions_are_admitted_at_their_count():
-    for n in range(30):
-        count = sum(1 for _ in quokka._partitions(n))
-        quokka._admit_partitions(n, budget=count)
-        with pytest.raises(BudgetExceeded):
-            quokka._admit_partitions(n, budget=count - 1)
 
 
 def test_quokka_pc_single_examples():
