@@ -135,7 +135,9 @@ def cmd_quokka(args):
         }
         return result, EXIT_OK, None
     c, q, b = args.c, args.q, args.b
-    algebra_bound = quokka.thm_pc_m_bound(c, q, b)  # first: it rejects c < 2 and b < 2
+    gf.admit(c * c * abs(b) * q.bit_length(), 1, f"units of closed-form work at c={c}",
+             quokka.WORK_MAX)
+    algebra_bound = quokka.thm_pc_m_bound(c, q, b)  # it rejects c < 2 and b < 2
     algebra_exact = quokka.thm_pc_m_exact(c, q, b)
     exact_by_r = [(r, quokka.pc_r(q, b, r)) for r in range(c // 2 + 1, c + 1)]
     exact_total = quokka.ngl_exact(c, q, b)

@@ -8,6 +8,9 @@ Characteristic polynomials go through an exact similarity reduction to
 Hessenberg form followed by the leading-principal-minor recurrence;
 minimal polynomials are least common multiples of per-start-vector
 annihilators read off Krylov chains.  Both are deterministic.
+Primary cyclicity reads no minimal polynomial: X is f-primary cyclic
+exactly when f divides the charpoly and f(X) has nullity deg f, the
+MEAT-AXE test of Holt & Rees (J. Austral. Math. Soc. A 57 (1994)).
 
 The Fitting split is one change of basis: a single elimination of
 [X^n | I] gives the canonical bases of the image and the kernel of X^n.
@@ -288,14 +291,13 @@ def minpoly(M):
 
 
 def evaluate_poly_at(f, M):
-    """f(X) by Horner's rule with matrix arithmetic."""
-    ctx = M.ctx
-    n = M.n
-    acc = Mat.zero(ctx, n)
-    for c in reversed(f.coeffs):
-        acc = acc * M
-        if c:
-            acc = acc + Mat.scalar(ctx, n, c)
+    """f(X) by Horner's rule: from lead(f) I, multiply by X and add each
+    further coefficient on the diagonal."""
+    add, acc = M.ctx.add, Mat.scalar(M.ctx, M.n, f.coeffs[-1] if f.coeffs else 0)
+    for c in reversed(f.coeffs[:-1]):
+        rows = (acc * M).rows
+        acc = Mat(M.ctx, M.n, tuple(row[:i] + (add(row[i], c),) + row[i + 1:]
+                                    for i, row in enumerate(rows)) if c else rows)
     return acc
 
 
@@ -365,7 +367,10 @@ def is_nilpotent(M):
     pushed through M n - 1 times.  A row is no longer pushed once it is
     zero, and the first nonzero row of M^n decides False.
     """
-    if functools.reduce(M.ctx.add, (row[i] for i, row in enumerate(M.rows)), 0):
+    trace = 0
+    for i, row in enumerate(M.rows):
+        trace = M.ctx.add(trace, row[i])
+    if trace:
         return False
     for row in M.rows:
         for _ in range(M.n - 1):
@@ -393,11 +398,11 @@ def primary_components(M):
 def primary_cyclic_factors(M):
     """Every monic irreducible f for which M is f-primary cyclic, canonically ordered.
 
-    M is f-primary cyclic when f has the same multiplicity >= 1 in the
-    characteristic and the minimal polynomial; the polynomial tail is
-    ``poly.equal_multiplicity_factors``, memoized by a bounded ``lru_cache``.
+    Each cyclic summand of V_f adds deg f to the nullity of f(X), so V_f is
+    cyclic exactly when that nullity is deg f; a simple factor always is.
     """
-    return poly.equal_multiplicity_factors(charpoly(M), minpoly(M))
+    return tuple(f for f, m_f in poly.factorize(charpoly(M)).factors
+                 if m_f == 1 or M.n - rank(evaluate_poly_at(f, M)) == f.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +475,14 @@ def all_matrices(n, ctx, budget=None):
     """Iterate M(n, q) in index order; refuses counts beyond the budget.
 
     Matrix i has the base-q digits of i as its entries, row-major with the
-    first least significant: the reversed tuples of ``itertools.product``,
-    cut into rows of n.
+    first least significant: n picks of the q^n rows, each row built once
+    with its first entry least significant, reversed so row 0 varies fastest.
     """
     q = ctx.order
     gf.admit(q, n * n, f"matrices of M({n}, {q})", budget)
-    for entries in itertools.product(range(q), repeat=n * n):
-        digits = reversed(entries)
-        yield Mat(ctx, n, tuple(zip(*[digits] * n)))
+    rows = [digits[::-1] for digits in itertools.product(range(q), repeat=n)]
+    for picks in itertools.product(rows, repeat=n):
+        yield Mat(ctx, n, picks[::-1])
 
 
 def all_invertible(n, ctx, budget=None):

@@ -21,11 +21,10 @@ call.  The row t^p, the odd-q split and ``Poly.__pow__`` square and
 multiply through ``gf.power``.  f is irreducible exactly when it is its
 own large factor, so ``is_irreducible`` asks ``large_factor``.
 
-``factorize(f)`` and ``equal_multiplicity_factors(cp, mp)``, the
-polynomial tail of ``matrix.primary_cyclic_factors``, are pure and
-memoized for the life of the process by ``functools.lru_cache``, keyed
-by their arguments: ``Poly`` equality compares fields by identity, so
-two fields of one order with different moduli never share an entry.
+``factorize(f)`` is pure and memoized for the life of the process by
+``functools.lru_cache``, keyed by f: ``Poly`` equality compares fields
+by identity, so two fields of one order with different moduli never
+share an entry.
 ``member(X)`` is never memoized by a charpoly: X and X_inv + 0 share
 theirs, so the NI audits would compare a verdict with itself
 (``census._Verdicts`` tables it by the exact matrix instead).
@@ -497,18 +496,6 @@ def large_factor(f):
         u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
         c = _gcd_lists(ctx, u, c)
     return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
-
-
-@functools.lru_cache(maxsize=_MEMO_MAX)
-def equal_multiplicity_factors(cp, mp):
-    """The monic irreducible factors f of cp with equal multiplicity in cp and mp.
-
-    mp divides cp.  Multiplicities add, v_f(cp) = v_f(mp) + v_f(cp / mp),
-    so a factor f of cp qualifies exactly when f does not divide
-    rest = cp / mp, one division per f.  Canonically ordered.
-    """
-    rest = cp // mp
-    return tuple(f for f, _ in factorize(cp).factors if not (rest % f).is_zero)
 
 
 def multiplicity_in(f, g):

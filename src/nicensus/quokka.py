@@ -187,6 +187,12 @@ def ngl_band_verdict(c, q, b):
 # ---------------------------------------------------------------------------
 
 
+# The closed forms at c hold Fractions of about c^2 b log2(q) bits, whose
+# gcds cost quadratically in that: at this cap on c^2 b bit_length(q) the
+# largest admitted c answers in about 2 s, and c = 300 at q = b = 2 took 8 s.
+WORK_MAX = 1 << 17
+
+
 def _check_cb(c, b):
     if c < 2 or b < 2:
         raise RangeError(f"need b, c >= 2, got c={c}, b={b}")

@@ -341,6 +341,18 @@ def test_quokka_r_needs_no_enumeration(capsys):
             {"num": "2", "den": str(4 ** r - 1)}
 
 
+def test_quokka_c_is_refused_past_its_closed_form_work(capsys):
+    # c^2 b bit_length(q) <= 2^17: at q = 2, b = 4 the largest admitted c is 128
+    with time_limit(10):
+        assert cli.main(["quokka", "--c", "128", "--q", "2", "--b", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["c"] == 128
+    for c, b in [(129, 4), (300, 2), (10 ** 9, 2), (2, 10 ** 9)]:
+        with time_limit(1):
+            assert cli.main(["quokka", "--c", str(c), "--q", "2", "--b", str(b)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceed the cap 131072" in captured.err
+
+
 def test_results_past_the_int_digit_limit_are_written(capsys):
     # the exact rationals at c = 120 have more than 4,300 digits
     limit = sys.get_int_max_str_digits()

@@ -1,10 +1,11 @@
 """Linear algebra invariants, mostly by exhaustion over the tiny algebras."""
 
+import itertools
 import random
 
 import pytest
 
-from nicensus import census, estimate, gf, matrix, poly
+from nicensus import census, embed, estimate, gf, matrix, poly
 from nicensus.errors import DegreeMismatch, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
@@ -193,7 +194,13 @@ def test_is_nilpotent_equals_power_oracle():
 
 
 def test_primary_cyclic_factors_equals_multiplicity_oracle():
-    mats = _exhaustive_and_sampled([(3, F2), (2, F3)], [(4, F4, 200)], seed=37)
+    # the nullity test against equal multiplicities in charpoly and minpoly,
+    # on every matrix of four small spaces, sampled 4x4 matrices over F_4
+    # and the 4x4 blow-ups over F_2 of all of M(2, F_4)
+    tower = embed.tower_for(F4, 2)
+    mats = itertools.chain(
+        _exhaustive_and_sampled([(3, F2), (2, F3), (2, F4), (2, F5)], [(4, F4, 200)], seed=37),
+        (embed.blow_up(X, tower) for X in matrix.all_matrices(2, F4)))
     for M in mats:
         mp = matrix.minpoly(M)
         expected = tuple(f for f, m_f in poly.factorize(matrix.charpoly(M)).factors
@@ -201,16 +208,25 @@ def test_primary_cyclic_factors_equals_multiplicity_oracle():
         assert matrix.primary_cyclic_factors(M) == expected, M
 
 
-def test_primary_cyclic_factors_memo_matches_unscoped(monkeypatch):
-    mats = list(matrix.all_matrices(3, F2)) + list(matrix.all_matrices(2, F3))
-    pairs = [(matrix.charpoly(M), matrix.minpoly(M)) for M in mats]
-    with monkeypatch.context() as m:
-        m.setattr(poly, "factorize", poly.factorize.__wrapped__)
-        unscoped = [poly.equal_multiplicity_factors.__wrapped__(cp, mp) for cp, mp in pairs]
-    poly.equal_multiplicity_factors.cache_clear()
-    assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped  # cold, then hits
-    assert [matrix.primary_cyclic_factors(M) for M in mats] == unscoped  # repeat: all hits
-    assert poly.equal_multiplicity_factors.cache_info().misses == len(set(pairs))
+def test_primary_cyclic_factors_decides_a_repeated_quadratic_by_nullity():
+    # f^2 and f (+) f share the charpoly f^2; f(X) has nullity 2 = deg f on
+    # the cyclic one and 4 on the other
+    f = Poly.make(F2, (1, 1, 1))
+    cyclic, split = matrix.companion(f * f), matrix.direct_sum(*[matrix.companion(f)] * 2)
+    assert matrix.charpoly(cyclic) == matrix.charpoly(split) == f * f
+    assert [4 - matrix.rank(matrix.evaluate_poly_at(f, X)) for X in (cyclic, split)] == [2, 4]
+    assert matrix.primary_cyclic_factors(cyclic) == (f,)
+    assert matrix.primary_cyclic_factors(split) == ()
+
+
+def test_evaluate_poly_at_equals_the_sum_of_powers():
+    for M in _exhaustive_and_sampled([(2, F3)], [(3, F4, 30)], seed=41):
+        for coeffs in [(), (2,), (0, 1), (1, 0, 2), (2, 1, 0, 1), (0, 0, 0, 0, 1)]:
+            f = Poly.make(M.ctx, coeffs)
+            expected = Mat.zero(M.ctx, M.n)
+            for i, c in enumerate(f.coeffs):
+                expected = expected + Mat.scalar(M.ctx, M.n, c) * M ** i
+            assert matrix.evaluate_poly_at(f, M) == expected, (M, f)
 
 
 def test_minpoly_is_minimal_exhaustive():
@@ -313,6 +329,14 @@ def test_all_matrices_in_index_order(n, ctx):
     index = census._indexer(n, q)
     assert [index(M) for M in mats] == list(range(len(mats)))
     assert sum(1 for _ in matrix.all_invertible(n, ctx)) == matrix.gl_order(n, q)
+
+
+@pytest.mark.parametrize("n, ctx", [(3, F2), (2, F4), (3, F3)], ids=["d3-q2", "q4", "d3-q3"])
+def test_all_matrices_keeps_the_entry_product_order(n, ctx):
+    # the reversed entry tuples of one product over all n^2 entries, cut into rows
+    entries = (reversed(e) for e in itertools.product(range(ctx.order), repeat=n * n))
+    assert list(matrix.all_matrices(n, ctx)) == [
+        Mat(ctx, n, tuple(zip(*[digits] * n))) for digits in entries]
 
 
 def test_text_roundtrip_and_errors():

@@ -170,7 +170,6 @@ def test_cache_inventory():
         "embed.tower_for": None,
         "intervals.log2_interval": None,
         "poly.factorize": poly._MEMO_MAX,
-        "poly.equal_multiplicity_factors": poly._MEMO_MAX,
         "matrix.fitting_decompose": matrix._SPLIT_MEMO_MAX,
         "estimate._lane_constants": estimate._LANES,
     }
