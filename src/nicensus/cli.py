@@ -126,15 +126,17 @@ def cmd_census(args):
 
 
 def cmd_quokka(args):
-    if args.r is not None:
-        value = quokka.quokka_pc_single(args.c, args.q, args.b, args.r)
+    c, q, b, r = args.c, args.q, args.b, args.r
+    if r is not None:
+        # the values hold about b r log2(q) bits
+        gf.admit(abs(b * r) * q.bit_length(), 1, f"units of closed-form work at r={r}",
+                 quokka.WORK_MAX)
         result = {
-            "c": args.c, "q": args.q, "b": args.b, "r": args.r,
-            "per_polynomial": value,
-            "per_degree": quokka.pc_r(args.q, args.b, args.r),
+            "c": c, "q": q, "b": b, "r": r,
+            "per_polynomial": quokka.quokka_pc_single(c, q, b, r),
+            "per_degree": quokka.pc_r(q, b, r),
         }
         return result, EXIT_OK, None
-    c, q, b = args.c, args.q, args.b
     gf.admit(c * c * abs(b) * q.bit_length(), 1, f"units of closed-form work at c={c}",
              quokka.WORK_MAX)
     algebra_bound = quokka.thm_pc_m_bound(c, q, b)  # it rejects c < 2 and b < 2
@@ -160,7 +162,7 @@ def cmd_quokka(args):
         "overall": overall,
     }
     rows = None
-    if args.table or args.csv:
+    if args.csv:
         rows = [["r", "value_num", "value_den"]]
         rows += [[r, v.numerator, v.denominator] for r, v in exact_by_r]
     return result, _EXIT_CODES[overall], rows
@@ -342,20 +344,24 @@ def suite_quokka_closed_forms(budget=None, seed=42):
         base = gf.field_of_order(q)
         tower = embed.tower_for(gf.field_create(base.p, base.k * b), b)
         counts, gl_size = embed.pc_counts_by_f(c, tower, r, budget=budget)
-        expected = Fraction(b, q ** (b * r) - 1)
+        expected = quokka.quokka_pc_single(c, q, b, r)
         ok = all(Fraction(cnt, gl_size) == expected for cnt in counts.values())
         ok = ok and len(counts) == poly.irr_count(b * r, q)
         checks.append(SuiteCheck(
             f"closed-form b/(q^br - 1) c={c} b={b} q={q} r={r}",
             "pass" if ok else "fail",
             f"{len(counts)} polynomials, |GL|={gl_size}, expected {expected}"))
+    # the torus model: proportion b r/(q^{br} - 1) on the cycle types with an r-part
     grid_ok = True
     for c in range(1, 7):
+        types = quokka.cycle_types(c)
         for b in (1, 2, 3):
             for q in (2, 3):
                 for r in range(c // 2 + 1, c + 1):
-                    single = quokka.quokka_pc_single(c, q, b, r)
-                    if single != Fraction(b, q ** (b * r) - 1):
+                    torus = Fraction(b * r, q ** (b * r) - 1)
+                    total = sum((prop * torus for parts, prop in types if r in parts),
+                                Fraction(0))
+                    if total != quokka.quokka_pc_single(c, q, b, r):
                         grid_ok = False
     checks.append(SuiteCheck("class-sum collapse c<=6 b<=3 q in {2,3}",
                              "pass" if grid_ok else "fail", "exact rational identity"))
@@ -566,7 +572,6 @@ def build_parser():
         gf.is_prime_power, f"a prime power p^k with p < {gf.PRIME_TEST_BOUND}"))
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--table", action="store_true")
     p.add_argument("--csv", metavar="PATH")
     common(p)
     p.set_defaults(func=cmd_quokka)

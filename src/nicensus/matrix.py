@@ -5,12 +5,13 @@ image of X is its row space and the kernel is the left null space.
 Entries are element ints; a Mat is an immutable tuple of row tuples.
 
 Characteristic polynomials go through an exact similarity reduction to
-Hessenberg form followed by the leading-principal-minor recurrence;
-minimal polynomials are least common multiples of per-start-vector
-annihilators read off Krylov chains.  Both are deterministic.
-Primary cyclicity reads no minimal polynomial: X is f-primary cyclic
-exactly when f divides the charpoly and f(X) has nullity deg f, the
-MEAT-AXE test of Holt & Rees (J. Austral. Math. Soc. A 57 (1994)).
+Hessenberg form followed by the leading-principal-minor recurrence.
+Everything else about f(X), for f an irreducible divisor of the charpoly
+of multiplicity m_f, is read off nullities, as in the MEAT-AXE test of
+Holt & Rees (J. Austral. Math. Soc. A 57 (1994)): X is f-primary cyclic
+exactly when f(X) has nullity deg f, and the exponent e_f of f in the
+minimal polynomial is the least e at which f(X)^e has nullity m_f deg f.
+The minimal polynomial is the product of the f^{e_f}.
 
 The Fitting split is one change of basis: a single elimination of
 [X^n | I] gives the canonical bases of the image and the kernel of X^n.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import gf, poly
@@ -184,7 +186,7 @@ def inverse(M):
 
 
 # ---------------------------------------------------------------------------
-# Characteristic and minimal polynomials
+# Characteristic polynomial and f(X)
 # ---------------------------------------------------------------------------
 
 
@@ -241,53 +243,6 @@ def charpoly(M):
                 axpy(acc, 0, neg(mul(h, prod)), polys[m - 1 - kk])
         polys.append(acc)
     return Poly(ctx, tuple(polys[n]))
-
-
-def minpoly(M):
-    """Monic minimal polynomial via Krylov-chain annihilators.
-
-    For each standard basis vector the chain v, vX, vX^2, ... yields a
-    monic annihilator once it goes dependent; the minimal polynomial is
-    the lcm over all start vectors (early exit at full degree).  The
-    first annihilator is taken as it is: it is already monic.
-    """
-    ctx = M.ctx
-    n = M.n
-    result = Poly.one(ctx)
-    if n == 0:
-        return result
-    mul, neg, axpy = ctx.mul, ctx.neg, ctx.axpy
-    for start in range(n):
-        if result.degree == n:
-            break
-        v = tuple(1 if j == start else 0 for j in range(n))
-        # echelon rows: (vector list, pivot col, combination over chain powers)
-        echelon = []
-        chain_len = 0
-        cur = v
-        while True:
-            vec = list(cur)
-            comb = [0] * (chain_len + 1)
-            comb[chain_len] = 1
-            for evec, epiv, ecomb in echelon:
-                c = vec[epiv]
-                if c:
-                    axpy(vec, 0, neg(c), evec)
-                    axpy(comb, 0, neg(c), ecomb)
-            piv = next((i for i, a in enumerate(vec) if a), None)
-            if piv is None:
-                ann = Poly(ctx, tuple(comb))
-                break
-            lead = vec[piv]
-            if lead != 1:
-                linv = ctx.inv(lead)
-                vec = [mul(linv, a) for a in vec]
-                comb = [mul(linv, a) for a in comb]
-            echelon.append((vec, piv, comb))
-            chain_len += 1
-            cur = M.apply_to_row(cur)
-        result = ann if start == 0 else poly.poly_lcm(result, ann)
-    return result
 
 
 def evaluate_poly_at(f, M):
@@ -386,13 +341,24 @@ def primary_components(M):
     """Per irreducible divisor f of the charpoly, canonically ordered:
     (f, basis of V_f, m_f, e_f).
 
-    m_f and e_f are the multiplicities of f in the characteristic and
-    minimal polynomials; V_f = ker f(X)^{m_f}.
+    m_f is the multiplicity of f in the charpoly.  The nullity of f(X)^e
+    grows with e until it reaches dim V_f = m_f deg f, first at e = e_f,
+    the multiplicity of f in the minimal polynomial; V_f = ker f(X)^{e_f}.
     """
-    mp = minpoly(M)
-    return tuple((f, left_kernel_basis(evaluate_poly_at(f ** m_f, M)), m_f,
-                  poly.multiplicity_in(f, mp))
-                 for f, m_f in poly.factorize(charpoly(M)).factors)
+    comps = []
+    for f, m_f in poly.factorize(charpoly(M)).factors:
+        fx = power = evaluate_poly_at(f, M)
+        e_f, basis = 1, left_kernel_basis(fx)
+        while len(basis) < m_f * f.degree:
+            power, e_f = power * fx, e_f + 1
+            basis = left_kernel_basis(power)
+        comps.append((f, basis, m_f, e_f))
+    return tuple(comps)
+
+
+def minpoly(M):
+    """Monic minimal polynomial: the product of f^{e_f} over the primary components."""
+    return math.prod((f ** e_f for f, _, _, e_f in primary_components(M)), start=Poly.one(M.ctx))
 
 
 def primary_cyclic_factors(M):

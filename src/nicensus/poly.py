@@ -263,12 +263,6 @@ def poly_gcd(a, b):
     return g.monic() if g.coeffs else g
 
 
-def poly_lcm(a, b):
-    if a.is_zero or b.is_zero:
-        return Poly.zero(a.ctx)
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 # ---------------------------------------------------------------------------
 # Irreducibility, enumeration, counting
 # ---------------------------------------------------------------------------
@@ -496,22 +490,6 @@ def large_factor(f):
         u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
         c = _gcd_lists(ctx, u, c)
     return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
-
-
-def multiplicity_in(f, g):
-    """Multiplicity of f in g by repeated exact division; g must be nonzero."""
-    if f.degree < 1:
-        raise ValueError("multiplicity of a constant is undefined")
-    if g.is_zero:
-        raise ZeroPolynomial("every polynomial divides zero infinitely often")
-    count = 0
-    while g.degree >= f.degree:
-        q, r = divmod(g, f)
-        if not r.is_zero:
-            break
-        g = q
-        count += 1
-    return count
 
 
 def is_squarefree(f):

@@ -1,21 +1,19 @@
-"""Class-weighted torus sums for the large-degree primary cyclic sets.
+"""Closed forms for the large-degree primary cyclic sets, and their bands.
 
-Conjugacy classes of invertible matrices whose membership depends only
-on the semisimple part can be counted torus by torus: classes of maximal
-tori correspond to cycle types of S_c, and the class sum
+They come from the class sum over maximal tori of GL(c, q^b), whose
+classes correspond to the cycle types of S_c (``cycle_types``):
 
     |Q| / |GL(c, q^b)| = sum over cycle types  (class proportion) *
                          (proportion of the corresponding torus in Q)
 
-applies.  For the family of matrices primary cyclic with respect to
-some degree-(b*r) polynomial, the torus proportion is b*r/(q^{b*r} - 1)
-on classes containing an r-part and 0 elsewhere, which collapses (for
-r > c/2, where at most one r-part fits) to b/(q^{b*r} - 1) per
-polynomial (``quokka_pc_single``) and to b*|Irr_{br}(q)|/(q^{br} - 1)
-per degree (``pc_r``).  ``ngl_exact`` adds the degrees r > c/2 and
-``thm_pc_m_exact`` turns them into a proportion of M(c, q^b) by the flag
-sum.  The class-sum identities are checked by the ``quokka-closed-forms``
-suite, not asserted here.
+For the matrices primary cyclic with respect to one polynomial of degree
+b*r, r > c/2, the torus proportion is b*r/(q^{b*r} - 1) on the types with
+an r-part and 0 elsewhere.  The ``quokka-closed-forms`` suite states
+that model and sums it; this module holds what the sum collapses to:
+b/(q^{b*r} - 1) per polynomial (``quokka_pc_single``) and
+b*|Irr_{br}(q)|/(q^{br} - 1) per degree (``pc_r``).  ``ngl_exact`` adds
+the degrees r > c/2 and ``thm_pc_m_exact`` turns them into a proportion
+of M(c, q^b) by the flag sum.
 
 Everything exact is a Fraction; log 2 and fractional powers of q enter
 only through outward-rounded rational intervals.
@@ -67,47 +65,24 @@ def cycle_types(c):
     return tuple((parts, _class_proportion(parts)) for parts in _partitions(c))
 
 
-def r_cycle_proportion(c, r):
-    """Proportion of permutations in S_c containing an r-cycle, r > c/2.
-
-    For r > c/2 the cycle types with an r-part are exactly (r) + lambda
-    for the partitions lambda of c - r, and an r-part cannot repeat, so
-    the proportion is a_(c-r) / r with a_n = sum_{lambda |- n} 1/z_lambda.
-    The exponential formula gives a_0 = 1 and n a_n = sum_{j<n} a_j, so no
-    partition is enumerated.  The value is exactly 1/r (a closed form that
-    fails below the threshold, hence the range restriction).
-    """
-    _check_r(c, r)
-    a = total = Fraction(1)  # a_n and sum_{j<=n} a_j, from n = 0
-    for n in range(1, c - r + 1):
-        a = total / n
-        total += a
-    return a / r
-
-
-def _check_r(c, r):
-    if c < 1:
-        raise RangeError(f"need c >= 1, got {c}")
-    if not (2 * r > c and r <= c):
-        raise RangeError(f"need c/2 < r <= c, got r={r}, c={c}")
-
-
 # ---------------------------------------------------------------------------
 # Torus sums and closed forms
 # ---------------------------------------------------------------------------
 
 
 def quokka_pc_single(c, q, b, r):
-    """Class sum for one fixed polynomial of degree b*r, r > c/2.
+    """Class sum b/(q^{b*r} - 1) for one fixed polynomial of degree b*r, r > c/2.
 
-    Torus model: proportion b*r/(q^{b*r} - 1) on classes with an r-part
-    (the r-part torus factor is cyclic of order q^{br} - 1 and carries
-    exactly b*r members per qualifying polynomial), 0 elsewhere.  The
-    sum collapses to b/(q^{b*r} - 1), independent of c.
+    In the torus model of the module docstring the classes with an
+    r-part make up 1/r of S_c, so the sum is independent of c.
     """
     if b < 1:
         raise RangeError(f"need b >= 1, got {b}")
-    return r_cycle_proportion(c, r) * Fraction(b * r, q ** (b * r) - 1)
+    if c < 1:
+        raise RangeError(f"need c >= 1, got {c}")
+    if not (2 * r > c and r <= c):
+        raise RangeError(f"need c/2 < r <= c, got r={r}, c={c}")
+    return Fraction(b, q ** (b * r) - 1)
 
 
 def pc_r(q, b, r):

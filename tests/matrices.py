@@ -3,12 +3,15 @@
 ``from_index`` checks the order of ``all_matrices``;
 ``row_space_basis`` and ``fitting_blocks`` check ``fitting_decompose``;
 ``norm`` checks that the charpoly of a blow-up is the norm of the
-charpoly; ``tower_coords`` checks ``TowerCtx.coords``.
+charpoly; ``tower_coords`` checks ``TowerCtx.coords``;
+``multiplicity_in`` checks ``primary_cyclic_factors`` against the
+multiplicities in the charpoly and the minimal polynomial.
 """
 
 import itertools
 
 from nicensus import gf, matrix, poly
+from nicensus.errors import ZeroPolynomial
 from nicensus.matrix import Mat
 
 
@@ -102,3 +105,19 @@ def tower_coords(tower):
         coords[val] = combo
     assert len(coords) == ext.order
     return coords
+
+
+def multiplicity_in(f, g):
+    """Multiplicity of f in g by repeated exact division; g must be nonzero."""
+    if f.degree < 1:
+        raise ValueError("multiplicity of a constant is undefined")
+    if g.is_zero:
+        raise ZeroPolynomial("every polynomial divides zero infinitely often")
+    count = 0
+    while g.degree >= f.degree:
+        q, r = divmod(g, f)
+        if not r.is_zero:
+            break
+        g = q
+        count += 1
+    return count

@@ -1,15 +1,18 @@
 """Command-line surface: JSON determinism, exit codes, subcommand outputs."""
 
+import io
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicensus import census, cli, estimate
 
@@ -146,6 +149,12 @@ def test_estimate_rejects_tower_degree_flag(capsys):
     assert code == 4
 
 
+def test_quokka_rejects_table_flag(capsys):
+    code = cli.main(["quokka", "--c", "4", "--q", "3", "--b", "2", "--table"])
+    capsys.readouterr()
+    assert code == 4
+
+
 def test_quokka_single_r(capsys):
     code, out = run_cli(["quokka", "--c", "2", "--q", "2", "--b", "1", "--r", "2"], capsys)
     assert code == 0
@@ -193,11 +202,16 @@ def test_bounds_sandwich_check_fails_under_python_O():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
 def test_class_sum_check_fails_instead_of_raising(flags):
-    # quokka asserts no class-sum identity, so a wrong r-cycle proportion
-    # 1/(2r) is reported as a failed check, with or without -O
-    patch = "quokka.r_cycle_proportion = lambda c, r, budget=None: Fraction(1, 2 * r)"
-    assert _patched_suite_statuses(flags, patch, "suite_quokka_closed_forms",
-                                   "class-sum") == ["fail"]
+    # quokka asserts no class-sum identity, so a wrong closed form
+    # b/(2(q^br - 1)) is reported as a failed check, with or without -O;
+    # so is a sum that misses the cycle type (c), 1/c of S_c, at r = c
+    patches = [
+        "quokka.quokka_pc_single = lambda c, q, b, r: Fraction(b, 2 * (q ** (b * r) - 1))",
+        "quokka.cycle_types = (lambda full: lambda c: full(c)[1:])(quokka.cycle_types)",
+    ]
+    for patch in patches:
+        assert _patched_suite_statuses(flags, patch, "suite_quokka_closed_forms",
+                                       "class-sum") == ["fail"], patch
 
 
 def test_verify_thm15_samples_at_seed(monkeypatch, capsys):
@@ -332,8 +346,8 @@ def test_oversized_enumerations_are_refused_in_the_exponent(argv, capsys):
 
 
 def test_quokka_r_needs_no_enumeration(capsys):
-    # S_149 has about 10^11 cycle types, S_59 about 10^6: the r-cycle
-    # proportion is summed by a recurrence, not over them
+    # S_149 has about 10^11 cycle types, S_59 about 10^6: the value is their
+    # closed form, not a sum over them
     for c, r in [(300, 151), (120, 61)]:
         with time_limit(2):
             assert cli.main(["quokka", "--c", str(c), "--q", "2", "--b", "2", "--r", str(r)]) == 0
@@ -351,6 +365,37 @@ def test_quokka_c_is_refused_past_its_closed_form_work(capsys):
             assert cli.main(["quokka", "--c", str(c), "--q", "2", "--b", str(b)]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and "exceed the cap 131072" in captured.err
+
+
+def test_quokka_r_is_refused_past_its_closed_form_work(capsys):
+    # b r bit_length(q) <= 2^17: at q = 2, b = 1 the largest admitted r is 65536
+    with time_limit(5):
+        assert cli.main(["quokka", "--c", "65535", "--q", "2", "--b", "1", "--r", "65535"]) == 0
+    value = json.loads(capsys.readouterr().out)["result"]["per_polynomial"]
+    assert value["num"] == "1" and len(value["den"]) == 19729  # the digits of 2^65535 - 1
+    for c, q, b, r in [(4000001, 2, 1, 2000001), (65537, 2, 1, 65537), (1, 2, 10 ** 9, 1),
+                       (2 ** 70, 3, 1, 2 ** 70), (2, 2 ** 62, 2081, 2)]:
+        with time_limit(1):
+            assert cli.main(["quokka", "--c", str(c), "--q", str(q), "--b", str(b),
+                             "--r", str(r)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceed the cap 131072" in captured.err
+
+
+_QUOKKA_INTS = st.one_of(st.integers(-2, 10),
+                         st.sampled_from([0, -1, 10 ** 9, -10 ** 9, 2 ** 70, -2 ** 70]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_QUOKKA_INTS, b=_QUOKKA_INTS, r=st.none() | _QUOKKA_INTS,
+       q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]))
+def test_quokka_argv_ends_in_an_exit_code(c, q, b, r):
+    # every path of quokka is bounded: each run answers or refuses in seconds
+    argv = ["quokka", "--c", str(c), "--q", str(q), "--b", str(b)]
+    if r is not None:
+        argv += ["--r", str(r)]
+    with time_limit(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 2, 3, 4)
 
 
 def test_results_past_the_int_digit_limit_are_written(capsys):

@@ -10,7 +10,7 @@ from nicensus.errors import DegreeMismatch, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import fitting_blocks, from_index, from_rows, row_space_basis
+from matrices import fitting_blocks, from_index, from_rows, multiplicity_in, row_space_basis
 
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
@@ -193,18 +193,22 @@ def test_is_nilpotent_equals_power_oracle():
     assert hits == 1 + 1 + 64 + 9 + 16 + 729 + 7 + 11
 
 
-def test_primary_cyclic_factors_equals_multiplicity_oracle():
-    # the nullity test against equal multiplicities in charpoly and minpoly,
-    # on every matrix of four small spaces, sampled 4x4 matrices over F_4
-    # and the 4x4 blow-ups over F_2 of all of M(2, F_4)
+def _oracle_matrices():
+    """Every matrix of four small spaces, sampled 4x4 matrices over F_4 and
+    the 4x4 blow-ups over F_2 of all of M(2, F_4)."""
     tower = embed.tower_for(F4, 2)
-    mats = itertools.chain(
+    return itertools.chain(
         _exhaustive_and_sampled([(3, F2), (2, F3), (2, F4), (2, F5)], [(4, F4, 200)], seed=37),
         (embed.blow_up(X, tower) for X in matrix.all_matrices(2, F4)))
-    for M in mats:
+
+
+def test_primary_cyclic_factors_equals_multiplicity_oracle():
+    # the nullity test against equal multiplicities in charpoly and minpoly;
+    # test_minpoly_is_minimal_exhaustive checks minpoly on the same matrices
+    for M in _oracle_matrices():
         mp = matrix.minpoly(M)
         expected = tuple(f for f, m_f in poly.factorize(matrix.charpoly(M)).factors
-                         if poly.multiplicity_in(f, mp) == m_f)
+                         if multiplicity_in(f, mp) == m_f)
         assert matrix.primary_cyclic_factors(M) == expected, M
 
 
@@ -230,7 +234,7 @@ def test_evaluate_poly_at_equals_the_sum_of_powers():
 
 
 def test_minpoly_is_minimal_exhaustive():
-    for M in matrix.all_matrices(3, F2):
+    for M in _oracle_matrices():
         mp = matrix.minpoly(M)
         assert mp.is_monic
         assert matrix.evaluate_poly_at(mp, M).is_zero

@@ -15,7 +15,6 @@ from nicensus.quokka import (
     pc_r,
     pc_r_sandwich_verdict,
     quokka_pc_single,
-    r_cycle_proportion,
     thm_pc_m_bound,
     thm_pc_m_exact,
 )
@@ -40,24 +39,25 @@ def test_partition_counts():
         assert len(cycle_types(c)) == count
 
 
-def test_r_cycle_proportion():
-    assert r_cycle_proportion(3, 2) == Fraction(1, 2)
-    assert r_cycle_proportion(2, 2) == Fraction(1, 2)
-    assert r_cycle_proportion(5, 3) == Fraction(1, 3)
-    for c in range(2, 11):
-        for r in range(c // 2 + 1, c + 1):
-            assert r_cycle_proportion(c, r) == Fraction(1, r)
+def test_quokka_pc_single_range_errors():
     with pytest.raises(RangeError):
-        r_cycle_proportion(6, 3)  # r <= c/2: repeats possible, no closed form
+        quokka_pc_single(6, 2, 1, 3)  # r <= c/2: repeats possible, no closed form
     with pytest.raises(RangeError):
-        r_cycle_proportion(3, 4)
+        quokka_pc_single(3, 2, 1, 4)
+    with pytest.raises(RangeError):
+        quokka_pc_single(0, 2, 1, 1)
+    with pytest.raises(RangeError):
+        quokka_pc_single(2, 2, 0, 2)
 
 
-def test_r_cycle_proportion_equals_the_full_cycle_type_sum():
+def test_types_with_an_r_part_make_up_1_over_r():
+    # for r > c/2 an r-part cannot repeat: these types are (r) + lambda for
+    # the partitions lambda of c - r, the torus model's support
     for c in range(1, 13):
+        types = cycle_types(c)
         for r in range(c // 2 + 1, c + 1):
-            full = sum((prop for parts, prop in cycle_types(c) if r in parts), Fraction(0))
-            assert r_cycle_proportion(c, r) == full, (c, r)
+            assert sum((prop for parts, prop in types if r in parts), Fraction(0)) == \
+                Fraction(1, r), (c, r)
 
 
 def test_quokka_pc_single_examples():

@@ -13,7 +13,6 @@ UNREFERENCED = {
     "cli._Parser.error": "argparse calls it by name",
     "gf.FieldCtx.div": "perfbench counts it among the field ops it traces",
     "matrix.companion": "a test helper, and the representative of a class type",
-    "quokka.cycle_types": "the test oracle of r_cycle_proportion",
 }
 
 
