@@ -5,17 +5,19 @@ M(d, q) whose membership depends only on the invertible part of each
 matrix.  For such a family N and the standard flag V_i = <e_1..e_i>,
 write N_i for the invertible i x i matrices Y with Y + 0_{d-i} in N and
 N(i) for the members whose invertible part has dimension i.  The flag
-sum identity states, with omega(j, q) = prod_{k<=j} (1 - q^-k),
+sum identity states, with omega(j, q) = |GL(j,q)| / q^(j^2),
 
     |N| / |GL(d,q)| = sum_i  q^-(d-i) / omega(d-i, q) * |N_i| / |GL(i,q)|
 
 and the per-dimension count identity reads
-|N(i)| = qbinom(d, i) * q^((d-i)(d-1)) * |N_i|.  ``census_exact_all``
-computes every quantity by exhaustive enumeration and asserts both
-identities as exact rationals.  ``count_members`` is the one plain count
-of a family over M(d, q), and ``ni_verify_all`` the one exhaustive audit
-of the NI hypothesis.  Both refuse a q^(d^2) past the budget through
-``gf.admit``, in the exponent, before any table is allocated.
+|N(i)| = qbinom(d, i) * q^((d-i)(d-1)) * |N_i|, with qbinom(d, i) the
+number of i-subspaces of F_q^d.  A registered family is a name, its
+predicate and optionally a closed form.  ``census_exact_all`` computes
+every quantity by exhaustive enumeration and asserts both identities as
+exact rationals.  ``count_members`` is the one plain count of a family
+over M(d, q), and ``ni_verify_all`` the one exhaustive audit of the NI
+hypothesis.  Both refuse a q^(d^2) past the budget through ``gf.admit``,
+in the exponent, before any table is allocated.
 
 The census and the audit take a list of specs and make one pass over
 M(d, q) for all of them: what does not depend on the spec (the canonical
@@ -46,13 +48,10 @@ from .poly import Poly
 
 
 def omega(j, q):
-    """prod_{k=1}^{j} (1 - q^-k); equals |GL(j,q)| / |M(j,q)| for j >= 1."""
+    """|GL(j, q)| / |M(j, q)|, which is prod_{k=1}^{j} (1 - q^-k)."""
     if j < 0:
         raise IndexOutOfRange("omega needs j >= 0")
-    out = Fraction(1)
-    for k in range(1, j + 1):
-        out *= 1 - Fraction(1, q ** k)
-    return out
+    return Fraction(matrix.gl_order(j, q), q ** (j * j))
 
 
 def flag_sum(d, q, ratios):
@@ -67,17 +66,11 @@ def flag_sum(d, q, ratios):
 
 
 def gaussian_binomial(d, i, q):
-    """Number of i-dimensional subspaces of F_q^d (exact integer)."""
+    """Number of i-subspaces of F_q^d: |GL(d, q)| over the order of one's stabiliser."""
     if not 0 <= i <= d:
         raise IndexOutOfRange(f"need 0 <= i <= d, got i={i}, d={d}")
-    # Pascal-style recurrence keeps everything in integers
-    prev = [1]
-    for n in range(1, d + 1):
-        cur = [1] * (n + 1)
-        for k in range(1, n):
-            cur[k] = prev[k - 1] + q ** k * prev[k]
-        prev = cur
-    return prev[i]
+    stabiliser = matrix.gl_order(i, q) * matrix.gl_order(d - i, q) * q ** (i * (d - i))
+    return matrix.gl_order(d, q) // stabiliser
 
 
 # ---------------------------------------------------------------------------
@@ -93,25 +86,20 @@ class NISubsetSpec:
     under conjugation (that is what ``ni_verify`` audits).  Only its
     truth value counts: ``census_exact``, ``count_members`` and
     ``ni_verify`` decide on bool(member(X)), so a predicate returning
-    1/0 or any other truthy value describes the same family.
-    ``contains_nilpotents`` may be None, in which case it is derived
-    from member(0).  ``closed_form``, when set, maps (d, ctx) to (exact
+    1/0 or any other truthy value describes the same family.  Whether
+    the family holds the nilpotents is member(0), which the census counts
+    as |N_0|.  ``closed_form``, when set, maps (d, ctx) to (exact
     proportion in M(d, q), theory bounds as (name, direction, RInterval)
     triples), or to None where the family has no closed form.
     """
 
     name: str
     member: callable
-    contains_nilpotents: bool = None
     closed_form: callable = None
 
 
 def _member_all(X):
     return True
-
-
-def _member_invertible(X):
-    return matrix.is_invertible(X)
 
 
 def _member_not_nilpotent(X):
@@ -167,25 +155,17 @@ def _make_closed_form_pc_large_degree(b):
 _SPEC_PATTERN = re.compile(r"^([a-z0-9-]+)(?:\((-?[0-9]+)\))?$")
 
 _PLAIN_SPECS = {
-    "all": lambda: NISubsetSpec("all", _member_all, contains_nilpotents=True),
-    "invertible": lambda: NISubsetSpec(
-        "invertible", _member_invertible, contains_nilpotents=False),
-    "nilpotent-complement": lambda: NISubsetSpec(
-        "nilpotent-complement", _member_not_nilpotent, contains_nilpotents=False),
-    "primary-cyclic-some-f-not-t": lambda: NISubsetSpec(
-        "primary-cyclic-some-f-not-t", _member_pc_some_f,
-        contains_nilpotents=False),
-    "separable": lambda: NISubsetSpec("separable", _member_separable),
-    "unipotent": lambda: NISubsetSpec(
-        "unipotent", _member_unipotent, contains_nilpotents=False),
+    "all": _member_all,
+    "invertible": matrix.is_invertible,
+    "nilpotent-complement": _member_not_nilpotent,
+    "primary-cyclic-some-f-not-t": _member_pc_some_f,
+    "separable": _member_separable,
+    "unipotent": _member_unipotent,
 }
 
 _PARAMETRIC_SPECS = {
-    "has-eigenvalue": lambda arg: NISubsetSpec(
-        f"has-eigenvalue({arg})", _make_member_eigenvalue(arg)),
-    "pc-large-degree": lambda arg: NISubsetSpec(
-        f"pc-large-degree({arg})", _make_member_pc_large_degree(arg),
-        contains_nilpotents=False, closed_form=_make_closed_form_pc_large_degree(arg)),
+    "has-eigenvalue": (_make_member_eigenvalue, None),
+    "pc-large-degree": (_make_member_pc_large_degree, _make_closed_form_pc_large_degree),
 }
 
 
@@ -201,9 +181,11 @@ def get_spec(name):
     if m:
         base, arg = m.group(1), m.group(2)
         if arg is None and base in _PLAIN_SPECS:
-            return _PLAIN_SPECS[base]()
+            return NISubsetSpec(base, _PLAIN_SPECS[base])
         if arg is not None and base in _PARAMETRIC_SPECS:
-            return _PARAMETRIC_SPECS[base](int(arg))
+            member, closed_form = _PARAMETRIC_SPECS[base]
+            arg = int(arg)
+            return NISubsetSpec(f"{base}({arg})", member(arg), closed_form and closed_form(arg))
     raise ParseError(f"unknown spec {name!r}; known: {', '.join(list_specs())}")
 
 
@@ -342,12 +324,6 @@ def _check_census(spec, d, ctx, n_of_i, n_i):
     per = [PerDimension(i=i, n_i=n, gl_i=matrix.gl_order(i, q), n_of_i=n_of_i[i])
            for i, n in enumerate(n_i)]
     n_total = sum(n_of_i)
-
-    if spec.contains_nilpotents is not None:
-        if per[0].n_i != (1 if spec.contains_nilpotents else 0):
-            raise NIViolation(
-                f"spec {spec.name!r}: contains_nilpotents flag disagrees with member(0)",
-                witness=Mat.zero(ctx, d))
 
     lhs = Fraction(n_total, matrix.gl_order(d, q))
     rhs = flag_sum(d, q, [Fraction(p.n_i, p.gl_i) for p in per])

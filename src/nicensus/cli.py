@@ -78,10 +78,11 @@ def build_manifest(subcommand, parameters, seed, result):
     return {
         "subcommand": subcommand,
         "parameters": parameters,
-        "seed": seed,
         "version": __version__,
         "statement": _STATEMENTS[subcommand],
         "digest": digest,
+        # quokka, decompose and pc-test take no seed
+        **({} if seed is None else {"seed": seed}),
     }
 
 
@@ -128,19 +129,14 @@ def cmd_census(args):
 def cmd_quokka(args):
     c, q, b, r = args.c, args.q, args.b, args.r
     if r is not None:
-        # the values hold about b r log2(q) bits
-        gf.admit(abs(b * r) * q.bit_length(), 1, f"units of closed-form work at r={r}",
-                 quokka.WORK_MAX)
         result = {
             "c": c, "q": q, "b": b, "r": r,
             "per_polynomial": quokka.quokka_pc_single(c, q, b, r),
             "per_degree": quokka.pc_r(q, b, r),
         }
         return result, EXIT_OK, None
-    gf.admit(c * c * abs(b) * q.bit_length(), 1, f"units of closed-form work at c={c}",
-             quokka.WORK_MAX)
-    algebra_bound = quokka.thm_pc_m_bound(c, q, b)  # it rejects c < 2 and b < 2
-    algebra_exact = quokka.thm_pc_m_exact(c, q, b)
+    algebra_exact = quokka.thm_pc_m_exact(c, q, b)  # it rejects c < 2 and b < 2
+    algebra_bound = quokka.thm_pc_m_bound(c, q, b)
     exact_by_r = [(r, quokka.pc_r(q, b, r)) for r in range(c // 2 + 1, c + 1)]
     exact_total = quokka.ngl_exact(c, q, b)
     lower, upper = quokka.ngl_band(c, q, b)
@@ -550,11 +546,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     positive = _checked_int(lambda v: v >= 1, "a positive integer")
 
-    def common(p, seed_default=42):
+    def common(p):
         p.add_argument("--json", metavar="PATH", help="write the JSON document here")
+
+    def budget_and_seed(p):
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration cap in cells (default 2^24 or NICENSUS_BUDGET)")
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("census", help="exhaustive flag-sum census of a named family")
     p.add_argument("--spec", required=True)
@@ -564,6 +562,7 @@ def build_parser():
     p.add_argument("--flag-check", action="store_true",
                    help="also recompute the per-dimension counts under conjugated flags")
     common(p)
+    budget_and_seed(p)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("quokka", help="torus class sums, closed forms and bands")
@@ -583,6 +582,7 @@ def build_parser():
     p.add_argument("--n", type=positive, required=True)
     p.add_argument("--csv", metavar="PATH")
     common(p)
+    budget_and_seed(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("decompose", help="invertible/nilpotent split and primary components")
@@ -600,6 +600,7 @@ def build_parser():
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(_SUITES)))
     common(p)
+    budget_and_seed(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

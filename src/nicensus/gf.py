@@ -409,7 +409,8 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, k={self.k}, order={self.order})"
 
 
-_field_cache = {}
+# one context per (p, k, modulus): caches key on its identity
+_field = functools.cache(FieldCtx)
 
 
 def field_order(p, k):
@@ -468,12 +469,7 @@ def field_create(p, k=1, modulus=None):
             raise ReducibleModulus("modulus must be monic")
         if not _is_irreducible_over_prime_field(mod, p):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
-    key = (p, k, mod)
-    ctx = _field_cache.get(key)
-    if ctx is None:
-        ctx = FieldCtx(p, k, mod)
-        _field_cache[key] = ctx
-    return ctx
+    return _field(p, k, mod)
 
 
 def describe_field(ctx):
@@ -529,11 +525,4 @@ def subfield_embedding(sub, ext):
     # coefficients < p are valid in ext too; each factor is monic t - root
     factors = poly.factorize(poly.Poly(ext, sub.modulus)).factors
     rho = min((ext.neg(f.coeffs[0]) for f, _ in factors), key=ext.digits)
-    table = []
-    for x in sub.elements():
-        digs = sub.digits(x)
-        acc = 0
-        for d in reversed(digs):
-            acc = ext.add(ext.mul(acc, rho), d)
-        table.append(acc)
-    return tuple(table)
+    return tuple(poly.Poly(ext, sub.digits(x)).evaluate(rho) for x in sub.elements())

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import intervals, poly
+from . import gf, intervals, poly
 from .census import flag_sum, omega
 from .errors import RangeError
 from .intervals import log2_interval, rational_power_interval
@@ -82,6 +82,7 @@ def quokka_pc_single(c, q, b, r):
         raise RangeError(f"need c >= 1, got {c}")
     if not (2 * r > c and r <= c):
         raise RangeError(f"need c/2 < r <= c, got r={r}, c={c}")
+    gf.admit(b * r * q.bit_length(), 1, f"units of closed-form work at r={r}", WORK_MAX)
     return Fraction(b, q ** (b * r) - 1)
 
 
@@ -162,9 +163,10 @@ def ngl_band_verdict(c, q, b):
 # ---------------------------------------------------------------------------
 
 
-# The closed forms at c hold Fractions of about c^2 b log2(q) bits, whose
-# gcds cost quadratically in that: at this cap on c^2 b bit_length(q) the
-# largest admitted c answers in about 2 s, and c = 300 at q = b = 2 took 8 s.
+# Each closed form admits its work against this cap: ``quokka_pc_single``
+# holds about b r log2(q) bits, ``thm_pc_m_exact`` Fractions of c^2 b log2(q)
+# bits whose gcds cost quadratically in that.  At the cap the largest c
+# admitted answers in about 2 s; c = 300 at q = b = 2 took 8 s.
 WORK_MAX = 1 << 17
 
 
@@ -192,6 +194,7 @@ def thm_pc_m_exact(c, q, b):
     proportion of field elements of degree exactly b, not 1.
     """
     _check_cb(c, b)
+    gf.admit(c * c * b * q.bit_length(), 1, f"units of closed-form work at c={c}", WORK_MAX)
     qb = q ** b
     ratios = [0] + [ngl_exact(i, q, b) for i in range(1, c + 1)]
     return flag_sum(c, qb, ratios) * omega(c, qb)

@@ -1,6 +1,7 @@
 """Flag-sum censuses: anchors, identities, audits, transfer bounds."""
 
 import ast
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -38,8 +39,17 @@ def test_omega_values():
     assert omega(2, 2) == Fraction(3, 8)
     invertibles = sum(1 for M in matrix.all_matrices(2, F2) if matrix.is_invertible(M))
     assert omega(2, 2) == Fraction(invertibles, 16)
-    for j in range(1, 5):
-        assert omega(j, 3) == Fraction(matrix.gl_order(j, 3), 3 ** (j * j))
+    with pytest.raises(IndexOutOfRange):
+        omega(-1, 2)
+
+
+def test_omega_equals_the_product_formula():
+    for q in (2, 3, 4, 5, 7):
+        product = Fraction(1)
+        for j in range(9):
+            if j:
+                product *= 1 - Fraction(1, q ** j)
+            assert omega(j, q) == product, (j, q)
 
 
 def count_subspaces(ctx, d, i):
@@ -72,6 +82,16 @@ def test_gaussian_binomial_against_enumeration():
     assert gaussian_binomial(4, 2, 2) == 35 == count_subspaces(F2, 4, 2)
     with pytest.raises(IndexOutOfRange):
         gaussian_binomial(2, 3, 2)
+
+
+def test_gaussian_binomial_equals_the_pascal_recurrence():
+    # [n, k] = [n-1, k-1] + q^k [n-1, k], with [n, 0] = [n, n] = 1
+    for q in (2, 3, 4, 5, 7):
+        row = [1]
+        for d in range(9):
+            if d:
+                row = [1] + [row[k - 1] + q ** k * row[k] for k in range(1, d)] + [1]
+            assert [gaussian_binomial(d, i, q) for i in range(d + 1)] == row, (d, q)
 
 
 def test_census_all_spec_anchor():
@@ -268,13 +288,6 @@ def test_get_spec_errors_and_listing():
     assert "all" in census.list_specs()
 
 
-def test_contains_nilpotents_flag_checked():
-    wrong = NISubsetSpec("all-but-flagged", lambda X: True,
-                         contains_nilpotents=False)
-    with pytest.raises(NIViolation):
-        census_exact(wrong, 2, F2)
-
-
 # ---------------------------------------------------------------------------
 # Oracles: census_exact and ni_verify as plain loops that decide every
 # membership through the predicate, with no verdict table and no orbits
@@ -381,8 +394,6 @@ def test_census_exact_matches_plain_loop(d, ctx):
             (n_total, n_of_i, n_i), name
 
 
-# a spec that passes the enumeration and fails a check after it
-_FLAG_BROKEN = NISubsetSpec("all-but-flagged", lambda X: True, contains_nilpotents=False)
 _VALID_SPECS = [get_spec(name) for name in census._PLAIN_SPECS]
 
 
@@ -401,22 +412,40 @@ def test_census_exact_all_matches_plain_loop(d, ctx):
     for spec, fc in zip(_VALID_SPECS, fcs):
         assert (fc.n_total, [p.n_of_i for p in fc.per_i], [p.n_i for p in fc.per_i]) == \
             _census_loop(spec, d, ctx), spec.name
-    for broken in [*_BROKEN_SPECS.values(), _ONE_ORBIT_BROKEN, _FLAG_BROKEN]:
+    for broken in [*_BROKEN_SPECS.values(), _ONE_ORBIT_BROKEN]:
         # first, second and last: each list raises what the calls in turn raise
         for at in (0, 1, len(_VALID_SPECS)):
             specs = _VALID_SPECS[:at] + [broken] + _VALID_SPECS[at:]
             raised = _outcome(lambda: census.census_exact_all(specs, d, ctx))
             assert raised == _outcome(lambda: [census_exact(s, d, ctx) for s in specs])
-            if broken is not _FLAG_BROKEN:
-                # the witness is the first X the plain loop rejects
-                with pytest.raises(NIViolation) as info:
-                    _census_loop(broken, d, ctx)
-                assert raised[1] == info.value.witness.rows, (broken.name, at)
+            # the witness is the first X the plain loop rejects
+            with pytest.raises(NIViolation) as info:
+                _census_loop(broken, d, ctx)
+            assert raised[1] == info.value.witness.rows, (broken.name, at)
     # the first failing spec in the list decides, wherever the others fail
-    for specs in ([_FLAG_BROKEN, _BROKEN_SPECS["first-entry"]],
-                  [_BROKEN_SPECS["first-entry"], _FLAG_BROKEN]):
+    pair = [_BROKEN_SPECS["rank-d-minus-1"], _BROKEN_SPECS["first-entry"]]
+    for specs in (pair, pair[::-1]):
         assert _outcome(lambda: census.census_exact_all(specs, d, ctx)) == \
             _outcome(lambda: census_exact(specs[0], d, ctx))
+
+
+def _hashed(salt):
+    """A predicate of X_inv + 0 alone, a hash bit of its rows: it passes the
+    census's X vs X_inv + 0 check and need not be conjugation invariant."""
+    def member(X):
+        rows = census._nilpotent_canonical(X).rows
+        return hashlib.sha256(repr((salt, rows)).encode()).digest()[0] & 1
+    return member
+
+
+@pytest.mark.parametrize("d, ctx", [*_SIZES, (2, F4)], ids=["2-2", "2-3", "3-2", "2-4"])
+def test_every_predicate_of_the_canonical_form_satisfies_both_identities(d, ctx):
+    # for each Y in GL(i, q), qbinom(d, i) q^((d-i)(d-1)) matrices X have
+    # X_inv + 0 = Y + 0, so both identities hold for any such family and
+    # check the census's arithmetic, not the family
+    for salt in range(4):
+        fc = census_exact(NISubsetSpec(f"hashed-{salt}", _hashed(salt)), d, ctx)
+        assert fc.lhs == fc.rhs and 0 < fc.n_total < ctx.order ** (d * d), salt
 
 
 @pytest.mark.parametrize("d, ctx", _SIZES, ids=["2-2", "2-3", "3-2"])
@@ -517,7 +546,7 @@ def test_member_runs_once_per_matrix(d, ctx):
             calls[X.rows] += 1
             return spec.member(X)
 
-        counted = NISubsetSpec(spec.name, member, spec.contains_nilpotents)
+        counted = NISubsetSpec(spec.name, member)
         for run in (census.ni_verify, census_exact):
             calls.clear()
             try:
@@ -539,8 +568,7 @@ def test_member_decides_on_truth_value():
         assert census.ni_verify(as_rows, 2, F2) == expected
         assert census.count_members(as_rows.member, 2, F2) == \
             census.count_members(plain.member, 2, F2)
-    as_rows = NISubsetSpec("invertible", lambda X: X.rows if matrix.is_invertible(X) else (),
-                           contains_nilpotents=False)
+    as_rows = NISubsetSpec("invertible", lambda X: X.rows if matrix.is_invertible(X) else ())
     assert census_exact(as_rows, 2, F3) == census_exact(get_spec("invertible"), 2, F3)
 
 

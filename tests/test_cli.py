@@ -1,5 +1,8 @@
 """Command-line surface: JSON determinism, exit codes, subcommand outputs."""
 
+import argparse
+import ast
+import inspect
 import io
 import json
 import os
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicensus import census, cli, estimate
+from nicensus import census, cli, estimate, gf
 
 
 REFERENCE = json.loads(
@@ -382,6 +385,22 @@ def test_quokka_r_is_refused_past_its_closed_form_work(capsys):
         assert captured.out == "" and "exceed the cap 131072" in captured.err
 
 
+def test_estimate_is_refused_past_its_closed_form_work(capsys):
+    # the closed form of pc-large-degree(2) over F_4 = F_2^2 admits
+    # d^2 b bit_length(q) <= 2^17: d = 181 is computed, d = 182 is refused
+    spec = census.get_spec("pc-large-degree(2)")
+    with time_limit(20):
+        exact, bounds = estimate.exact_and_bounds(spec, 181, gf.field_create(2, 2))
+    assert 0 < exact < 1 and [name for name, _, _ in bounds] == ["algebra-lower-bound"]
+    for d in (182, 400, 10 ** 9):
+        with time_limit(1):
+            assert cli.main(["estimate", "--spec", "pc-large-degree(2)", "--d", str(d),
+                             "--q", "2^2", "--n", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"closed-form work at c={d} exceed the cap 131072" \
+            in captured.err
+
+
 _QUOKKA_INTS = st.one_of(st.integers(-2, 10),
                          st.sampled_from([0, -1, 10 ** 9, -10 ** 9, 2 ** 70, -2 ** 70]))
 
@@ -493,6 +512,32 @@ def test_quokka_rejects_c_or_b_below_2(c, b, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err == f"error: need b, c >= 2, got c={c}, b={b}\n"
+
+
+@pytest.mark.parametrize("name", sorted(cli._STATEMENTS))
+def test_every_option_is_read_by_its_subcommand(name):
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = sub.choices[name]
+    tree = ast.parse(inspect.getsource(parser.get_default("func")))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    options = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+    # main writes --json and --csv
+    assert options - {"json", "csv"} <= read
+
+
+@pytest.mark.parametrize("argv", [
+    ["quokka", "--c", "2", "--q", "2", "--b", "2"],
+    ["decompose", "--matrix", "1 2 : 1"],
+    ["pc-test", "--matrix", "1 2^2/7 : 2", "--tower", "4/2"],
+], ids=["quokka", "decompose", "pc-test"])
+def test_subcommands_that_draw_and_enumerate_nothing_take_no_seed_or_budget(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    manifest = json.loads(out)["manifest"]
+    assert code == 0 and "seed" not in manifest and "seed" not in manifest["parameters"]
+    for option in ("--seed", "--budget"):
+        assert cli.main(argv + [option, "7"]) == 4
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_budget_flag(capsys):

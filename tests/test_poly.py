@@ -165,6 +165,7 @@ def test_cache_inventory():
                 dicts.add(name)
     # each cache is listed with its bound or justification in ROADMAP item 8
     assert caches == {
+        "gf._field": None,
         "gf.canonical_modulus": None,
         "gf.subfield_embedding": None,
         "embed.tower_for": None,
@@ -173,7 +174,7 @@ def test_cache_inventory():
         "matrix.fitting_decompose": matrix._SPLIT_MEMO_MAX,
         "estimate._lane_constants": estimate._LANES,
     }
-    assert dicts == {"gf._field_cache"}
+    assert not dicts
 
 
 def test_irr_enumerate_checks_budget_on_cached_degrees():
