@@ -44,7 +44,6 @@ from .errors import (
     ParseError,
 )
 from .matrix import Mat
-from .poly import Poly
 
 
 def omega(j, q):
@@ -116,8 +115,8 @@ def _member_separable(X):
 
 
 def _member_unipotent(X):
-    t_minus_1 = Poly.make(X.ctx, (X.ctx.neg(1), 1))
-    return matrix.charpoly(X) == t_minus_1 ** X.n
+    """Charpoly (t - 1)^n, that is every eigenvalue 1: X - I is nilpotent."""
+    return matrix.is_nilpotent(X + Mat.scalar(X.ctx, X.n, X.ctx.neg(1)))
 
 
 def _make_member_eigenvalue(alpha):

@@ -182,9 +182,13 @@ class ProportionReport:
 
 
 def monte_carlo(predicate, d, ctx, n, seed, budget=None):
-    """Count the samples ``sample_matrix(d, ctx, seed, j)``, j < n, in ``predicate``."""
+    """Count the samples ``sample_matrix(d, ctx, seed, j)``, j < n, in ``predicate``.
+
+    n and d^3, the order of the field operations in one sample's charpoly,
+    are each admitted against the budget before any sample is drawn.
+    """
     gf.admit(n, 1, "samples", budget)
-    gf.admit(d, 2, f"entries per sample of M({d}, {ctx.order})", budget)
+    gf.admit(d, 3, f"field operations per sample of M({d}, {ctx.order})", budget)
     successes = 0
     for j in range(n):
         if predicate(sample_matrix(d, ctx, seed, j)):

@@ -5,7 +5,10 @@ image of X is its row space and the kernel is the left null space.
 Entries are element ints; a Mat is an immutable tuple of row tuples.
 
 Characteristic polynomials go through an exact similarity reduction to
-Hessenberg form followed by the leading-principal-minor recurrence.
+Hessenberg form followed by the leading-principal-minor recurrence.  On a
+field with full tables (order <= 256) both run inline on table reads
+(``_charpoly_tables``); every other field runs ``_charpoly_generic``
+through the ``FieldCtx`` methods and ``axpy``, the reference of the tests.
 Everything else about f(X), for f an irreducible divisor of the charpoly
 of multiplicity m_f, is read off nullities, as in the MEAT-AXE test of
 Holt & Rees (J. Austral. Math. Soc. A 57 (1994)): X is f-primary cyclic
@@ -191,11 +194,24 @@ def inverse(M):
 
 
 def charpoly(M):
-    """Monic characteristic polynomial det(t I - X), exactly."""
+    """Monic characteristic polynomial det(t I - X), exactly.
+
+    A field with full tables (order <= 256) runs ``_charpoly_tables``;
+    every other field runs ``_charpoly_generic``, the reference the tests
+    hold the table path to.
+    """
+    if M.n == 0:
+        return Poly.one(M.ctx)
+    run = _charpoly_tables if M.ctx.mul_rows is not None else _charpoly_generic
+    return Poly(M.ctx, tuple(run(M)))
+
+
+def _charpoly_generic(M):
+    """Coefficients of charpoly(M): a similarity reduction to upper
+    Hessenberg form, then the recurrence over its leading principal minors,
+    every field operation through the ``FieldCtx`` methods and ``axpy``."""
     ctx = M.ctx
     n = M.n
-    if n == 0:
-        return Poly.one(ctx)
     A = [list(r) for r in M.rows]
     mul, neg, axpy = ctx.mul, ctx.neg, ctx.axpy
     # similarity reduction to upper Hessenberg form
@@ -242,7 +258,68 @@ def charpoly(M):
             if h:
                 axpy(acc, 0, neg(mul(h, prod)), polys[m - 1 - kk])
         polys.append(acc)
-    return Poly(ctx, tuple(polys[n]))
+    return polys[n]
+
+
+def _charpoly_tables(M):
+    """``_charpoly_generic`` on the full tables: every field operation is a
+    table read and every row loop runs inline.
+
+    Row j+1 is zero before column j, so eliminating column j from a row
+    below it changes only the columns after j.  The column update of each
+    step is one pass over the rows: column j+1 gains f_i * column i for
+    every eliminated row i.
+    """
+    ctx, n = M.ctx, M.n
+    mul_rows, add_rows, neg, inv = ctx.mul_rows, ctx.add_rows, ctx.neg_table, ctx.inv_table
+    A = [list(r) for r in M.rows]
+    for j in range(n - 2):
+        for piv in range(j + 1, n):
+            if A[piv][j]:
+                break
+        else:
+            continue
+        if piv != j + 1:
+            A[piv], A[j + 1] = A[j + 1], A[piv]
+            for row in A:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        top = A[j + 1]
+        neg_over_pivot = mul_rows[neg[inv[top[j]]]]
+        factors = []  # (i, the row of f_i in mul_rows)
+        for i in range(j + 2, n):
+            row = A[i]
+            if row[j]:
+                nf = neg_over_pivot[row[j]]
+                by_nf = mul_rows[nf]
+                row[j] = 0
+                for c in range(j + 1, n):
+                    row[c] = add_rows[row[c]][by_nf[top[c]]]
+                factors.append((i, mul_rows[neg[nf]]))
+        if factors:
+            for row in A:
+                c = row[j + 1]
+                for i, by_f in factors:
+                    c = add_rows[c][by_f[row[i]]]
+                row[j + 1] = c
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        by_na = mul_rows[neg[A[m - 1][m - 1]]]
+        acc = [0] + prev
+        for i, b in enumerate(prev):
+            acc[i] = add_rows[acc[i]][by_na[b]]
+        prod = 1
+        for kk in range(1, m):
+            prod = mul_rows[prod][A[m - kk][m - kk - 1]]
+            if not prod:
+                break
+            h = A[m - 1 - kk][m - 1]
+            if h:
+                by_c = mul_rows[neg[mul_rows[h][prod]]]
+                for i, b in enumerate(polys[m - 1 - kk]):
+                    acc[i] = add_rows[acc[i]][by_c[b]]
+        polys.append(acc)
+    return polys[n]
 
 
 def evaluate_poly_at(f, M):

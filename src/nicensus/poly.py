@@ -18,8 +18,13 @@ more than half the degree, if any.  Both loops step t^(q^d) mod f from
 t^(q^(d-1)) by k applications of the semilinear p-th power map
 x^p = sum of c_i^p t^(p*i), read off rows t^(p*i) mod f built once per
 call.  The row t^p, the odd-q split and ``Poly.__pow__`` square and
-multiply through ``gf.power``.  f is irreducible exactly when it is its
-own large factor, so ``is_irreducible`` asks ``large_factor``.
+multiply through ``gf.power``.  Both loops take their product, divmod and
+p-th power kernels from ``_list_kernels``, once per call: on a field
+with full tables (order <= 256) the ``_tables`` kernels, which read the
+tables directly and run their row loops inline, else the generic ones
+through ``axpy``, which are the reference of the tests.  f is
+irreducible exactly when it is its own large factor, so
+``is_irreducible`` asks ``large_factor``.
 
 ``factorize(f)`` is pure and memoized for the life of the process by
 ``functools.lru_cache``, keyed by f: ``Poly`` equality compares fields
@@ -86,10 +91,10 @@ def _divmod_lists(ctx, a, b):
     return nquo, rem
 
 
-def _gcd_lists(ctx, a, b):
-    """A gcd of a and b, not made monic (Euclid on trimmed lists)."""
+def _gcd_lists(ctx, a, b, divmod_lists):
+    """A gcd of a and b, not made monic (Euclid on trimmed lists, by ``divmod_lists``)."""
     while b:
-        a, b = b, _divmod_lists(ctx, a, b)[1]
+        a, b = b, divmod_lists(ctx, a, b)[1]
     return a
 
 
@@ -100,16 +105,20 @@ def _powmod_lists(ctx, x, e, m):
     return gf.power(x, e, lambda a, b: _divmod_lists(ctx, _mul_lists(ctx, a, b), m)[1], [1])
 
 
-def _frobenius_rows(ctx, m):
-    """Rows R_i = t^(p*i) mod m for i < deg m, m monic of degree >= 2.
+def _frobenius_rows(ctx, m, mul_lists, divmod_lists):
+    """Rows R_i = t^(p*i) mod m for i < deg m, m monic of degree >= 2,
+    through the product and divmod kernels given.
 
     R_1 = t^p mod m, and R_i = R_1 * R_(i-1) mod m: one shift and reduce
     each while R_1 is the monomial t^p (p < deg m).
     """
-    r1 = _powmod_lists(ctx, [0, 1], ctx.p, m)
+    def mulmod(a, b):
+        return divmod_lists(ctx, mul_lists(ctx, a, b), m)[1]
+
+    r1 = gf.power([0, 1], ctx.p, mulmod, [1])
     rows = [[1], r1]
     for _ in range(len(m) - 3):
-        rows.append(_divmod_lists(ctx, _mul_lists(ctx, r1, rows[-1]), m)[1])
+        rows.append(mulmod(r1, rows[-1]))
     return rows
 
 
@@ -128,6 +137,65 @@ def _pth_power(ctx, rows, x):
     while out and not out[-1]:
         out.pop()
     return out
+
+
+# The same three kernels on the full tables (order <= 256): every field
+# operation is a table read and every row loop runs inline.
+
+def _mul_tables(ctx, a, b):
+    """``_mul_lists`` on the full tables."""
+    mul_rows, add_rows = ctx.mul_rows, ctx.add_rows
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            by_x = mul_rows[x]
+            for j, s in enumerate(b, i):
+                out[j] = add_rows[out[j]][by_x[s]]
+    return out
+
+
+def _divmod_tables(ctx, a, b):
+    """``_divmod_lists`` on the full tables."""
+    mul_rows, add_rows = ctx.mul_rows, ctx.add_rows
+    db = len(b) - 1
+    rem = list(a)
+    nquo = [0] * (len(a) - db)
+    by_nbinv = mul_rows[ctx.neg_table[ctx.inv_table[b[-1]]]]
+    low = b[:db]
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = rem[i + db]
+        if c:
+            f = nquo[i] = by_nbinv[c]
+            by_f = mul_rows[f]
+            for j, s in enumerate(low, i):
+                rem[j] = add_rows[rem[j]][by_f[s]]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return nquo, rem
+
+
+def _pth_power_tables(ctx, rows, x):
+    """``_pth_power`` on the full tables."""
+    mul_rows, add_rows, frob = ctx.mul_rows, ctx.add_rows, ctx.frob
+    out = [0] * len(rows)
+    for c, row in zip(x, rows):
+        if c:
+            by_c = mul_rows[frob[c]]
+            for j, s in enumerate(row):
+                out[j] = add_rows[out[j]][by_c[s]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _list_kernels(ctx):
+    """(product, divmod, p-th power) on coefficient lists over ctx: the
+    table kernels when ctx has full tables, else the generic ones, which
+    are the reference the tests hold the table kernels to."""
+    if ctx.mul_rows is not None:
+        return _mul_tables, _divmod_tables, _pth_power_tables
+    return _mul_lists, _divmod_lists, _pth_power
 
 
 @dataclass(frozen=True)
@@ -201,11 +269,7 @@ class Poly:
         return Poly(self.ctx, _trim(_mul_lists(self.ctx, self.coeffs, other.coeffs)))
 
     def scale(self, c):
-        ctx = self.ctx
-        c = int(c)
-        if c == 0:
-            return Poly(ctx, ())
-        return Poly(ctx, _trim([ctx.mul(c, x) for x in self.coeffs]))
+        return Poly.make(self.ctx, [self.ctx.mul(int(c), x) for x in self.coeffs])
 
     def __divmod__(self, other):
         other = self._chk(other)
@@ -259,7 +323,7 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic greatest common divisor."""
-    g = Poly(a.ctx, tuple(_gcd_lists(a.ctx, a.coeffs, a._chk(b).coeffs)))
+    g = Poly(a.ctx, tuple(_gcd_lists(a.ctx, a.coeffs, a._chk(b).coeffs, _divmod_lists)))
     return g.monic() if g.coeffs else g
 
 
@@ -424,12 +488,13 @@ def factorize(f):
     ctx = f.ctx
     t = Poly.x(ctx)
     u, w, d = f.monic(), [0, 1], 1
+    mul_lists, divmod_lists, pth_power = _list_kernels(ctx)
     if u.degree >= 2:
-        rows = _frobenius_rows(ctx, u.coeffs)
+        rows = _frobenius_rows(ctx, u.coeffs, mul_lists, divmod_lists)
     factors = []
     while 2 * d <= u.degree:
         for _ in range(ctx.k):
-            w = _pth_power(ctx, rows, w)
+            w = pth_power(ctx, rows, w)
         g = poly_gcd(u, Poly(ctx, tuple(w)) - t)
         if g.degree > 0:
             for h in _split_equal_degree(g, d):
@@ -473,22 +538,23 @@ def large_factor(f):
     n = len(m) - 1
     if n < 2:  # a constant has no factor; a linear f is its own
         return g if n == 1 else None
-    rows = _frobenius_rows(ctx, m)
+    mul_lists, divmod_lists, pth_power = _list_kernels(ctx)
+    rows = _frobenius_rows(ctx, m, mul_lists, divmod_lists)
     w, s = rows[1], [1]  # t^p mod f and the empty product
     for d in range(1, n // 2 + 1):
         for _ in range(ctx.k if d > 1 else ctx.k - 1):
-            w = _pth_power(ctx, rows, w)  # ends at t^(q^d) mod f
+            w = pth_power(ctx, rows, w)  # ends at t^(q^d) mod f
         h = w + [0] * (2 - len(w))
         h[1] = ctx.sub(h[1], 1)
         h = _trim(h)
         if not h:  # every irreducible factor has degree dividing d <= n/2
             return None
         if 4 * d > n:
-            s = _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
-    u, c = m, _gcd_lists(ctx, m, s)
+            s = divmod_lists(ctx, mul_lists(ctx, s, h), m)[1]
+    u, c = m, _gcd_lists(ctx, m, s, divmod_lists)
     while len(c) > 1:
-        u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
-        c = _gcd_lists(ctx, u, c)
+        u = divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
+        c = _gcd_lists(ctx, u, c, divmod_lists)
     return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
 
 

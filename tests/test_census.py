@@ -25,6 +25,7 @@ from nicensus.errors import (
     ParseError,
 )
 from nicensus.matrix import Mat
+from nicensus.poly import Poly
 
 from matrices import from_rows, row_space_basis
 
@@ -227,6 +228,19 @@ def test_ni_verify_builtin_specs():
         for ctx in (F2, F3):
             rep = census.ni_verify(get_spec(name), 2, ctx)
             assert rep.ok
+
+
+@pytest.mark.parametrize("d,q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (2, 5)])
+def test_unipotent_is_charpoly_t_minus_1_to_the_d(d, q):
+    # Steinberg: q^(d(d-1)) unipotent matrices, and each one by its definition
+    ctx = gf.field_of_order(q)
+    t_minus_1 = Poly.make(ctx, (ctx.neg(1), 1))
+    member = get_spec("unipotent").member
+    count = 0
+    for M in matrix.all_matrices(d, ctx):
+        assert member(M) == (matrix.charpoly(M) == t_minus_1 ** d), M
+        count += member(M)
+    assert count == q ** (d * (d - 1))
 
 
 def test_ni_verify_finds_violations():

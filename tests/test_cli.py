@@ -401,6 +401,17 @@ def test_estimate_is_refused_past_its_closed_form_work(capsys):
             in captured.err
 
 
+def test_estimate_is_refused_past_one_samples_work(capsys):
+    # a sample's charpoly takes about d^3 field operations: d^3 <= 2^24 admits d <= 256
+    for d in (400, 4096):
+        with time_limit(1):
+            assert cli.main(["estimate", "--spec", "separable", "--d", str(d), "--q", "2",
+                             "--n", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and (f"{d}^3 field operations per sample of M({d}, 2) "
+                                       f"exceed the cap 16777216") in captured.err
+
+
 _QUOKKA_INTS = st.one_of(st.integers(-2, 10),
                          st.sampled_from([0, -1, 10 ** 9, -10 ** 9, 2 ** 70, -2 ** 70]))
 
@@ -413,6 +424,18 @@ def test_quokka_argv_ends_in_an_exit_code(c, q, b, r):
     argv = ["quokka", "--c", str(c), "--q", str(q), "--b", str(b)]
     if r is not None:
         argv += ["--r", str(r)]
+    with time_limit(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(["all", "separable", "has-eigenvalue(0)"]),
+       d=_QUOKKA_INTS | st.sampled_from([400, 4096]),
+       n=_QUOKKA_INTS | st.sampled_from([400, 4096]),
+       q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]))
+def test_estimate_argv_ends_in_an_exit_code(spec, d, n, q):
+    # specs without a closed form: each run samples, or refuses the samples' work, in seconds
+    argv = ["estimate", "--spec", spec, "--d", str(d), "--q", str(q), "--n", str(n)]
     with time_limit(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert cli.main(argv) in (0, 2, 3, 4)
 

@@ -63,7 +63,7 @@ def powmod(a, e, m):
 
 def pth_power(a, m):
     """a**p mod m for monic m by the Frobenius rows of ``factorize`` and ``large_factor``."""
-    rows = poly._frobenius_rows(m.ctx, m.coeffs)
+    rows = poly._frobenius_rows(m.ctx, m.coeffs, poly._mul_lists, poly._divmod_lists)
     return Poly(m.ctx, tuple(poly._pth_power(m.ctx, rows, list((a % m).coeffs))))
 
 

@@ -266,7 +266,7 @@ def test_pth_power_matches_pow_mod(p, k, m, x):
     ctx = gf.field_create(p, k)
     m = Poly.make(ctx, [c % ctx.order for c in m[:-1]] + [1])
     x = Poly.make(ctx, [c % ctx.order for c in x]) % m
-    rows = poly._frobenius_rows(ctx, m.coeffs)
+    rows = poly._frobenius_rows(ctx, m.coeffs, poly._mul_lists, poly._divmod_lists)
     assert len(rows) == m.degree
     reference = gf.power(x, p, lambda a, b: a * b % m, Poly.one(ctx))
     assert poly._pth_power(ctx, rows, list(x.coeffs)) == list(reference.coeffs)
