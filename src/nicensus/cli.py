@@ -379,17 +379,12 @@ def suite_prop_polys(budget=None, seed=42):
     checks = []
     tower = embed.parse_tower("4/2")
     for c in (1, 2):
-        agree = 0
-        checked = 0
-        for X in matrix.all_matrices(c, tower.ext):
-            for f in embed.qualifying_divisors(X, tower):
-                checked += 1
-                if embed.proposition_check(X, f, tower).agree:
-                    agree += 1
+        agree = [rep.agree for X in matrix.all_matrices(c, tower.ext)
+                 for rep in embed.proposition_check(X, tower)]
         checks.append(SuiteCheck(
             f"blow-up-equivalence M({c},4) exhaustive",
-            "pass" if agree == checked else "fail",
-            f"{agree}/{checked} instances agree"))
+            "pass" if all(agree) else "fail",
+            f"{sum(agree)}/{len(agree)} instances agree"))
     expectation = {(1, 2, 2): 2}
     for r, b, q in [(1, 2, 2), (2, 2, 2), (1, 3, 2), (2, 2, 3)]:
         rep = poly.regular_orbit_report(r, b, q, budget=budget)
@@ -558,7 +553,8 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--d", required=True, type=_checked_int(
         lambda v: v >= 0, "a nonnegative integer"))
-    p.add_argument("--q", required=True, help="field descriptor, e.g. 2 or 2^2")
+    p.add_argument("--q", required=True,
+                   help="field descriptor: q, p^k or either with /modulus, e.g. 4 or 2^2/7")
     p.add_argument("--flag-check", action="store_true",
                    help="also recompute the per-dimension counts under conjugated flags")
     common(p)
@@ -568,7 +564,9 @@ def build_parser():
     p = sub.add_parser("quokka", help="torus class sums, closed forms and bands")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--q", required=True, type=_checked_int(
-        gf.is_prime_power, f"a prime power p^k with p < {gf.PRIME_TEST_BOUND}"))
+        gf.prime_power, f"a prime power p^k below 2^{gf.PRIME_POWER_MAX_BITS} "
+                        f"with p < {gf.PRIME_TEST_BOUND}"),
+        help="order of the base field, an integer prime power, e.g. 2 or 4")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--csv", metavar="PATH")
@@ -578,7 +576,8 @@ def build_parser():
     p = sub.add_parser("estimate", help="Monte Carlo proportion with Wilson interval")
     p.add_argument("--spec", required=True)
     p.add_argument("--d", type=positive, required=True)
-    p.add_argument("--q", required=True, help="field descriptor of the matrix entries")
+    p.add_argument("--q", required=True,
+                   help="field descriptor of the matrix entries, as for census")
     p.add_argument("--n", type=positive, required=True)
     p.add_argument("--csv", metavar="PATH")
     common(p)

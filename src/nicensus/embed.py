@@ -20,8 +20,9 @@ r > inv_dim/2, not t, with a full Galois orbit).  Such a factor has
 multiplicity 1 and is what remains of the charpoly once its factors of
 degree <= inv_dim/2 are divided out, which ``poly.large_factor`` does
 with one gcd, so the fast route needs no factorization.
-The two routes are cross-checked by ``proposition_check`` and by
-exhaustive and sampled tests.
+The two routes are cross-checked by exhaustive and sampled tests.
+``proposition_check`` checks the blow-up characterisation of f-primary
+cyclicity for every monic irreducible f dividing the blow-up charpoly.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import gf, matrix, poly
-from .errors import (
-    FieldMismatch,
-    NonPrimeCharacteristic,
-    NotADivisor,
-    NotASubfield,
-    NotIrreducible,
-    ParseError,
-)
+from .errors import FieldMismatch, NonPrimeCharacteristic, NotASubfield, ParseError
 from .matrix import Mat
 from .poly import Poly
 
@@ -90,28 +84,19 @@ def tower_for(ext, b):
 
 
 def parse_tower(text):
-    """Parse a tower descriptor "q^b/q", e.g. "4/2" or "2^2/2"."""
-    s = text.strip()
-    if "/" not in s:
+    """Parse a tower descriptor "ext/base" of two field orders, e.g. "4/2" or "2^2/2".
+
+    Each order is read by ``gf.parse_field_descriptor``, so it is "q" or "p^k".
+    """
+    parts = text.split("/")
+    if len(parts) != 2:
         raise ParseError(f"tower descriptor {text!r} needs the form ext/base", position=0)
-    ext_s, base_s = s.rsplit("/", 1)
-    def _order(tok):
-        tok = tok.strip()
-        if "^" in tok:
-            p_s, k_s = tok.split("^", 1)
-            return gf.field_order(int(p_s), int(k_s))
-        return gf.field_order(int(tok), 1)
     try:
-        ext_q = _order(ext_s)
-        base_q = _order(base_s)
-    except ValueError:
-        raise ParseError(f"bad tower descriptor {text!r}", position=0)
-    try:
-        ext, base = gf.field_of_order(ext_q), gf.field_of_order(base_q)
+        ext, base = map(gf.parse_field_descriptor, parts)
     except NonPrimeCharacteristic:
         raise ParseError(f"tower orders must be prime powers: {text!r}", position=0) from None
     if ext.p != base.p or ext.k % base.k != 0:
-        raise ParseError(f"{base_q} is not a subfield order of {ext_q}", position=0)
+        raise ParseError(f"{base.order} is not a subfield order of {ext.order}", position=0)
     return tower_for(ext, ext.k // base.k)
 
 
@@ -266,47 +251,39 @@ class PropositionReport:
         return self.direct == self.via_conditions
 
 
-def proposition_check(X, f, tower):
-    if X.ctx is not tower.ext:
-        raise FieldMismatch("matrix is not over the tower's extension field")
-    if f.ctx is not tower.base:
-        raise FieldMismatch("f must be over the tower's base field")
-    if not (f.is_monic and poly.is_irreducible(f)):
-        raise NotIrreducible(f"{f} is not monic irreducible over the base field")
+def proposition_check(X, tower):
+    """One PropositionReport per monic irreducible divisor f of the blow-up
+    charpoly, canonically ordered, from one analysis of X and its blow-up
+    (which raises FieldMismatch when X is not over K)."""
     Y = blow_up(X, tower)
-    if not f.divides(matrix.charpoly(Y)):
-        raise NotADivisor(f"{f} does not divide the blow-up charpoly")
-    direct = f in matrix.primary_cyclic_factors(Y)
+    pc_blow_up = matrix.primary_cyclic_factors(Y)
+    cp_ext = matrix.charpoly(X)
+    pc_ext = matrix.primary_cyclic_factors(X)
+    reports = []
+    for f, _ in poly.factorize(matrix.charpoly(Y)).factors:
+        g = _conditions_witness(f, tower, cp_ext, pc_ext)
+        reports.append(PropositionReport(direct=f in pc_blow_up, via_conditions=g is not None,
+                                         f=f, witness_g=g))
+    return tuple(reports)
 
+
+def _conditions_witness(f, tower, cp_ext, pc_ext):
+    """The first factor g of f over K meeting the conditions of
+    ``PropositionReport``, or None; always None when b does not divide deg f."""
     b = tower.b
-    q = tower.q
-    via = False
-    witness = None
-    if f.degree % b == 0:
-        r = f.degree // b
-        cp_ext = matrix.charpoly(X)
-        pc_ext = matrix.primary_cyclic_factors(X)
-        for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
-            if g.degree != r or g not in pc_ext:
-                continue
-            ok = True
-            conj = g
-            for _ in range(b - 1):
-                conj = poly.galois_conjugate(conj, q)
-                if conj == g or conj.divides(cp_ext):
-                    ok = False
-                    break
-            if ok:
-                via = True
-                witness = g
+    if f.degree % b:
+        return None
+    for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
+        if g.degree != f.degree // b or g not in pc_ext:
+            continue
+        conj = g
+        for _ in range(b - 1):
+            conj = poly.galois_conjugate(conj, tower.q)
+            if conj == g or conj.divides(cp_ext):
                 break
-    return PropositionReport(direct=direct, via_conditions=via, f=f, witness_g=witness)
-
-
-def qualifying_divisors(X, tower):
-    """Monic irreducible divisors of the blow-up charpoly (Proposition inputs)."""
-    Y = blow_up(X, tower)
-    return tuple(f for f, _ in poly.factorize(matrix.charpoly(Y)).factors)
+        else:
+            return g
+    return None
 
 
 def pc_counts_by_f(c, tower, r, budget=None):

@@ -29,14 +29,6 @@ class ZeroPolynomial(NicensusError):
     pass
 
 
-class NotIrreducible(NicensusError):
-    pass
-
-
-class NotADivisor(NicensusError):
-    pass
-
-
 class SingularMatrix(NicensusError):
     pass
 
@@ -74,7 +66,7 @@ class UnknownSuite(NicensusError):
 
 
 class ParseError(NicensusError):
-    """Malformed textual input; ``position`` is a character offset."""
+    """Malformed textual input, a negative modulus too; ``position`` is a character offset."""
 
     def __init__(self, message, position=None):
         if position is not None:

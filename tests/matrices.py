@@ -5,12 +5,13 @@
 ``norm`` checks that the charpoly of a blow-up is the norm of the
 charpoly; ``tower_coords`` checks ``TowerCtx.coords``;
 ``multiplicity_in`` checks ``primary_cyclic_factors`` against the
-multiplicities in the charpoly and the minimal polynomial.
+multiplicities in the charpoly and the minimal polynomial;
+``proposition_report`` checks ``embed.proposition_check``.
 """
 
 import itertools
 
-from nicensus import gf, matrix, poly
+from nicensus import embed, gf, matrix, poly
 from nicensus.errors import ZeroPolynomial
 from nicensus.matrix import Mat
 
@@ -121,3 +122,32 @@ def multiplicity_in(f, g):
         g = q
         count += 1
     return count
+
+
+def proposition_report(X, f, tower):
+    """The blow-up characterisation for one monic irreducible divisor f of
+    the blow-up charpoly, rebuilding the blow-up and every charpoly and
+    primary-cyclic factor list for this f alone."""
+    Y = embed.blow_up(X, tower)
+    assert f.is_monic and poly.is_irreducible(f) and f.divides(matrix.charpoly(Y))
+    direct = f in matrix.primary_cyclic_factors(Y)
+    b, q = tower.b, tower.q
+    via, witness = False, None
+    if f.degree % b == 0:
+        r = f.degree // b
+        cp_ext = matrix.charpoly(X)
+        pc_ext = matrix.primary_cyclic_factors(X)
+        for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
+            if g.degree != r or g not in pc_ext:
+                continue
+            ok = True
+            conj = g
+            for _ in range(b - 1):
+                conj = poly.galois_conjugate(conj, q)
+                if conj == g or conj.divides(cp_ext):
+                    ok = False
+                    break
+            if ok:
+                via, witness = True, g
+                break
+    return embed.PropositionReport(direct=direct, via_conditions=via, f=f, witness_g=witness)

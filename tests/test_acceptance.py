@@ -104,9 +104,10 @@ def test_criterion_5_blow_up_equivalence():
     for c, total in [(1, 4), (2, 256)]:
         for idx in range(total):
             X = from_index(F4, c, idx)
-            for f in embed.qualifying_divisors(X, tower):
-                assert embed.proposition_check(X, f, tower).agree
+            for rep in embed.proposition_check(X, tower):
+                assert rep.agree
                 checked += 1
+    assert checked == 360
     _report(5, f"blow-up equivalence agrees on {checked}/{checked} instances "
                "over exhaustive M(1,4) and M(2,4)")
 

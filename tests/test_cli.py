@@ -14,7 +14,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicensus import census, cli, estimate, gf
@@ -416,16 +416,19 @@ _QUOKKA_INTS = st.one_of(st.integers(-2, 10),
                          st.sampled_from([0, -1, 10 ** 9, -10 ** 9, 2 ** 70, -2 ** 70]))
 
 
+def _ends_in_an_exit_code(argv):
+    """Whether argv, run in process, answers or refuses within 5 s."""
+    with time_limit(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv) in (0, 2, 3, 4)
+
+
 @settings(max_examples=80, deadline=None)
 @given(c=_QUOKKA_INTS, b=_QUOKKA_INTS, r=st.none() | _QUOKKA_INTS,
        q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]))
 def test_quokka_argv_ends_in_an_exit_code(c, q, b, r):
     # every path of quokka is bounded: each run answers or refuses in seconds
     argv = ["quokka", "--c", str(c), "--q", str(q), "--b", str(b)]
-    if r is not None:
-        argv += ["--r", str(r)]
-    with time_limit(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert cli.main(argv) in (0, 2, 3, 4)
+    assert _ends_in_an_exit_code(argv + ([] if r is None else ["--r", str(r)]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -435,9 +438,103 @@ def test_quokka_argv_ends_in_an_exit_code(c, q, b, r):
        q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]))
 def test_estimate_argv_ends_in_an_exit_code(spec, d, n, q):
     # specs without a closed form: each run samples, or refuses the samples' work, in seconds
-    argv = ["estimate", "--spec", spec, "--d", str(d), "--q", str(q), "--n", str(n)]
-    with time_limit(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert cli.main(argv) in (0, 2, 3, 4)
+    assert _ends_in_an_exit_code(
+        ["estimate", "--spec", spec, "--d", str(d), "--q", str(q), "--n", str(n)])
+
+
+def _mostly(good, bad):
+    """Values of ``good`` three times in four, else of ``bad``."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda strategy: strategy)
+
+
+# Field descriptors: the malformed ones join integer orders that are prime
+# powers, that are not and that are past the field size, or p^k forms, to
+# moduli that are well formed, malformed or negative.
+_ORDERS = st.sampled_from(["2", "3", "4", "8", "9", "6", "12", "1", "0", "-4", "2^2", "3^2",
+                           "2^0", "6^2", "2^-1", "x", "", "2^30", str(10 ** 18 + 3),
+                           "2^3000000000"])
+_MODULI = st.sampled_from(["", "/7", "/11", "/13", "/-7", "/-1", "/0", "/1", "/x", "/", "/7/3",
+                           f"/{2 ** 70}", f"/-{2 ** 70}"])
+_FIELDS = _mostly(st.sampled_from(["2", "3", "4", "8", "9", "16", "27", "2^2", "3^2", "4/7",
+                                   "8/11", "2^3/13", "9/10"]),
+                  st.builds(str.__add__, _ORDERS, _MODULI))
+
+
+@st.composite
+def _matrix_texts(draw, fields=_FIELDS):
+    """Matrix texts of dimension -1 to 6: one entry, the entry count or the
+    header may go wrong."""
+    n = draw(_mostly(st.integers(0, 6), st.just(-1)))
+    top = draw(st.sampled_from([1, 2, 3]))
+    entries = [str(e) for e in draw(st.lists(st.integers(0, top), min_size=max(n, 0) ** 2,
+                                             max_size=max(n, 0) ** 2))]
+    fault = draw(_mostly(st.none(), st.sampled_from(["drop", "extra", "-1", "x", "26",
+                                                     str(2 ** 70)])))
+    if fault == "drop":
+        entries = entries[:-1]
+    elif fault is not None:
+        entries = entries[:-1] + [fault if fault != "extra" else "0"] + entries[-1:]
+    layout = draw(_mostly(st.just("{} {} : {}"),
+                          st.sampled_from(["{} {} {}", "{} {} x : {}", "{}{} : {}"])))
+    return layout.format(n, draw(fields), " ".join(entries))
+
+
+_SPECS = _mostly(st.sampled_from(["all", "invertible", "nilpotent-complement",
+                                  "primary-cyclic-some-f-not-t", "separable", "unipotent",
+                                  "has-eigenvalue(0)", "has-eigenvalue(3)",
+                                  "pc-large-degree(2)", "pc-large-degree(3)"]),
+                 st.sampled_from(["has-eigenvalue(-1)", "pc-large-degree(0)",
+                                  "pc-large-degree(x)", "all(2)", "bogus", ""]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_SPECS, d=_mostly(st.integers(0, 4), st.sampled_from([-1, 3000, 10 ** 9])),
+       q=_FIELDS, flag_check=st.booleans(),
+       budget=_mostly(st.just(1 << 12), st.sampled_from([256, 16, 1, 0, -1])))
+@example(spec="all", d=1, q="2^2/-7", flag_check=False, budget=16)
+def test_census_argv_ends_in_an_exit_code(spec, d, q, flag_check, budget):
+    # a budget of at most 2^12 matrices bounds every census that is admitted
+    argv = ["census", "--spec", spec, "--d", str(d), "--q", q, "--budget", str(budget)]
+    assert _ends_in_an_exit_code(argv + (["--flag-check"] if flag_check else []))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix=_matrix_texts())
+@example(matrix="1 2^2/-7 : 1")
+def test_decompose_argv_ends_in_an_exit_code(matrix):
+    assert _ends_in_an_exit_code(["decompose", "--matrix", matrix])
+
+
+# well-formed towers, each with a descriptor of its extension field
+_TOWER_FIELDS = {"4/2": "4", "8/2": "2^3", "16/2": "16", "16/4": "2^4", "9/3": "9",
+                 "27/3": "27", "2^2/2": "4/7", "9/9": "3^2"}
+_TOWERS = st.sampled_from(sorted(_TOWER_FIELDS)) | st.sampled_from(
+    ["4", "8/4", "6/2", "4/2/2", "2^2/7/2", "0/2", "x/2", "4/-2", "2^30/2", f"{10 ** 18 + 3}/2"])
+
+
+@st.composite
+def _pc_test_argvs(draw):
+    tower = draw(_TOWERS)
+    ext = _TOWER_FIELDS.get(tower)
+    matrix = draw(_matrix_texts(_FIELDS if ext is None else st.just(ext) | _FIELDS))
+    return ["pc-test", "--matrix", matrix, "--tower", tower]
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_pc_test_argvs())
+@example(argv=["pc-test", "--matrix", "1 2^2/-7 : 1", "--tower", "4/2"])
+def test_pc_test_argv_ends_in_an_exit_code(argv):
+    assert _ends_in_an_exit_code(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(suite=st.sampled_from(["theorem1", "corollary-sums", "lemma31", "quokka-closed-forms",
+                              "prop-polys", "bounds", "nope", "", "thm16"]),
+       budget=st.none() | st.integers(-1, 1 << 12), seed=st.integers(-2, 2) | st.just(2 ** 70))
+def test_verify_argv_ends_in_an_exit_code(suite, budget, seed):
+    # thm15 is never drawn: it samples 2 x 200,000 matrices, far past the limit
+    argv = ["verify", "--suite", suite, "--seed", str(seed)]
+    assert _ends_in_an_exit_code(argv + ([] if budget is None else ["--budget", str(budget)]))
 
 
 def test_results_past_the_int_digit_limit_are_written(capsys):
@@ -461,6 +558,44 @@ def test_quokka_q_is_checked_without_trial_division(q, code, capsys):
         assert cli.main(["quokka", "--c", "2", "--q", str(q), "--b", "2"]) == code
     if code:
         assert "is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--spec", "all", "--d", "1", "--q", "2^2/-7"],
+    ["estimate", "--spec", "all", "--d", "1", "--q", "2^2/-7", "--n", "1"],
+    ["decompose", "--matrix", "1 2^2/-7 : 1"],
+    ["pc-test", "--matrix", "1 4/-7 : 1", "--tower", "4/2"],
+], ids=["census", "estimate", "decompose", "pc-test"])
+def test_a_negative_modulus_is_refused_at_once(argv, capsys):
+    # its base-p digits, read off by floor division, would never reach 0
+    with time_limit(1):
+        assert cli.main(argv) == 4
+    assert "modulus integer -7 is negative" in capsys.readouterr().err
+
+
+def test_quokka_q_past_the_prime_power_cap_is_refused_at_once(capsys):
+    for q in (10 ** 3999 + 7, 2 ** gf.PRIME_POWER_MAX_BITS):
+        with time_limit(1):
+            assert cli.main(["quokka", "--c", "2", "--q", str(q), "--b", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not a prime power" in captured.err
+
+
+@pytest.mark.parametrize("order,power,tower", [
+    ("4", "2^2", "4/2"), ("9", "3^2", "9/3"), ("4/7", "2^2/7", "2^2/2"),
+])
+def test_an_integer_order_gives_the_digest_of_its_prime_power(order, power, tower, capsys):
+    for argv in (["census", "--spec", "separable", "--d", "2", "--q", "{}"],
+                 ["estimate", "--spec", "pc-large-degree(2)", "--d", "2", "--q", "{}",
+                  "--n", "50"],
+                 ["decompose", "--matrix", "2 {} : 1 2 3 1"],
+                 ["pc-test", "--matrix", "2 {} : 1 2 3 1", "--tower", tower]):
+        digests = []
+        for field in (order, power):
+            code, out = run_cli([a.format(field) for a in argv], capsys)
+            assert code == 0
+            digests.append(json.loads(out)["manifest"]["digest"])
+        assert digests[0] == digests[1], argv
 
 
 PINNED = {

@@ -6,17 +6,11 @@ from fractions import Fraction
 import pytest
 
 from nicensus import embed, estimate, gf, matrix, poly
-from nicensus.errors import (
-    FieldMismatch,
-    NotADivisor,
-    NotASubfield,
-    NotIrreducible,
-    ParseError,
-)
+from nicensus.errors import FieldMismatch, NotASubfield, ParseError
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import from_index, from_rows, norm, tower_coords
+from matrices import from_index, from_rows, norm, proposition_report, tower_coords
 
 F2 = gf.field_create(2)
 F4 = gf.field_create(2, 2)
@@ -31,12 +25,14 @@ def test_parse_tower():
     assert t.b == 2
     t = embed.parse_tower("9/3")
     assert t.b == 2 and t.ext.order == 9
+    assert embed.parse_tower(" 16 / 2^2 ") is embed.tower_for(gf.field_create(2, 4), 2)
     with pytest.raises(ParseError):
         embed.parse_tower("4")
     with pytest.raises(ParseError):
         embed.parse_tower("8/4")  # F_4 is not a subfield of F_8
-    with pytest.raises(ParseError):
-        embed.parse_tower("6/2")
+    for text in ("6/2", "0/2", "x/2", "2^2/7/2", "4/2^"):
+        with pytest.raises(ParseError):
+            embed.parse_tower(text)
 
 
 def test_regular_rep_examples():
@@ -160,19 +156,32 @@ def test_per_polynomial_sets_pairwise_disjoint():
 
 def test_proposition_check_examples():
     X = from_rows(F4, [(LAM,)])
-    f = Poly.make(F2, (1, 1, 1))
-    rep = embed.proposition_check(X, f, TOWER)
+    (rep,) = embed.proposition_check(X, TOWER)
+    assert rep.f == Poly.make(F2, (1, 1, 1))
     assert rep.direct and rep.via_conditions and rep.agree
     assert rep.witness_g == Poly.make(F4, (LAM, 1))
     # degree not divisible by b: both sides false
-    one = from_rows(F4, [(1,)])
-    t_plus_1 = Poly.make(F2, (1, 1))
-    rep = embed.proposition_check(one, t_plus_1, TOWER)
+    (rep,) = embed.proposition_check(from_rows(F4, [(1,)]), TOWER)
+    assert rep.f == Poly.make(F2, (1, 1))
     assert not rep.direct and not rep.via_conditions and rep.agree
-    with pytest.raises(NotADivisor):
-        embed.proposition_check(one, f, TOWER)
-    with pytest.raises(NotIrreducible):
-        embed.proposition_check(one, Poly.make(F2, (1, 0, 1)), TOWER)  # (t + 1)^2
+    with pytest.raises(FieldMismatch):
+        embed.proposition_check(Mat.identity(F2, 1), TOWER)
+
+
+@pytest.mark.parametrize("tower_text,c", [
+    ("4/2", 1), ("8/2", 1), ("16/2", 1), ("9/3", 1), ("27/3", 1), ("4/2", 2),
+])
+def test_proposition_check_equals_the_per_divisor_oracle(tower_text, c):
+    # b = 2, 3 and 4, odd p, and M(2, 4): one analysis per matrix gives
+    # the reports of one analysis per (X, f), f in canonical order
+    tower = embed.parse_tower(tower_text)
+    direct = 0
+    for X in matrix.all_matrices(c, tower.ext):
+        fs = [f for f, _ in poly.factorize(matrix.charpoly(embed.blow_up(X, tower))).factors]
+        reports = embed.proposition_check(X, tower)
+        assert reports == tuple(proposition_report(X, f, tower) for f in fs)
+        direct += sum(rep.direct for rep in reports)
+    assert direct > 0
 
 
 def test_brute_force_counts_match_closed_form_small():

@@ -303,21 +303,29 @@ def test_subfield_embedding_is_pinned(p, k, ext_k):
 
 
 def test_descriptor_roundtrip():
-    for text in ["2", "3", "2^2", "2^4", "3^2"]:
+    for text in ["2", "3", "2^2", "2^4", "3^2", "4", "9", "16/19"]:
         ctx = gf.parse_field_descriptor(text)
         again = gf.parse_field_descriptor(gf.describe_field(ctx))
         assert again is ctx
     pinned = gf.parse_field_descriptor("2^2/7")
     assert pinned.modulus == (1, 1, 1)
-    with pytest.raises(ParseError):
-        gf.parse_field_descriptor("2^x")
-    with pytest.raises(ParseError):
-        gf.parse_field_descriptor("2^2/zz")
+    # an integer order reads as p^k, with or without a modulus
+    for order, power in [("4", "2^2"), ("9", "3^2"), ("4/7", "2^2/7"), ("8/13", "2^3/13"),
+                         ("7/7", "7^1/7")]:
+        assert gf.parse_field_descriptor(order) is gf.parse_field_descriptor(power)
+    assert gf.parse_field_descriptor("8/11").modulus == (1, 1, 0, 1)
+    for text in ("2^x", "2^2/zz", "x", "4/", "2^2/-7", "4/-7", "2/-1"):
+        with pytest.raises(ParseError):
+            gf.parse_field_descriptor(text)
+    for text in ("6", "1", "-4", "6^2", "6/7"):
+        with pytest.raises(NonPrimeCharacteristic):
+            gf.parse_field_descriptor(text)
 
 
 def test_field_of_order():
     for p, k in [(2, 1), (2, 4), (3, 2), (5, 1), (7, 2)]:
         assert gf.field_of_order(p ** k) is gf.field_create(p, k)
+    assert gf.field_of_order(8, 13) is gf.field_create(2, 3, (1, 0, 1, 1))
     for q in (1, 6, 12, 100):
         with pytest.raises(NonPrimeCharacteristic):
             gf.field_of_order(q)
@@ -339,12 +347,28 @@ def test_fits_matches_the_plain_comparison():
         gf.admit(2, 10 ** 10, "matrices", limit=4096)
 
 
-def test_is_prime_power_matches_factor_int():
-    for q in range(2, 5000):
-        assert gf.is_prime_power(q) == (len(gf.factor_int(q)) == 1), q
+def _prime_power_by_factoring(q):
+    primes = gf.factor_int(q)
+    return primes.popitem() if len(primes) == 1 else None
+
+
+def test_prime_power_matches_factor_int():
+    for q in range(-3, 5000):
+        assert gf.prime_power(q) == (_prime_power_by_factoring(q) if q >= 2 else None), q
     for r, k in [(2, 33), (3, 20), (6, 12), (7, 11), (1009, 3), (65521, 2)]:
         for q in (r ** k - 1, r ** k, r ** k + 1):
-            assert gf.is_prime_power(q) == (len(gf.factor_int(q)) == 1), (r, k, q)
+            assert gf.prime_power(q) == _prime_power_by_factoring(q), (r, k, q)
+
+
+def test_prime_power_refuses_past_its_bit_cap_before_any_root(monkeypatch):
+    cap = gf.PRIME_POWER_MAX_BITS
+    assert gf.prime_power(2 ** (cap - 1)) == (2, cap - 1)
+    assert gf.prime_power(3 ** 1292) == (3, 1292)  # 2,048 bits
+    def no_root(m, e):
+        raise AssertionError("a root was taken past the cap")
+    monkeypatch.setattr(gf, "int_nth_root", no_root)
+    for q in (2 ** cap, 3 ** 1293, 10 ** 3999 + 7):
+        assert gf.prime_power(q) is None
 
 
 def test_int_nth_root_is_the_floor_root():
