@@ -38,10 +38,9 @@ from fractions import Fraction
 
 from . import embed, gf, matrix, poly
 from .errors import (
-    IndexOutOfRange,
     NIViolation,
-    NonPositiveConstants,
     ParseError,
+    RangeError,
 )
 from .matrix import Mat
 
@@ -49,7 +48,7 @@ from .matrix import Mat
 def omega(j, q):
     """|GL(j, q)| / |M(j, q)|, which is prod_{k=1}^{j} (1 - q^-k)."""
     if j < 0:
-        raise IndexOutOfRange("omega needs j >= 0")
+        raise RangeError("omega needs j >= 0")
     return Fraction(matrix.gl_order(j, q), q ** (j * j))
 
 
@@ -67,7 +66,7 @@ def flag_sum(d, q, ratios):
 def gaussian_binomial(d, i, q):
     """Number of i-subspaces of F_q^d: |GL(d, q)| over the order of one's stabiliser."""
     if not 0 <= i <= d:
-        raise IndexOutOfRange(f"need 0 <= i <= d, got i={i}, d={d}")
+        raise RangeError(f"need 0 <= i <= d, got i={i}, d={d}")
     stabiliser = matrix.gl_order(i, q) * matrix.gl_order(d - i, q) * q ** (i * (d - i))
     return matrix.gl_order(d, q) // stabiliser
 
@@ -107,7 +106,7 @@ def _member_not_nilpotent(X):
 
 def _member_pc_some_f(X):
     """Primary cyclic for some monic irreducible f != t."""
-    return any(f.coeffs != (0, 1) for f in matrix.primary_cyclic_factors(X))
+    return any(cyclic and f.coeffs != (0, 1) for f, _, cyclic in matrix.primary_factors(X))
 
 
 def _member_separable(X):
@@ -388,7 +387,7 @@ def corollary_sum_check(d, q):
 def _check_constants(a, k):
     a, k = Fraction(a), Fraction(k)
     if a <= 0 or k <= 0:
-        raise NonPositiveConstants(f"need a, k > 0, got a={a}, k={k}")
+        raise RangeError(f"need a, k > 0, got a={a}, k={k}")
     return a, k
 
 

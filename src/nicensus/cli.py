@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, census, embed, estimate, gf, intervals, matrix, poly, quokka
-from .errors import NicensusError, NIViolation, ParseError, UnknownSuite
+from .errors import NicensusError, NIViolation, ParseError
 from .intervals import RInterval
 
 EXIT_OK = 0
@@ -495,7 +495,7 @@ def run_suite(name, budget=None, seed=42):
     Every suite takes the seed; only the sampling ones (thm15) read it.
     """
     if name not in _SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(_SUITES))}")
+        raise ParseError(f"unknown suite {name!r}; known: {', '.join(sorted(_SUITES))}")
     return _SUITES[name](budget=budget, seed=seed)
 
 
@@ -628,7 +628,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         result, code, csv_rows = args.func(args)
-    except (ParseError, UnknownSuite) as exc:
+    except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NIViolation as exc:
@@ -650,11 +650,14 @@ def main(argv=None):
         if getattr(args, "json", None):
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(document + "\n")
-        print(document)
         if csv_rows and getattr(args, "csv", None):
             _write_csv(args.csv, csv_rows)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"usage error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(previous)
+    print(document)
     return code
 
 

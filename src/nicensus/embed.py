@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gf, matrix, poly
 from .errors import FieldMismatch, NonPrimeCharacteristic, NotASubfield, ParseError
@@ -37,21 +37,24 @@ from .matrix import Mat
 from .poly import Poly
 
 
-# Regular representations kept per tower, the oldest evicted first.  One
+# Regular representations kept, the least recently used evicted first.  One
 # verify-exact pass holds 9 in three towers.  At the bound, 2^16 over 2^8
 # holds about 1.9 MB (tracemalloc); all of 2^20 over 2^10 would be 350 MB.
 _REP_CACHE_MAX = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TowerCtx:
-    """K = F_{q^b} viewed as a b-dimensional F_q-algebra."""
+    """K = F_{q^b} viewed as a b-dimensional F_q-algebra.
+
+    Compared and hashed by identity, like ``FieldCtx``: ``tower_for``
+    builds one per (ext, b), and ``regular_rep`` is memoized by it.
+    """
 
     ext: gf.FieldCtx
     b: int
     base: gf.FieldCtx
     basis: tuple          # power basis elements of ext
-    _rep_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def q(self):
@@ -105,24 +108,17 @@ def parse_tower(text):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=_REP_CACHE_MAX)
 def regular_rep(alpha, tower):
     """b x b matrix over F_q of multiplication by alpha, in the power basis.
 
     Row m holds the coordinates of basis[m] * alpha, so row vectors of
     coordinates multiply on the right, matching the matrix convention.
-    The tower keeps the last ``_REP_CACHE_MAX`` built.
+    Memoized in an LRU of ``_REP_CACHE_MAX`` matrices over all towers.
     """
-    cache = tower._rep_cache
-    cached = cache.get(alpha)
-    if cached is not None:
-        return cached
     ext = tower.ext
     rows = tuple(tower.coords(ext.mul(e, alpha)) for e in tower.basis)
-    M = Mat(tower.base, tower.b, rows)
-    if len(cache) >= _REP_CACHE_MAX:
-        del cache[next(iter(cache))]
-    cache[alpha] = M
-    return M
+    return Mat(tower.base, tower.b, rows)
 
 
 def blow_up(X, tower):
@@ -187,9 +183,9 @@ def pc_membership(X, tower):
     inv_dim = X.n - _t_multiplicity(cp_ext.coeffs)
     if inv_dim == 0:
         return PCMembership(member=False, inv_dim=0)
-    for f in matrix.primary_cyclic_factors(blow_up(X, tower)):
+    for f, _, cyclic in matrix.primary_factors(blow_up(X, tower)):
         r = f.degree // b
-        if f.degree == b * r and 2 * r > inv_dim and f.coeffs != (0, 1):
+        if cyclic and f.degree == b * r and 2 * r > inv_dim and f.coeffs != (0, 1):
             g = _galois_representative(f, cp_ext, tower, r)
             return PCMembership(member=True, witness_f=f, witness_g=g,
                                 r=r, inv_dim=inv_dim)
@@ -256,30 +252,33 @@ def proposition_check(X, tower):
     charpoly, canonically ordered, from one analysis of X and its blow-up
     (which raises FieldMismatch when X is not over K)."""
     Y = blow_up(X, tower)
-    pc_blow_up = matrix.primary_cyclic_factors(Y)
-    cp_ext = matrix.charpoly(X)
-    pc_ext = matrix.primary_cyclic_factors(X)
+    pc_ext = {g: cyclic for g, _, cyclic in matrix.primary_factors(X)}
     reports = []
-    for f, _ in poly.factorize(matrix.charpoly(Y)).factors:
-        g = _conditions_witness(f, tower, cp_ext, pc_ext)
-        reports.append(PropositionReport(direct=f in pc_blow_up, via_conditions=g is not None,
+    for f, _, cyclic in matrix.primary_factors(Y):
+        g = _conditions_witness(f, tower, pc_ext)
+        reports.append(PropositionReport(direct=cyclic, via_conditions=g is not None,
                                          f=f, witness_g=g))
     return tuple(reports)
 
 
-def _conditions_witness(f, tower, cp_ext, pc_ext):
+def _conditions_witness(f, tower, pc_ext):
     """The first factor g of f over K meeting the conditions of
-    ``PropositionReport``, or None; always None when b does not divide deg f."""
+    ``PropositionReport``, or None; always None when b does not divide deg f.
+
+    ``pc_ext`` maps each monic irreducible factor of the charpoly over K to
+    whether X is primary cyclic for it; a conjugate of g, monic and
+    irreducible, divides that charpoly exactly when it is a key.
+    """
     b = tower.b
     if f.degree % b:
         return None
     for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
-        if g.degree != f.degree // b or g not in pc_ext:
+        if g.degree != f.degree // b or not pc_ext.get(g):
             continue
         conj = g
         for _ in range(b - 1):
             conj = poly.galois_conjugate(conj, tower.q)
-            if conj == g or conj.divides(cp_ext):
+            if conj == g or conj in pc_ext:
                 break
         else:
             return g
@@ -299,8 +298,8 @@ def pc_counts_by_f(c, tower, r, budget=None):
     gl_size = 0
     for X in matrix.all_invertible(c, tower.ext, budget=budget):
         gl_size += 1
-        for f in matrix.primary_cyclic_factors(blow_up(X, tower)):
-            if f in counts:
+        for f, _, cyclic in matrix.primary_factors(blow_up(X, tower)):
+            if cyclic and f in counts:
                 counts[f] += 1
     return counts, gl_size
 

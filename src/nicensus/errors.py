@@ -33,15 +33,7 @@ class SingularMatrix(NicensusError):
     pass
 
 
-class IndexOutOfRange(NicensusError):
-    pass
-
-
 class RangeError(NicensusError):
-    pass
-
-
-class NonPositiveConstants(NicensusError):
     pass
 
 
@@ -59,10 +51,6 @@ class NIViolation(NicensusError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class UnknownSuite(NicensusError):
-    pass
 
 
 class ParseError(NicensusError):

@@ -17,14 +17,14 @@ tier and for the powers of the generator that fill the log tables.
 Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
 adds ``c * src[j]`` to ``dst[off + j]`` in place with the tier's table
 lookups hoisted out of the loop (a prime field past the full tables adds
-``c * s`` mod p directly); the polynomial, charpoly and sampling loops
-run on coefficient lists through it.  The two hot loops of a sampled
-decision, ``matrix.charpoly`` and the list kernels under
-``poly.large_factor`` and ``poly.factorize``, read the full tables
-(``mul_rows``, ``add_rows``, ``neg_table``, ``inv_table``, ``frob``)
-directly when a field has them; their generic code, through the methods
-and ``axpy``, is the only path above order 256 and the reference the
-tests hold the table path to.
+``c * s`` mod p directly); the row operations of ``matrix`` and
+polynomial sums run through it.  ``matrix.charpoly`` and the three coefficient-list
+kernels of ``poly`` (products, division with remainder, the p-th power)
+read the full tables (``mul_rows``, ``add_rows``, ``neg_table``,
+``inv_table``, ``frob``) directly when a field has them, each choosing
+inside itself; their generic code, through the methods and ``axpy``, is
+the only path above order 256 and the reference the tests hold the
+table path to.
 
 Every size built, enumerated or sampled is a power q**e: field orders
 p^k (at most 2**20), matrices q^(d^2), candidates q^m, n samples, d^3

@@ -438,14 +438,16 @@ def minpoly(M):
     return math.prod((f ** e_f for f, _, _, e_f in primary_components(M)), start=Poly.one(M.ctx))
 
 
-def primary_cyclic_factors(M):
-    """Every monic irreducible f for which M is f-primary cyclic, canonically ordered.
+def primary_factors(M):
+    """(f, m_f, cyclic) for every monic irreducible factor f of the charpoly,
+    of multiplicity m_f, canonically ordered; cyclic says whether M is
+    f-primary cyclic.
 
     Each cyclic summand of V_f adds deg f to the nullity of f(X), so V_f is
     cyclic exactly when that nullity is deg f; a simple factor always is.
     """
-    return tuple(f for f, m_f in poly.factorize(charpoly(M)).factors
-                 if m_f == 1 or M.n - rank(evaluate_poly_at(f, M)) == f.degree)
+    return tuple((f, m_f, m_f == 1 or M.n - rank(evaluate_poly_at(f, M)) == f.degree)
+                 for f, m_f in poly.factorize(charpoly(M)).factors)
 
 
 # ---------------------------------------------------------------------------

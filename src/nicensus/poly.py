@@ -2,8 +2,13 @@
 
 Coefficients are stored low degree first as a tuple of element ints;
 the zero polynomial is the empty tuple (degree -1).  Arithmetic runs on
-coefficient lists through the field's row kernel ``axpy``: products,
-division with remainder and gcd build a ``Poly`` only for their result.
+coefficient lists: products, division with remainder, gcd and the p-th
+power build a ``Poly`` only for their result.  Each of the three list
+kernels (``_mul_lists``, ``_divmod_lists``, ``_pth_power``) reads the
+field's ``mul_rows`` once: on a field with full tables (order <= 256) its
+row loops run inline on table reads, else through the field's row kernel
+``axpy``, the reference the tests hold the table loops to.  No caller
+picks a kernel.
 ``factorize`` runs one loop over degrees d = 1, 2, ...: a gcd with
 t^(q^d) - t collects the distinct factors of degree d, a
 Cantor-Zassenhaus split separates them, and each is divided out with its
@@ -18,13 +23,8 @@ more than half the degree, if any.  Both loops step t^(q^d) mod f from
 t^(q^(d-1)) by k applications of the semilinear p-th power map
 x^p = sum of c_i^p t^(p*i), read off rows t^(p*i) mod f built once per
 call.  The row t^p, the odd-q split and ``Poly.__pow__`` square and
-multiply through ``gf.power``.  Both loops take their product, divmod and
-p-th power kernels from ``_list_kernels``, once per call: on a field
-with full tables (order <= 256) the ``_tables`` kernels, which read the
-tables directly and run their row loops inline, else the generic ones
-through ``axpy``, which are the reference of the tests.  f is
-irreducible exactly when it is its own large factor, so
-``is_irreducible`` asks ``large_factor``.
+multiply through ``gf.power``.  f is irreducible exactly when it is its
+own large factor, so ``is_irreducible`` asks ``large_factor``.
 
 ``factorize(f)`` is pure and memoized for the life of the process by
 ``functools.lru_cache``, keyed by f: ``Poly`` equality compares fields
@@ -61,10 +61,19 @@ def _trim(coeffs):
 def _mul_lists(ctx, a, b):
     """Coefficient list of a * b (untrimmed when a or b is zero)."""
     out = [0] * (len(a) + len(b) - 1)
-    axpy = ctx.axpy
-    for i, x in enumerate(a):
-        if x:
-            axpy(out, i, x, b)
+    mul_rows = ctx.mul_rows
+    if mul_rows is not None:
+        add_rows = ctx.add_rows
+        for i, x in enumerate(a):
+            if x:
+                by_x = mul_rows[x]
+                for j, s in enumerate(b, i):
+                    out[j] = add_rows[out[j]][by_x[s]]
+    else:
+        axpy = ctx.axpy
+        for i, x in enumerate(a):
+            if x:
+                axpy(out, i, x, b)
     return out
 
 
@@ -77,24 +86,36 @@ def _divmod_lists(ctx, a, b):
     db = len(b) - 1
     rem = list(a)
     nquo = [0] * (len(a) - db)  # empty when len(a) <= db
-    nbinv = ctx.neg(ctx.inv(b[-1]))
     low = b[:db]  # rem[i + db] is cancelled by construction and never read again
-    mul, axpy = ctx.mul, ctx.axpy
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = rem[i + db]
-        if c:
-            f = nquo[i] = mul(c, nbinv)
-            axpy(rem, i, f, low)
+    mul_rows = ctx.mul_rows
+    if mul_rows is not None:
+        add_rows = ctx.add_rows
+        by_nbinv = mul_rows[ctx.neg_table[ctx.inv_table[b[-1]]]]
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = rem[i + db]
+            if c:
+                f = nquo[i] = by_nbinv[c]
+                by_f = mul_rows[f]
+                for j, s in enumerate(low, i):
+                    rem[j] = add_rows[rem[j]][by_f[s]]
+    else:
+        nbinv = ctx.neg(ctx.inv(b[-1]))
+        mul, axpy = ctx.mul, ctx.axpy
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = rem[i + db]
+            if c:
+                f = nquo[i] = mul(c, nbinv)
+                axpy(rem, i, f, low)
     del rem[db:]
     while rem and not rem[-1]:
         rem.pop()
     return nquo, rem
 
 
-def _gcd_lists(ctx, a, b, divmod_lists):
-    """A gcd of a and b, not made monic (Euclid on trimmed lists, by ``divmod_lists``)."""
+def _gcd_lists(ctx, a, b):
+    """A gcd of a and b, not made monic (Euclid on trimmed lists)."""
     while b:
-        a, b = b, divmod_lists(ctx, a, b)[1]
+        a, b = b, _divmod_lists(ctx, a, b)[1]
     return a
 
 
@@ -105,15 +126,14 @@ def _powmod_lists(ctx, x, e, m):
     return gf.power(x, e, lambda a, b: _divmod_lists(ctx, _mul_lists(ctx, a, b), m)[1], [1])
 
 
-def _frobenius_rows(ctx, m, mul_lists, divmod_lists):
-    """Rows R_i = t^(p*i) mod m for i < deg m, m monic of degree >= 2,
-    through the product and divmod kernels given.
+def _frobenius_rows(ctx, m):
+    """Rows R_i = t^(p*i) mod m for i < deg m, m monic of degree >= 2.
 
     R_1 = t^p mod m, and R_i = R_1 * R_(i-1) mod m: one shift and reduce
     each while R_1 is the monomial t^p (p < deg m).
     """
     def mulmod(a, b):
-        return divmod_lists(ctx, mul_lists(ctx, a, b), m)[1]
+        return _divmod_lists(ctx, _mul_lists(ctx, a, b), m)[1]
 
     r1 = gf.power([0, 1], ctx.p, mulmod, [1])
     rows = [[1], r1]
@@ -126,76 +146,26 @@ def _pth_power(ctx, rows, x):
     """x^p mod m for x reduced mod m, from m's ``_frobenius_rows``.
 
     The p-th power map is additive and c -> c^p on coefficients, so
-    x^p = sum of c_i^p * R_i: at most deg m ``axpy`` calls, where a
-    squaring costs about twice that.
+    x^p = sum of c_i^p * R_i: at most deg m row passes, where a squaring
+    costs about twice that.
     """
     out = [0] * len(rows)
-    frob, p, axpy = ctx.frob, ctx.p, ctx.axpy
-    for c, row in zip(x, rows):
-        if c:
-            axpy(out, 0, frob[c] if frob else ctx.pow_elt(c, p), row)
+    frob, mul_rows = ctx.frob, ctx.mul_rows
+    if mul_rows is not None:
+        add_rows = ctx.add_rows
+        for c, row in zip(x, rows):
+            if c:
+                by_c = mul_rows[frob[c]]
+                for j, s in enumerate(row):
+                    out[j] = add_rows[out[j]][by_c[s]]
+    else:
+        p, axpy = ctx.p, ctx.axpy
+        for c, row in zip(x, rows):
+            if c:
+                axpy(out, 0, frob[c] if frob else ctx.pow_elt(c, p), row)
     while out and not out[-1]:
         out.pop()
     return out
-
-
-# The same three kernels on the full tables (order <= 256): every field
-# operation is a table read and every row loop runs inline.
-
-def _mul_tables(ctx, a, b):
-    """``_mul_lists`` on the full tables."""
-    mul_rows, add_rows = ctx.mul_rows, ctx.add_rows
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            by_x = mul_rows[x]
-            for j, s in enumerate(b, i):
-                out[j] = add_rows[out[j]][by_x[s]]
-    return out
-
-
-def _divmod_tables(ctx, a, b):
-    """``_divmod_lists`` on the full tables."""
-    mul_rows, add_rows = ctx.mul_rows, ctx.add_rows
-    db = len(b) - 1
-    rem = list(a)
-    nquo = [0] * (len(a) - db)
-    by_nbinv = mul_rows[ctx.neg_table[ctx.inv_table[b[-1]]]]
-    low = b[:db]
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = rem[i + db]
-        if c:
-            f = nquo[i] = by_nbinv[c]
-            by_f = mul_rows[f]
-            for j, s in enumerate(low, i):
-                rem[j] = add_rows[rem[j]][by_f[s]]
-    del rem[db:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return nquo, rem
-
-
-def _pth_power_tables(ctx, rows, x):
-    """``_pth_power`` on the full tables."""
-    mul_rows, add_rows, frob = ctx.mul_rows, ctx.add_rows, ctx.frob
-    out = [0] * len(rows)
-    for c, row in zip(x, rows):
-        if c:
-            by_c = mul_rows[frob[c]]
-            for j, s in enumerate(row):
-                out[j] = add_rows[out[j]][by_c[s]]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _list_kernels(ctx):
-    """(product, divmod, p-th power) on coefficient lists over ctx: the
-    table kernels when ctx has full tables, else the generic ones, which
-    are the reference the tests hold the table kernels to."""
-    if ctx.mul_rows is not None:
-        return _mul_tables, _divmod_tables, _pth_power_tables
-    return _mul_lists, _divmod_lists, _pth_power
 
 
 @dataclass(frozen=True)
@@ -323,7 +293,7 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic greatest common divisor."""
-    g = Poly(a.ctx, tuple(_gcd_lists(a.ctx, a.coeffs, a._chk(b).coeffs, _divmod_lists)))
+    g = Poly(a.ctx, tuple(_gcd_lists(a.ctx, a.coeffs, a._chk(b).coeffs)))
     return g.monic() if g.coeffs else g
 
 
@@ -488,13 +458,12 @@ def factorize(f):
     ctx = f.ctx
     t = Poly.x(ctx)
     u, w, d = f.monic(), [0, 1], 1
-    mul_lists, divmod_lists, pth_power = _list_kernels(ctx)
     if u.degree >= 2:
-        rows = _frobenius_rows(ctx, u.coeffs, mul_lists, divmod_lists)
+        rows = _frobenius_rows(ctx, u.coeffs)
     factors = []
     while 2 * d <= u.degree:
         for _ in range(ctx.k):
-            w = pth_power(ctx, rows, w)
+            w = _pth_power(ctx, rows, w)
         g = poly_gcd(u, Poly(ctx, tuple(w)) - t)
         if g.degree > 0:
             for h in _split_equal_degree(g, d):
@@ -538,23 +507,22 @@ def large_factor(f):
     n = len(m) - 1
     if n < 2:  # a constant has no factor; a linear f is its own
         return g if n == 1 else None
-    mul_lists, divmod_lists, pth_power = _list_kernels(ctx)
-    rows = _frobenius_rows(ctx, m, mul_lists, divmod_lists)
+    rows = _frobenius_rows(ctx, m)
     w, s = rows[1], [1]  # t^p mod f and the empty product
     for d in range(1, n // 2 + 1):
         for _ in range(ctx.k if d > 1 else ctx.k - 1):
-            w = pth_power(ctx, rows, w)  # ends at t^(q^d) mod f
+            w = _pth_power(ctx, rows, w)  # ends at t^(q^d) mod f
         h = w + [0] * (2 - len(w))
         h[1] = ctx.sub(h[1], 1)
         h = _trim(h)
         if not h:  # every irreducible factor has degree dividing d <= n/2
             return None
         if 4 * d > n:
-            s = divmod_lists(ctx, mul_lists(ctx, s, h), m)[1]
-    u, c = m, _gcd_lists(ctx, m, s, divmod_lists)
+            s = _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
+    u, c = m, _gcd_lists(ctx, m, s)
     while len(c) > 1:
-        u = divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
-        c = _gcd_lists(ctx, u, c, divmod_lists)
+        u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
+        c = _gcd_lists(ctx, u, c)
     return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
 
 

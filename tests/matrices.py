@@ -4,8 +4,9 @@
 ``row_space_basis`` and ``fitting_blocks`` check ``fitting_decompose``;
 ``norm`` checks that the charpoly of a blow-up is the norm of the
 charpoly; ``tower_coords`` checks ``TowerCtx.coords``;
-``multiplicity_in`` checks ``primary_cyclic_factors`` against the
-multiplicities in the charpoly and the minimal polynomial;
+``multiplicity_in`` checks the cyclic flags of ``primary_factors``
+(listed by ``cyclic_factors``) against the multiplicities in the
+charpoly and the minimal polynomial;
 ``proposition_report`` checks ``embed.proposition_check``.
 """
 
@@ -14,6 +15,11 @@ import itertools
 from nicensus import embed, gf, matrix, poly
 from nicensus.errors import ZeroPolynomial
 from nicensus.matrix import Mat
+
+
+def cyclic_factors(M):
+    """The factors f of the charpoly, canonically ordered, for which M is f-primary cyclic."""
+    return tuple(f for f, _, cyclic in matrix.primary_factors(M) if cyclic)
 
 
 def from_rows(ctx, rows):
@@ -130,13 +136,13 @@ def proposition_report(X, f, tower):
     primary-cyclic factor list for this f alone."""
     Y = embed.blow_up(X, tower)
     assert f.is_monic and poly.is_irreducible(f) and f.divides(matrix.charpoly(Y))
-    direct = f in matrix.primary_cyclic_factors(Y)
+    direct = f in cyclic_factors(Y)
     b, q = tower.b, tower.q
     via, witness = False, None
     if f.degree % b == 0:
         r = f.degree // b
         cp_ext = matrix.charpoly(X)
-        pc_ext = matrix.primary_cyclic_factors(X)
+        pc_ext = cyclic_factors(X)
         for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
             if g.degree != r or g not in pc_ext:
                 continue

@@ -19,10 +19,9 @@ from nicensus.census import (
 )
 from nicensus.errors import (
     BudgetExceeded,
-    IndexOutOfRange,
     NIViolation,
-    NonPositiveConstants,
     ParseError,
+    RangeError,
 )
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
@@ -40,7 +39,7 @@ def test_omega_values():
     assert omega(2, 2) == Fraction(3, 8)
     invertibles = sum(1 for M in matrix.all_matrices(2, F2) if matrix.is_invertible(M))
     assert omega(2, 2) == Fraction(invertibles, 16)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(RangeError):
         omega(-1, 2)
 
 
@@ -81,7 +80,7 @@ def test_gaussian_binomial_against_enumeration():
     assert gaussian_binomial(3, 2, 2) == 7 == count_subspaces(F2, 3, 2)
     assert gaussian_binomial(2, 1, 3) == 4 == count_subspaces(F3, 2, 1)
     assert gaussian_binomial(4, 2, 2) == 35 == count_subspaces(F2, 4, 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(RangeError):
         gaussian_binomial(2, 3, 2)
 
 
@@ -194,7 +193,7 @@ def test_transfer_bounds():
     lb = census.transfer_bound_linear(1, Fraction(1, 100), 4, 2)
     assert lb.tight == (1 - Fraction(3, 400)) * Fraction(15, 16)
     assert lb.tight > lb.relaxed
-    with pytest.raises(NonPositiveConstants):
+    with pytest.raises(RangeError):
         census.transfer_bound_linear(1, 0, 2, 2)
 
 

@@ -422,12 +422,44 @@ def _ends_in_an_exit_code(argv):
         return cli.main(argv) in (0, 2, 3, 4)
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+# output paths: none, a writable file, a directory or a file under a missing directory
+_OUTPUTS = st.sampled_from([None, "file", "dir", "missing"])
+
+
+def _outputs(out_dir, **kinds):
+    """The argv tail "--option PATH" for each output option whose kind is not None."""
+    paths = {"file": out_dir / "out", "dir": out_dir, "missing": out_dir / "missing" / "out"}
+    return [arg for option, kind in kinds.items() if kind is not None
+            for arg in (f"--{option}", str(paths[kind]))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--spec", "all", "--d", "1", "--q", "2", "--json"],
+    ["quokka", "--c", "4", "--q", "2", "--b", "2", "--csv"],
+    ["estimate", "--spec", "all", "--d", "1", "--q", "2", "--n", "4", "--csv"],
+], ids=["census-json", "quokka-csv", "estimate-csv"])
+@pytest.mark.parametrize("kind", ["dir", "missing"])
+def test_unwritable_output_paths_exit_4(argv, kind, out_dir, capsys):
+    path = _outputs(out_dir, out=kind)[1]
+    assert cli.main(argv + [path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and path in captured.err
+
+
 @settings(max_examples=80, deadline=None)
 @given(c=_QUOKKA_INTS, b=_QUOKKA_INTS, r=st.none() | _QUOKKA_INTS,
-       q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]))
-def test_quokka_argv_ends_in_an_exit_code(c, q, b, r):
+       q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]),
+       json_to=_OUTPUTS, csv_to=_OUTPUTS)
+@example(c=4, q=2, b=2, r=None, json_to=None, csv_to="dir")
+def test_quokka_argv_ends_in_an_exit_code(c, q, b, r, json_to, csv_to, out_dir):
     # every path of quokka is bounded: each run answers or refuses in seconds
     argv = ["quokka", "--c", str(c), "--q", str(q), "--b", str(b)]
+    argv += _outputs(out_dir, json=json_to, csv=csv_to)
     assert _ends_in_an_exit_code(argv + ([] if r is None else ["--r", str(r)]))
 
 
@@ -435,11 +467,12 @@ def test_quokka_argv_ends_in_an_exit_code(c, q, b, r):
 @given(spec=st.sampled_from(["all", "separable", "has-eigenvalue(0)"]),
        d=_QUOKKA_INTS | st.sampled_from([400, 4096]),
        n=_QUOKKA_INTS | st.sampled_from([400, 4096]),
-       q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]))
-def test_estimate_argv_ends_in_an_exit_code(spec, d, n, q):
+       q=st.sampled_from([2, 3, 4, 9, 2 ** 62, 10 ** 18, 6, 1, 0, -8]),
+       json_to=_OUTPUTS, csv_to=_OUTPUTS)
+def test_estimate_argv_ends_in_an_exit_code(spec, d, n, q, json_to, csv_to, out_dir):
     # specs without a closed form: each run samples, or refuses the samples' work, in seconds
-    assert _ends_in_an_exit_code(
-        ["estimate", "--spec", spec, "--d", str(d), "--q", str(q), "--n", str(n)])
+    argv = ["estimate", "--spec", spec, "--d", str(d), "--q", str(q), "--n", str(n)]
+    assert _ends_in_an_exit_code(argv + _outputs(out_dir, json=json_to, csv=csv_to))
 
 
 def _mostly(good, bad):
@@ -490,11 +523,15 @@ _SPECS = _mostly(st.sampled_from(["all", "invertible", "nilpotent-complement",
 @settings(max_examples=80, deadline=None)
 @given(spec=_SPECS, d=_mostly(st.integers(0, 4), st.sampled_from([-1, 3000, 10 ** 9])),
        q=_FIELDS, flag_check=st.booleans(),
-       budget=_mostly(st.just(1 << 12), st.sampled_from([256, 16, 1, 0, -1])))
-@example(spec="all", d=1, q="2^2/-7", flag_check=False, budget=16)
-def test_census_argv_ends_in_an_exit_code(spec, d, q, flag_check, budget):
+       budget=_mostly(st.just(1 << 12), st.sampled_from([256, 16, 1, 0, -1])),
+       seed=_QUOKKA_INTS, json_to=_OUTPUTS)
+@example(spec="all", d=1, q="2^2/-7", flag_check=False, budget=16, seed=42, json_to=None)
+@example(spec="all", d=1, q="2", flag_check=False, budget=16, seed=42, json_to="dir")
+def test_census_argv_ends_in_an_exit_code(spec, d, q, flag_check, budget, seed, json_to,
+                                          out_dir):
     # a budget of at most 2^12 matrices bounds every census that is admitted
-    argv = ["census", "--spec", spec, "--d", str(d), "--q", q, "--budget", str(budget)]
+    argv = ["census", "--spec", spec, "--d", str(d), "--q", q, "--budget", str(budget),
+            "--seed", str(seed)] + _outputs(out_dir, json=json_to)
     assert _ends_in_an_exit_code(argv + (["--flag-check"] if flag_check else []))
 
 

@@ -1,6 +1,5 @@
 """Blow-up: algebra homomorphism, charpoly norm, membership, equivalence."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from nicensus.errors import FieldMismatch, NotASubfield, ParseError
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import from_index, from_rows, norm, proposition_report, tower_coords
+from matrices import cyclic_factors, from_index, from_rows, norm, proposition_report, tower_coords
 
 F2 = gf.field_create(2)
 F4 = gf.field_create(2, 2)
@@ -150,7 +149,7 @@ def test_per_polynomial_sets_pairwise_disjoint():
         X = from_index(F4, 2, idx)
         if not matrix.is_invertible(X):
             continue
-        hits = [f for f in matrix.primary_cyclic_factors(embed.blow_up(X, TOWER)) if f in fs]
+        hits = [f for f in cyclic_factors(embed.blow_up(X, TOWER)) if f in fs]
         assert len(hits) <= 1
 
 
@@ -228,14 +227,16 @@ def test_tower_for_builds_past_the_log_table_tier():
 def test_rep_cache_is_bounded():
     # F_2^14 over F_2^7 has 16,384 elements, four times the bound; 0..99
     # are asked for again after the 100 entries past the bound evicted them
-    tower = dataclasses.replace(embed.tower_for(gf.field_create(2, 14), 2), _rep_cache={})
+    tower = embed.tower_for(gf.field_create(2, 14), 2)
     bound = embed._REP_CACHE_MAX
+    embed.regular_rep.cache_clear()
     for n, alpha in enumerate([*range(bound + 100), *range(100)]):
         M = embed.regular_rep(alpha, tower)
-        assert len(tower._rep_cache) <= bound
+        assert embed.regular_rep.cache_info().currsize <= bound
         if n >= bound:
-            assert M == embed.regular_rep(alpha, dataclasses.replace(tower, _rep_cache={}))
-    assert len(tower._rep_cache) == bound and 0 in tower._rep_cache
+            assert M == embed.regular_rep.__wrapped__(alpha, tower)
+    info = embed.regular_rep.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (bound, 0, bound + 200)
 
 
 @pytest.mark.parametrize("p,k", [(2, 18), (3, 12)], ids=["F2_18", "F3_12"])

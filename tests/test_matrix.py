@@ -10,7 +10,8 @@ from nicensus.errors import DegreeMismatch, ParseError, SingularMatrix
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
-from matrices import fitting_blocks, from_index, from_rows, multiplicity_in, row_space_basis
+from matrices import (cyclic_factors, fitting_blocks, from_index, from_rows, multiplicity_in,
+                      row_space_basis)
 
 F2 = gf.field_create(2)
 F3 = gf.field_create(3)
@@ -63,7 +64,7 @@ def powmod(a, e, m):
 
 def pth_power(a, m):
     """a**p mod m for monic m by the Frobenius rows of ``factorize`` and ``large_factor``."""
-    rows = poly._frobenius_rows(m.ctx, m.coeffs, poly._mul_lists, poly._divmod_lists)
+    rows = poly._frobenius_rows(m.ctx, m.coeffs)
     return Poly(m.ctx, tuple(poly._pth_power(m.ctx, rows, list((a % m).coeffs))))
 
 
@@ -207,9 +208,10 @@ def test_primary_cyclic_factors_equals_multiplicity_oracle():
     # test_minpoly_is_minimal_exhaustive checks minpoly on the same matrices
     for M in _oracle_matrices():
         mp = matrix.minpoly(M)
-        expected = tuple(f for f, m_f in poly.factorize(matrix.charpoly(M)).factors
-                         if multiplicity_in(f, mp) == m_f)
-        assert matrix.primary_cyclic_factors(M) == expected, M
+        factors = poly.factorize(matrix.charpoly(M)).factors
+        expected = tuple(f for f, m_f in factors if multiplicity_in(f, mp) == m_f)
+        assert cyclic_factors(M) == expected, M
+        assert tuple((f, m_f) for f, m_f, _ in matrix.primary_factors(M)) == factors, M
 
 
 def test_primary_cyclic_factors_decides_a_repeated_quadratic_by_nullity():
@@ -219,8 +221,8 @@ def test_primary_cyclic_factors_decides_a_repeated_quadratic_by_nullity():
     cyclic, split = matrix.companion(f * f), matrix.direct_sum(*[matrix.companion(f)] * 2)
     assert matrix.charpoly(cyclic) == matrix.charpoly(split) == f * f
     assert [4 - matrix.rank(matrix.evaluate_poly_at(f, X)) for X in (cyclic, split)] == [2, 4]
-    assert matrix.primary_cyclic_factors(cyclic) == (f,)
-    assert matrix.primary_cyclic_factors(split) == ()
+    assert cyclic_factors(cyclic) == (f,)
+    assert cyclic_factors(split) == ()
 
 
 def test_evaluate_poly_at_equals_the_sum_of_powers():
@@ -269,10 +271,11 @@ def test_primary_components():
 
 def test_primary_cyclic_factors():
     f = Poly.make(F2, (1, 1, 1))
-    assert matrix.primary_cyclic_factors(matrix.companion(f)) == (f,)
-    assert matrix.primary_cyclic_factors(Mat.identity(F2, 2)) == ()
+    assert cyclic_factors(matrix.companion(f)) == (f,)
+    assert cyclic_factors(Mat.identity(F2, 2)) == ()
+    assert matrix.primary_factors(Mat.identity(F2, 2)) == ((Poly.make(F2, (1, 1)), 2, False),)
     D = from_rows(F3, [(1, 0), (0, 2)])
-    assert matrix.primary_cyclic_factors(D) == (Poly.make(F3, (1, 1)), Poly.make(F3, (2, 1)))
+    assert cyclic_factors(D) == (Poly.make(F3, (1, 1)), Poly.make(F3, (2, 1)))
 
 
 @pytest.mark.parametrize("ctx,d", [(F2, 2), (F3, 2), (F2, 3), (F4, 2)],

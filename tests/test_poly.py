@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nicensus
-from nicensus import estimate, gf, matrix, poly
+from nicensus import embed, estimate, gf, matrix, poly
 from nicensus.errors import BudgetExceeded, NotASubfield, ZeroPolynomial
 from nicensus.poly import Poly
 
@@ -169,6 +169,7 @@ def test_cache_inventory():
         "gf.canonical_modulus": None,
         "gf.subfield_embedding": None,
         "embed.tower_for": None,
+        "embed.regular_rep": embed._REP_CACHE_MAX,
         "intervals.log2_interval": None,
         "poly.factorize": poly._MEMO_MAX,
         "matrix.fitting_decompose": matrix._SPLIT_MEMO_MAX,
@@ -266,7 +267,7 @@ def test_pth_power_matches_pow_mod(p, k, m, x):
     ctx = gf.field_create(p, k)
     m = Poly.make(ctx, [c % ctx.order for c in m[:-1]] + [1])
     x = Poly.make(ctx, [c % ctx.order for c in x]) % m
-    rows = poly._frobenius_rows(ctx, m.coeffs, poly._mul_lists, poly._divmod_lists)
+    rows = poly._frobenius_rows(ctx, m.coeffs)
     assert len(rows) == m.degree
     reference = gf.power(x, p, lambda a, b: a * b % m, Poly.one(ctx))
     assert poly._pth_power(ctx, rows, list(x.coeffs)) == list(reference.coeffs)

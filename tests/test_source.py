@@ -1,4 +1,6 @@
-"""The package source itself: every definition is used by the package."""
+"""The package source itself: every definition is used by the package, and
+only the kernels that choose between the full tables and the generic code
+read those tables."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,31 @@ def _unreferenced():
 
 def test_every_definition_is_referenced_or_allowed():
     assert _unreferenced() == set(UNREFERENCED)
+
+
+# Outside gf, the only readers of the full tables: each list kernel chooses
+# its loop inside itself, so no caller picks a kernel for a field.
+FULL_TABLES = {"mul_rows", "add_rows", "neg_table", "inv_table"}
+TABLE_READERS = {"poly._mul_lists", "poly._divmod_lists", "poly._pth_power",
+                 "matrix.charpoly", "matrix._charpoly_tables"}
+
+
+def _table_reads(node, owner):
+    """The owner (innermost def or class, else the module) of every mention
+    of a full table below node, as an attribute or a string."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _table_reads(child, f"{owner}.{child.name}")
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr in FULL_TABLES
+                or isinstance(child, ast.Constant) and child.value in FULL_TABLES):
+            yield owner
+        yield from _table_reads(child, owner)
+
+
+def test_only_the_kernels_read_the_full_tables():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "gf":
+            readers.update(_table_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert readers == TABLE_READERS

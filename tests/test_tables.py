@@ -1,10 +1,13 @@
 """The full-table path against the generic code it replaces on small fields.
 
-On a field of order <= 256, ``matrix.charpoly`` and the list kernels
-under ``poly.large_factor`` and ``poly.factorize`` read the full tables
-directly.  The generic functions, the only path above order 256, are
-called here directly as the reference, on every such field shape: p = 2
-and odd p, prime and extension fields.
+On a field of order <= 256, ``matrix.charpoly`` and the three list
+kernels of ``poly`` (``_mul_lists``, ``_divmod_lists``, ``_pth_power``)
+read the full tables directly.  The generic code, the only path above
+order 256, is the reference: ``_charpoly_generic`` is called directly,
+and every polynomial computation is run again with the field's
+``mul_rows`` hidden, which sends each kernel (and ``charpoly``) to its
+generic branch.  Both run on every such field shape: p = 2 and odd p,
+prime and extension fields.
 """
 
 import random
@@ -16,8 +19,6 @@ from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 128, 243, 256]
-GENERIC = (poly._mul_lists, poly._divmod_lists, poly._pth_power)
-TABLES = (poly._mul_tables, poly._divmod_tables, poly._pth_power_tables)
 
 
 def edge_matrices(ctx, rnd):
@@ -49,23 +50,30 @@ def edge_matrices(ctx, rnd):
                             for i in range(n)))  # nilpotent: charpoly t^n
 
 
-def test_fields_take_the_table_path_at_most_256():
+def test_fields_take_the_table_path_at_most_256(monkeypatch):
     for q in ORDERS:
-        assert poly._list_kernels(gf.field_of_order(q)) == TABLES
+        ctx = gf.field_of_order(q)
+        M = estimate.sample_matrix(6, ctx, seed=q, index=0)
+        monkeypatch.setattr(ctx, "axpy", None)  # only the generic branches call it
+        cp = matrix.charpoly(M)
+        assert divmod(cp * cp, cp) == (cp, Poly.zero(ctx))
+        poly.large_factor(cp)
     for ctx in (gf.field_create(2, 9), gf.field_create(257), gf.field_create(2, 17)):
-        assert ctx.mul_rows is None and poly._list_kernels(ctx) == GENERIC
+        assert ctx.mul_rows is None
 
 
 @pytest.mark.parametrize("q", ORDERS)
-def test_charpoly_tables_match_generic(q):
+def test_charpoly_tables_match_generic(q, monkeypatch):
     ctx = gf.field_of_order(q)
     rnd = random.Random(q)
     mats = [estimate.sample_matrix(n, ctx, seed=q, index=j) for n in range(10) for j in range(4)]
     mats += edge_matrices(ctx, rnd)
-    for M in mats:
-        expected = matrix._charpoly_generic(M)
-        assert matrix._charpoly_tables(M) == expected, M
-        assert matrix.charpoly(M).coeffs == tuple(expected)
+    expected = [matrix._charpoly_generic(M) for M in mats]
+    for M, cp in zip(mats, expected):
+        assert matrix._charpoly_tables(M) == cp, M
+        assert matrix.charpoly(M).coeffs == tuple(cp)
+    monkeypatch.setattr(ctx, "mul_rows", None)
+    assert [list(matrix.charpoly(M).coeffs) for M in mats] == expected
 
 
 def kernel_inputs(ctx, rnd):
@@ -83,26 +91,27 @@ def kernel_inputs(ctx, rnd):
     return out
 
 
-@pytest.mark.parametrize("q", ORDERS)
-def test_list_kernels_match_generic(q, monkeypatch):
-    ctx = gf.field_of_order(q)
-    rnd = random.Random(q)
-    polys = kernel_inputs(ctx, rnd)
+def kernel_results(ctx, polys):
+    """Every list kernel on the inputs, with large_factor and uncached factorize."""
+    out = []
     for a in polys + [[]]:
         for b in polys:
-            assert poly._mul_tables(ctx, a, b) == poly._mul_lists(ctx, a, b)
-            assert poly._divmod_tables(ctx, a, b) == poly._divmod_lists(ctx, a, b)
-            assert (poly._gcd_lists(ctx, a, b, poly._divmod_tables)
-                    == poly._gcd_lists(ctx, a, b, poly._divmod_lists))
+            out.append((poly._mul_lists(ctx, a, b), poly._divmod_lists(ctx, a, b),
+                        poly._gcd_lists(ctx, a, b)))
     for m in polys:
         if len(m) < 3 or m[-1] != 1:
             continue
-        rows = poly._frobenius_rows(ctx, m, *GENERIC[:2])
-        assert poly._frobenius_rows(ctx, m, *TABLES[:2]) == rows
-        for x in polys:
-            x = poly._divmod_lists(ctx, x, m)[1]
-            assert poly._pth_power_tables(ctx, rows, x) == poly._pth_power(ctx, rows, x)
+        rows = poly._frobenius_rows(ctx, m)
+        out.append(rows)
+        out += [poly._pth_power(ctx, rows, poly._divmod_lists(ctx, x, m)[1]) for x in polys]
     fs = [Poly(ctx, tuple(f)) for f in polys]
-    on_tables = [(poly.large_factor(f), poly.factorize.__wrapped__(f)) for f in fs]
-    monkeypatch.setattr(poly, "_list_kernels", lambda ctx: GENERIC)
-    assert on_tables == [(poly.large_factor(f), poly.factorize.__wrapped__(f)) for f in fs]
+    return out + [(poly.large_factor(f), poly.factorize.__wrapped__(f)) for f in fs]
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_list_kernels_match_generic(q, monkeypatch):
+    ctx = gf.field_of_order(q)
+    polys = kernel_inputs(ctx, random.Random(q))
+    on_tables = kernel_results(ctx, polys)
+    monkeypatch.setattr(ctx, "mul_rows", None)
+    assert kernel_results(ctx, polys) == on_tables
