@@ -214,7 +214,7 @@ def cmd_decompose(args):
     result = {
         "input": matrix.format_matrix(M),
         "charpoly": matrix.charpoly(M),
-        "minpoly": matrix.minpoly(M),
+        "minpoly": matrix.minpoly(M, prim),
         "fitting": {
             "inv_dim": split.inv_dim,
             "nil_dim": split.nil_dim,

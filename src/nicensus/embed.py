@@ -208,17 +208,16 @@ def pc_member_charpoly(X, tower):
     t-part leaves a polynomial of degree inv_dim, and X is a member when
     it has an irreducible factor g of degree r > inv_dim/2 whose Galois
     orbit over F_q has full length b (so its norm is irreducible of
-    degree b*r over F_q).  Such a g has multiplicity 1, and
-    ``poly.large_factor`` finds it without factoring: one gcd against
-    the product of t^(Q^d) - t, Q = q^b, over inv_dim/4 < d <= inv_dim/2
-    collects the factors of degree <= inv_dim/2 (each such degree divides
-    some d in that range), and dividing them out leaves g.
+    degree b*r over F_q).  Such a g has multiplicity 1, and the list
+    kernel of ``poly.large_factor`` finds it without factoring, on the
+    stripped charpoly's coefficient tuple; the orbit test reads the
+    conjugates of g off the field's ``frob`` table.
     """
     if X.ctx is not tower.ext:
         raise FieldMismatch("matrix is not over the tower's extension field")
     coeffs = matrix.charpoly(X).coeffs
-    g = poly.large_factor(Poly(tower.ext, coeffs[_t_multiplicity(coeffs):]))
-    return g is not None and poly.galois_orbit_length(g, tower.q) == tower.b
+    g = poly._large_factor_lists(tower.ext, coeffs[_t_multiplicity(coeffs):])
+    return g is not None and poly.galois_orbit_length(Poly(tower.ext, g), tower.q) == tower.b
 
 
 # ---------------------------------------------------------------------------

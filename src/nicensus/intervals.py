@@ -10,6 +10,7 @@ the relevant direction, and "inconclusive" otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,19 +107,22 @@ def log2_interval():
 
 
 def int_nth_root(m, e):
-    """Floor of m ** (1/e) for nonnegative integers, exactly (Newton)."""
+    """Floor of m ** (1/e) for nonnegative integers, exactly (Newton from just
+    above the float root 2^(log2(m) / e)): a step never lands below the
+    floor root r and lowers any x > r, so the steps end at r."""
     if m < 0 or e < 1:
         raise ValueError("int_nth_root needs m >= 0, e >= 1")
     if m in (0, 1) or e == 1:
         return m
-    x = 1 << ((m.bit_length() + e - 1) // e + 1)
-    while True:
-        y = ((e - 1) * x + m // x ** (e - 1)) // e
-        if y >= x:
-            break
+
+    def step(x):
+        return ((e - 1) * x + m // x ** (e - 1)) // e
+
+    log_root = math.log2(m) / e
+    shift = max(0, int(log_root) - 60)
+    x = step((int(2 ** (log_root - shift)) + 1) << shift)
+    while (y := step(x)) < x:
         x = y
-    while x ** e > m:
-        x -= 1
     return x
 
 

@@ -433,9 +433,11 @@ def primary_components(M):
     return tuple(comps)
 
 
-def minpoly(M):
-    """Monic minimal polynomial: the product of f^{e_f} over the primary components."""
-    return math.prod((f ** e_f for f, _, _, e_f in primary_components(M)), start=Poly.one(M.ctx))
+def minpoly(M, components=None):
+    """Monic minimal polynomial: the product of f^{e_f} over the primary
+    components, ``primary_components(M)`` unless the caller has them."""
+    comps = primary_components(M) if components is None else components
+    return math.prod((f ** e_f for f, _, _, e_f in comps), start=Poly.one(M.ctx))
 
 
 def primary_factors(M):

@@ -3,12 +3,12 @@
 Coefficients are stored low degree first as a tuple of element ints;
 the zero polynomial is the empty tuple (degree -1).  Arithmetic runs on
 coefficient lists: products, division with remainder, gcd and the p-th
-power build a ``Poly`` only for their result.  Each of the three list
-kernels (``_mul_lists``, ``_divmod_lists``, ``_pth_power``) reads the
-field's ``mul_rows`` once: on a field with full tables (order <= 256) its
-row loops run inline on table reads, else through the field's row kernel
-``axpy``, the reference the tests hold the table loops to.  No caller
-picks a kernel.
+power build a ``Poly`` only for their result.  Each list kernel that runs
+row loops (``_mul_lists``, ``_divmod_lists``, ``_frobenius_rows``,
+``_pth_power``) reads the field's ``mul_rows`` once: on a field with full
+tables (order <= 256) its row loops run inline on table reads, else
+through the field's row kernel ``axpy``, the reference the tests hold the
+table loops to.  No caller picks a kernel.
 ``factorize`` runs one loop over degrees d = 1, 2, ...: a gcd with
 t^(q^d) - t collects the distinct factors of degree d, a
 Cantor-Zassenhaus split separates them, and each is divided out with its
@@ -19,12 +19,13 @@ so the output is canonical and does not depend on the draws.
 t^(q^d) - t over deg f / 4 < d <= deg f / 2 collects every irreducible
 factor of at most half the degree (each such degree divides some d in
 that range), and what is left after dividing them out is the factor of
-more than half the degree, if any.  Both loops step t^(q^d) mod f from
-t^(q^(d-1)) by k applications of the semilinear p-th power map
-x^p = sum of c_i^p t^(p*i), read off rows t^(p*i) mod f built once per
-call.  The row t^p, the odd-q split and ``Poly.__pow__`` square and
-multiply through ``gf.power``.  f is irreducible exactly when it is its
-own large factor, so ``is_irreducible`` asks ``large_factor``.
+more than half the degree, if any, on coefficient lists end to end.
+Both loops step t^(q^d) mod f from t^(q^(d-1)) by k applications of the
+semilinear p-th power map x^p = sum of c_i^p t^(p*i), read off rows
+t^(p*i) mod f built once per call, each the one before shifted by p and
+reduced by f.  t^p for p >= deg f, the odd-q split and ``Poly.__pow__``
+square and multiply through ``gf.power``.  f is irreducible exactly when
+it is its own large factor, so ``is_irreducible`` asks ``large_factor``.
 
 ``factorize(f)`` is pure and memoized for the life of the process by
 ``functools.lru_cache``, keyed by f: ``Poly`` equality compares fields
@@ -61,19 +62,14 @@ def _trim(coeffs):
 def _mul_lists(ctx, a, b):
     """Coefficient list of a * b (untrimmed when a or b is zero)."""
     out = [0] * (len(a) + len(b) - 1)
-    mul_rows = ctx.mul_rows
-    if mul_rows is not None:
-        add_rows = ctx.add_rows
-        for i, x in enumerate(a):
-            if x:
-                by_x = mul_rows[x]
-                for j, s in enumerate(b, i):
-                    out[j] = add_rows[out[j]][by_x[s]]
-    else:
-        axpy = ctx.axpy
-        for i, x in enumerate(a):
-            if x:
-                axpy(out, i, x, b)
+    mul_rows, add_rows, axpy = ctx.mul_rows, ctx.add_rows, ctx.axpy
+    for i, x in enumerate(a):
+        if x and mul_rows is None:
+            axpy(out, i, x, b)
+        elif x:
+            by_x = mul_rows[x]
+            for j, s in enumerate(b, i):
+                out[j] = add_rows[out[j]][by_x[s]]
     return out
 
 
@@ -129,16 +125,25 @@ def _powmod_lists(ctx, x, e, m):
 def _frobenius_rows(ctx, m):
     """Rows R_i = t^(p*i) mod m for i < deg m, m monic of degree >= 2.
 
-    R_1 = t^p mod m, and R_i = R_1 * R_(i-1) mod m: one shift and reduce
-    each while R_1 is the monomial t^p (p < deg m).
+    R_i is R_(i-1) shifted by p (a product by t^p mod m when p >= deg m),
+    each coefficient c past deg m cleared by adding c times -m, no inverse.
     """
-    def mulmod(a, b):
-        return _divmod_lists(ctx, _mul_lists(ctx, a, b), m)[1]
-
-    r1 = gf.power([0, 1], ctx.p, mulmod, [1])
-    rows = [[1], r1]
-    for _ in range(len(m) - 3):
-        rows.append(mulmod(r1, rows[-1]))
+    n, p = len(m) - 1, ctx.p
+    tp = None if p < n else _powmod_lists(ctx, [0, 1], p, m)
+    low = list(map(ctx.neg, m[:n]))
+    mul_rows, add_rows, axpy = ctx.mul_rows, ctx.add_rows, ctx.axpy
+    rows = [[1]]
+    for _ in range(n - 1):
+        a = [0] * p + rows[-1] if tp is None else _mul_lists(ctx, tp, rows[-1])
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i]
+            if c and mul_rows is None:
+                axpy(a, i - n, c, low)
+            elif c:
+                by_c = mul_rows[c]
+                for j, s in enumerate(low, i - n):
+                    a[j] = add_rows[a[j]][by_c[s]]
+        rows.append(a[:n])
     return rows
 
 
@@ -147,22 +152,21 @@ def _pth_power(ctx, rows, x):
 
     The p-th power map is additive and c -> c^p on coefficients, so
     x^p = sum of c_i^p * R_i: at most deg m row passes, where a squaring
-    costs about twice that.
+    costs about twice that; a monomial row t^(p*i), p*i < deg m, places its term.
     """
-    out = [0] * len(rows)
-    frob, mul_rows = ctx.frob, ctx.mul_rows
-    if mul_rows is not None:
-        add_rows = ctx.add_rows
-        for c, row in zip(x, rows):
-            if c:
-                by_c = mul_rows[frob[c]]
-                for j, s in enumerate(row):
-                    out[j] = add_rows[out[j]][by_c[s]]
-    else:
-        p, axpy = ctx.p, ctx.axpy
-        for c, row in zip(x, rows):
-            if c:
-                axpy(out, 0, frob[c] if frob else ctx.pow_elt(c, p), row)
+    p, frob, out = ctx.p, ctx.frob, [0] * len(rows)
+    head = -(-len(rows) // p)  # the monomial rows, p*i < deg m
+    for i, c in enumerate(x[:head]):
+        if c:
+            out[p * i] = frob[c] if frob else ctx.pow_elt(c, p)
+    mul_rows, add_rows, axpy = ctx.mul_rows, ctx.add_rows, ctx.axpy
+    for c, row in zip(x[head:], rows[head:]):
+        if c and mul_rows is None:
+            axpy(out, 0, frob[c] if frob else ctx.pow_elt(c, p), row)
+        elif c:
+            by_c = mul_rows[frob[c]]
+            for j, s in enumerate(row):
+                out[j] = add_rows[out[j]][by_c[s]]
     while out and not out[-1]:
         out.pop()
     return out
@@ -501,14 +505,17 @@ def large_factor(f):
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    ctx = f.ctx
-    g = f.monic()
-    m = g.coeffs
+    g = _large_factor_lists(f.ctx, f.monic().coeffs)
+    return None if g is None else Poly(f.ctx, g)
+
+
+def _large_factor_lists(ctx, m):
+    """``large_factor`` of a monic coefficient list m: a coefficient tuple or None."""
     n = len(m) - 1
     if n < 2:  # a constant has no factor; a linear f is its own
-        return g if n == 1 else None
+        return tuple(m) if n == 1 else None
     rows = _frobenius_rows(ctx, m)
-    w, s = rows[1], [1]  # t^p mod f and the empty product
+    w, s = rows[1], None  # t^p mod f and the empty product
     for d in range(1, n // 2 + 1):
         for _ in range(ctx.k if d > 1 else ctx.k - 1):
             w = _pth_power(ctx, rows, w)  # ends at t^(q^d) mod f
@@ -518,12 +525,17 @@ def large_factor(f):
         if not h:  # every irreducible factor has degree dividing d <= n/2
             return None
         if 4 * d > n:
-            s = _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
-    u, c = m, _gcd_lists(ctx, m, s)
+            s = h if s is None else _divmod_lists(ctx, _mul_lists(ctx, s, h), m)[1]
+    u, c, passes = m, _gcd_lists(ctx, m, s), 0
+    if 2 * (len(c) - 1) >= n:  # the small factors fill half of f or more
+        return None
     while len(c) > 1:
-        u = _divmod_lists(ctx, u, c)[0]  # a unit multiple of u / c
+        if passes == n:  # each exact pass lowers deg u, so n passes leave a unit c
+            raise AssertionError("large_factor: dividing out the small factors did not end")
+        u, passes = _divmod_lists(ctx, u, c)[0], passes + 1  # a unit multiple of u / c
         c = _gcd_lists(ctx, u, c)
-    return Poly(ctx, tuple(u)).monic() if 2 * (len(u) - 1) > n else None
+    inv = ctx.inv(u[-1])  # u is a unit multiple of the large factor, if there is one
+    return tuple(ctx.mul(inv, c) for c in u) if 2 * (len(u) - 1) > n else None
 
 
 def is_squarefree(f):
@@ -544,24 +556,29 @@ def galois_conjugate(g, q):
     q must be a subfield order of g's field; the map preserves degree
     and irreducibility.
     """
-    ctx = g.ctx
-    ctx.subfield_degree(q)
-    return Poly(ctx, tuple(ctx.pow_elt(c, q) for c in g.coeffs))
+    return Poly(g.ctx, _conjugate_coeffs(g.ctx, g.coeffs, g.ctx.subfield_degree(q)))
+
+
+def _conjugate_coeffs(ctx, coeffs, m):
+    """Each coefficient to the p^m: m reads of ``ctx.frob``, ``pow_elt`` on the raw tier."""
+    frob = ctx.frob
+    if frob is None:
+        return tuple(ctx.pow_elt(c, ctx.p ** m) for c in coeffs)
+    for _ in range(m):
+        coeffs = tuple(map(frob.__getitem__, coeffs))
+    return coeffs
 
 
 def galois_orbit_length(g, q):
-    """Length of the orbit of g under coefficientwise x -> x**q."""
-    ctx = g.ctx
-    m = ctx.subfield_degree(q)
-    bound = ctx.k // m
-    conj = galois_conjugate(g, q)
-    length = 1
-    while conj != g:
-        conj = galois_conjugate(conj, q)
-        length += 1
-        if length > bound:  # pragma: no cover
-            raise AssertionError("orbit length exceeded Galois group order")
-    return length
+    """Length of the orbit of g under coefficientwise x -> x**q, on tuples: it
+    divides k/m (q = p^m), so it is k/m when none of k/m - 1 conjugates is g."""
+    ctx, m = g.ctx, g.ctx.subfield_degree(q)
+    conj = g.coeffs
+    for length in range(1, ctx.k // m):
+        conj = _conjugate_coeffs(ctx, conj, m)
+        if conj == g.coeffs:
+            return length
+    return ctx.k // m
 
 
 def embed_into_extension(f, ext):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nicensus import census, cli, estimate, gf
+from nicensus import census, cli, estimate, gf, matrix
 
 
 REFERENCE = json.loads(
@@ -59,6 +59,15 @@ def test_decompose_splits_equal_degree_block_over_large_field(capsys):
     assert [c["f"]["coeffs"] for c in comps] == [[1, 3, 1], [3, 3, 1]]
     assert all(c["dim"] == 2 and c["charpoly_multiplicity"] == 1
                and c["minpoly_multiplicity"] == 1 for c in comps)
+
+
+def test_decompose_runs_one_primary_analysis(capsys, monkeypatch):
+    calls = []
+    analyse = matrix.primary_components
+    monkeypatch.setattr(matrix, "primary_components", lambda M: calls.append(M) or analyse(M))
+    code, out = run_cli(["decompose", "--matrix", "3 3 : 1 2 0 0 0 1 2 1 0"], capsys)
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["result"]["minpoly"]["coeffs"] == [0, 2, 2, 1]
 
 
 def test_decompose_parse_error_exit_4(capsys):

@@ -378,3 +378,14 @@ def test_int_nth_root_is_the_floor_root():
         e = rng.randrange(1, 13)
         r = intervals.int_nth_root(m, e)
         assert r ** e <= m < (r + 1) ** e, (m, e)
+
+
+def test_int_nth_root_on_exact_powers_small_roots_and_long_inputs():
+    rng = random.Random(6)
+    cases = [(r ** e + d, e) for e in (2, 3, 5, 10, 64, 1000)
+             for r in (2, 3, 255, 2 ** 53 + 1, rng.getrandbits(200)) for d in (-1, 0, 1)]
+    cases += [(m, e) for m in (2, 3, 2 ** 30 - 1, 2 ** 30, 3 ** 100) for e in range(1, 400)]
+    cases += [(rng.randrange(10 ** 3999, 10 ** 4000), e) for e in (2, 3, 10, 1000)]
+    for m, e in cases:
+        r = intervals.int_nth_root(m, e)
+        assert r ** e <= m < (r + 1) ** e, (m, e)

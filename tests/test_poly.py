@@ -5,6 +5,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,32 @@ def test_large_factor_on_built_products_raw_tier(f_fac):
     _check_large_factor(*f_fac)
 
 
+def test_large_factor_fails_rather_than_hangs_on_a_faulty_division(monkeypatch):
+    # A quotient that reads 0 for the coefficient 2 leaves u = 0 in the
+    # division loop on this input over F_5, where c = gcd(0, c) never becomes
+    # a unit; the loop's bound of deg f passes turns that into an error.
+    exact = poly._divmod_lists
+
+    def faulty(ctx, a, b):
+        nquo, rem = exact(ctx, a, b)
+        return [0 if c == 2 else c for c in nquo], rem
+
+    def expire(signum, frame):
+        raise TimeoutError("large_factor still running after 5 s")
+
+    f = Poly(F5, (3, 3, 4, 4, 4, 1, 0, 1))
+    assert poly.large_factor(f) == Poly(F5, (3, 3, 0, 2, 1))
+    monkeypatch.setattr(poly, "_divmod_lists", faulty)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(AssertionError, match="did not end"):
+            poly.large_factor(f)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8), (3, 5),  # full table
                                  (2, 10), (3, 6), (1021, 1),      # log table
                                  (2, 17), (5, 8)])                # raw
@@ -268,7 +295,8 @@ def test_pth_power_matches_pow_mod(p, k, m, x):
     m = Poly.make(ctx, [c % ctx.order for c in m[:-1]] + [1])
     x = Poly.make(ctx, [c % ctx.order for c in x]) % m
     rows = poly._frobenius_rows(ctx, m.coeffs)
-    assert len(rows) == m.degree
+    t = Poly.x(ctx)
+    assert [Poly.make(ctx, row) for row in rows] == [t ** (p * i) % m for i in range(m.degree)]
     reference = gf.power(x, p, lambda a, b: a * b % m, Poly.one(ctx))
     assert poly._pth_power(ctx, rows, list(x.coeffs)) == list(reference.coeffs)
 
@@ -382,6 +410,26 @@ def test_galois_conjugate_examples():
     assert poly.is_irreducible(poly.galois_conjugate(h, 2))
     with pytest.raises(NotASubfield):
         poly.galois_conjugate(h, 3)
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 4, 2), (3, 4, 2), (2, 10, 5), (2, 12, 4), (2, 18, 6)])
+def test_galois_conjugate_and_orbit_match_pow_elt(p, k, m):
+    # frob read m times on the table tiers, pow_elt on the raw tier (2^18);
+    # half the g have coefficients in F_q, so short orbits occur
+    ctx, q = gf.field_create(p, k), p ** m
+    sub = gf.subfield_embedding(gf.field_create(p, m), ctx)
+    rng = random.Random(k)
+    for j in range(40):
+        pool = sub if j % 2 else range(ctx.order)
+        g = Poly.make(ctx, [rng.choice(pool) for _ in range(3)] + [1])
+        conj, length = g, 0
+        while True:
+            conj, length = Poly(ctx, tuple(ctx.pow_elt(c, q) for c in conj.coeffs)), length + 1
+            if length == 1:
+                assert poly.galois_conjugate(g, q) == conj
+            if conj == g:
+                break
+        assert poly.galois_orbit_length(g, q) == length
 
 
 def test_orbit_product_examples():

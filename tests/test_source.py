@@ -48,8 +48,8 @@ def test_every_definition_is_referenced_or_allowed():
 # Outside gf, the only readers of the full tables: each list kernel chooses
 # its loop inside itself, so no caller picks a kernel for a field.
 FULL_TABLES = {"mul_rows", "add_rows", "neg_table", "inv_table"}
-TABLE_READERS = {"poly._mul_lists", "poly._divmod_lists", "poly._pth_power",
-                 "matrix.charpoly", "matrix._charpoly_tables"}
+TABLE_READERS = {"poly._mul_lists", "poly._divmod_lists", "poly._frobenius_rows",
+                 "poly._pth_power", "matrix.charpoly", "matrix._charpoly_tables"}
 
 
 def _table_reads(node, owner):

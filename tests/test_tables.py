@@ -1,20 +1,20 @@
 """The full-table path against the generic code it replaces on small fields.
 
-On a field of order <= 256, ``matrix.charpoly`` and the three list
-kernels of ``poly`` (``_mul_lists``, ``_divmod_lists``, ``_pth_power``)
-read the full tables directly.  The generic code, the only path above
-order 256, is the reference: ``_charpoly_generic`` is called directly,
-and every polynomial computation is run again with the field's
-``mul_rows`` hidden, which sends each kernel (and ``charpoly``) to its
-generic branch.  Both run on every such field shape: p = 2 and odd p,
-prime and extension fields.
+On a field of order <= 256, ``matrix.charpoly`` and the four list
+kernels of ``poly`` (``_mul_lists``, ``_divmod_lists``,
+``_frobenius_rows``, ``_pth_power``) read the full tables directly.  The
+generic code, the only path above order 256, is the reference:
+``_charpoly_generic`` is called directly, and every polynomial
+computation is run again with the field's ``mul_rows`` hidden, which
+sends each kernel (and ``charpoly``) to its generic branch.  Both run on
+every such field shape: p = 2 and odd p, prime and extension fields.
 """
 
 import random
 
 import pytest
 
-from nicensus import estimate, gf, matrix, poly
+from nicensus import embed, estimate, gf, matrix, poly
 from nicensus.matrix import Mat
 from nicensus.poly import Poly
 
@@ -115,3 +115,29 @@ def test_list_kernels_match_generic(q, monkeypatch):
     on_tables = kernel_results(ctx, polys)
     monkeypatch.setattr(ctx, "mul_rows", None)
     assert kernel_results(ctx, polys) == on_tables
+
+
+@pytest.mark.parametrize("c,q,b", [(8, 2, 2), (6, 3, 2)])
+def test_sampled_decision_matches_generic(c, q, b, monkeypatch):
+    # the benchmark's instances: the Frobenius rows of each stripped
+    # charpoly, the chain of p-th powers from t^p, and the verdict
+    ext = gf.field_of_order(q ** b)
+    tower = embed.tower_for(ext, b)
+    mats = [estimate.sample_matrix(c, ext, 42, j) for j in range(200)]
+
+    def decisions():
+        out = []
+        for X in mats:
+            cp = matrix.charpoly(X).coeffs
+            m = cp[embed._t_multiplicity(cp):]
+            rows = poly._frobenius_rows(ext, m) if len(m) > 2 else []
+            chain = rows[1:2]
+            for _ in rows[2:]:
+                chain.append(poly._pth_power(ext, rows, chain[-1]))
+            out.append((rows, chain, embed.pc_member_charpoly(X, tower)))
+        return out
+
+    on_tables = decisions()
+    assert sum(member for _, _, member in on_tables) > 0
+    monkeypatch.setattr(ext, "mul_rows", None)
+    assert decisions() == on_tables
