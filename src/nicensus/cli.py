@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,7 +214,7 @@ def cmd_decompose(args):
     prim = matrix.primary_components(M)
     result = {
         "input": matrix.format_matrix(M),
-        "charpoly": matrix.charpoly(M),
+        "charpoly": math.prod((f ** m_f for f, _, m_f, _ in prim), start=poly.Poly.one(M.ctx)),
         "minpoly": matrix.minpoly(M, prim),
         "fitting": {
             "inv_dim": split.inv_dim,
@@ -546,7 +547,7 @@ def build_parser():
 
     def budget_and_seed(p):
         p.add_argument("--budget", type=int, default=None,
-                       help="enumeration cap in cells (default 2^24 or NICENSUS_BUDGET)")
+                       help="enumeration cap in cells (default 2^24)")
         p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("census", help="exhaustive flag-sum census of a named family")

@@ -195,7 +195,7 @@ def pc_membership(X, tower):
 def _galois_representative(f, cp_ext, tower, r):
     """The unique degree-r factor of f over K that divides the charpoly over K."""
     f_ext = poly.embed_into_extension(f, tower.ext)
-    for g, _ in poly.factorize(f_ext).factors:
+    for g, _ in poly.factorize(f_ext):
         if g.degree == r and g.divides(cp_ext):
             return g
     return None
@@ -271,7 +271,7 @@ def _conditions_witness(f, tower, pc_ext):
     b = tower.b
     if f.degree % b:
         return None
-    for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
+    for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)):
         if g.degree != f.degree // b or not pc_ext.get(g):
             continue
         conj = g

@@ -14,17 +14,17 @@ just slower).  Products in F_p[t] and their reduction by the modulus run
 on ``poly``'s coefficient-list kernels over the prime field, for the raw
 tier and for the powers of the generator that fill the log tables.
 
-Each tier also binds its row kernel ``axpy(dst, off, c, src)``, which
-adds ``c * src[j]`` to ``dst[off + j]`` in place with the tier's table
-lookups hoisted out of the loop (a prime field past the full tables adds
-``c * s`` mod p directly); the row operations of ``matrix`` and
-polynomial sums run through it.  ``matrix.charpoly`` and the three coefficient-list
-kernels of ``poly`` (products, division with remainder, the p-th power)
-read the full tables (``mul_rows``, ``add_rows``, ``neg_table``,
-``inv_table``, ``frob``) directly when a field has them, each choosing
-inside itself; their generic code, through the methods and ``axpy``, is
-the only path above order 256 and the reference the tests hold the
-table path to.
+Each tier binds one row kernel ``axpy(dst, off, c, src)`` that adds
+c * src[j] to dst[off + j] in place, table lookups hoisted (the full
+tables add by one ``add_rows`` read for every p; a prime field past them
+adds c * s mod p directly); the row operations of ``matrix`` and
+polynomial sums run through it.
+``matrix.charpoly`` and the three coefficient-list kernels of ``poly``
+(products, division with remainder, the p-th power) read the full tables
+(``mul_rows``, ``add_rows``, ``neg_table``, ``inv_table``, ``frob``)
+directly when a field has them, each choosing inside itself; their
+generic code, through the methods and ``axpy``, is the only path above
+order 256 and the reference the tests hold the table path to.
 
 Every size built, enumerated or sampled is a power q**e: field orders
 p^k (at most 2**20), matrices q^(d^2), candidates q^m, n samples, d^3
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 
 from .errors import (
     BudgetExceeded,
@@ -60,14 +59,9 @@ _DEFAULT_BUDGET = 1 << 24
 
 
 def enumeration_budget(budget=None, limit=None):
-    """The enumeration cap: explicit arg, else NICENSUS_BUDGET, else 2**24; at most ``limit``."""
-    if budget is None:
-        env = os.environ.get("NICENSUS_BUDGET")
-        try:
-            budget = int(env) if env else _DEFAULT_BUDGET
-        except ValueError:
-            raise ParseError(f"bad NICENSUS_BUDGET {env!r}: expected an integer") from None
-    return int(budget) if limit is None else min(int(budget), limit)
+    """The enumeration cap: ``budget``, else 2**24; at most ``limit``."""
+    budget = _DEFAULT_BUDGET if budget is None else int(budget)
+    return budget if limit is None else min(budget, limit)
 
 
 def fits(q, e, budget=None, limit=None):
@@ -325,16 +319,10 @@ class FieldCtx:
         """The tier's ``axpy(dst, off, c, src)``: dst[off + j] += c * src[j]."""
         if self.mul_rows is not None:
             mul_rows, add_rows = self.mul_rows, self.add_rows
-            if self.p == 2:
-                def axpy(dst, off, c, src):
-                    row = mul_rows[c]
-                    for j, s in enumerate(src, off):
-                        dst[j] ^= row[s]
-            else:
-                def axpy(dst, off, c, src):
-                    row = mul_rows[c]
-                    for j, s in enumerate(src, off):
-                        dst[j] = add_rows[dst[j]][row[s]]
+            def axpy(dst, off, c, src):
+                row = mul_rows[c]
+                for j, s in enumerate(src, off):
+                    dst[j] = add_rows[dst[j]][row[s]]
         elif self._exp is not None and self.p == 2:
             exp, log = self._exp * 2, self._log  # exp doubled: no reduction mod q - 1
             def axpy(dst, off, c, src):
@@ -538,6 +526,6 @@ def subfield_embedding(sub, ext):
     if sub.k == 1:
         return tuple(range(sub.p))
     # coefficients < p are valid in ext too; each factor is monic t - root
-    factors = poly.factorize(poly.Poly(ext, sub.modulus)).factors
+    factors = poly.factorize(poly.Poly(ext, sub.modulus))
     rho = min((ext.neg(f.coeffs[0]) for f, _ in factors), key=ext.digits)
     return tuple(poly.Poly(ext, sub.digits(x)).evaluate(rho) for x in sub.elements())

@@ -423,7 +423,7 @@ def primary_components(M):
     the multiplicity of f in the minimal polynomial; V_f = ker f(X)^{e_f}.
     """
     comps = []
-    for f, m_f in poly.factorize(charpoly(M)).factors:
+    for f, m_f in poly.factorize(charpoly(M)):
         fx = power = evaluate_poly_at(f, M)
         e_f, basis = 1, left_kernel_basis(fx)
         while len(basis) < m_f * f.degree:
@@ -449,7 +449,7 @@ def primary_factors(M):
     cyclic exactly when that nullity is deg f; a simple factor always is.
     """
     return tuple((f, m_f, m_f == 1 or M.n - rank(evaluate_poly_at(f, M)) == f.degree)
-                 for f, m_f in poly.factorize(charpoly(M)).factors)
+                 for f, m_f in poly.factorize(charpoly(M)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ row loops (``_mul_lists``, ``_divmod_lists``, ``_frobenius_rows``,
 tables (order <= 256) its row loops run inline on table reads, else
 through the field's row kernel ``axpy``, the reference the tests hold the
 table loops to.  No caller picks a kernel.
-``factorize`` runs one loop over degrees d = 1, 2, ...: a gcd with
-t^(q^d) - t collects the distinct factors of degree d, a
-Cantor-Zassenhaus split separates them, and each is divided out with its
-multiplicity; nothing is enumerated.  The split draws from a generator
-seeded by the polynomial it splits, and factors are sorted canonically,
-so the output is canonical and does not depend on the draws.
+``factorize`` returns the canonically sorted tuple of (monic irreducible,
+multiplicity), so its output does not depend on the split's draws.  It
+runs one loop over degrees d = 1, 2, ...: a gcd with t^(q^d) - t collects
+the distinct factors of degree d, a Cantor-Zassenhaus split, seeded by
+the polynomial it splits, separates them, and each is divided out with
+its multiplicity; nothing is enumerated.
 ``large_factor`` runs no split: one gcd of f against the product of
 t^(q^d) - t over deg f / 4 < d <= deg f / 2 collects every irreducible
 factor of at most half the degree (each such degree divides some d in
@@ -207,12 +207,6 @@ class Poly:
         return not self.coeffs
 
     @property
-    def lead(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -389,14 +383,6 @@ def irr_count(m, q):
 _MEMO_MAX = 1 << 13
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(f_i ** e_i); factors are monic irreducible, sorted canonically."""
-
-    unit: int
-    factors: tuple  # of (Poly, int)
-
-
 def _split_equal_degree(g, d):
     """Cantor-Zassenhaus: the monic irreducible factors of g, in no fixed order.
 
@@ -409,6 +395,8 @@ def _split_equal_degree(g, d):
     q = 2^k: their traces agree on factors whose roots have equal traces.
     The draws come from a private generator seeded by g, so the result
     is a pure function of g and the global ``random`` state is untouched.
+    No proper divisor in 64 draws (each splits with probability >= 4/9, so
+    under 2^-54 for correct kernels) raises AssertionError, not a hang.
     """
     ctx = g.ctx
     q = ctx.order
@@ -421,7 +409,7 @@ def _split_equal_degree(g, d):
         if n == d:
             out.append(h)
             continue
-        while True:
+        for _ in range(64):
             a = [rng.randrange(q) for _ in range(n)]
             if ctx.p == 2:
                 b = list(a)
@@ -434,13 +422,17 @@ def _split_equal_degree(g, d):
             c = poly_gcd(h, Poly(ctx, _trim(b)))
             if 0 < c.degree < n:
                 break
+        else:
+            raise AssertionError(f"_split_equal_degree({g}, {d}): no split in 64 draws")
         todo += [c, h // c]
     return out
 
 
 @functools.lru_cache(maxsize=_MEMO_MAX)
 def factorize(f):
-    """Exact factorization into monic irreducibles.
+    """The monic irreducible factors of f with their multiplicities: a tuple
+    of (Poly, int), sorted canonically; f is their product times its
+    leading coefficient.
 
     One pass per degree d = 1, 2, ... on u, which starts as f.monic():
     with w = t^(q^d) mod f.monic(), g = gcd(u, w - t) is the product of
@@ -451,9 +443,8 @@ def factorize(f):
     ``_frobenius_rows`` of f.  g is split by ``_split_equal_degree`` and
     each factor h is divided out of u by repeated division, which counts
     its multiplicity on the way and keeps the last quotient.  Once
-    2d > deg u, what is left is 1 or irreducible.  The factors are sorted
-    canonically, so the output is canonical and does not depend on the
-    split's random draws.
+    2d > deg u, what is left is 1 or irreducible.  The canonical sort makes
+    the output independent of the split's random draws.
     """
     if not isinstance(f, Poly):
         raise TypeError("factorize expects a Poly")
@@ -482,7 +473,7 @@ def factorize(f):
     if u.degree > 0:
         factors.append((u, 1))
     factors.sort(key=lambda fe: fe[0].canonical_key())
-    return Factorization(f.lead, tuple(factors))
+    return tuple(factors)
 
 
 def large_factor(f):

@@ -143,7 +143,7 @@ def proposition_report(X, f, tower):
         r = f.degree // b
         cp_ext = matrix.charpoly(X)
         pc_ext = cyclic_factors(X)
-        for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)).factors:
+        for g, _ in poly.factorize(poly.embed_into_extension(f, tower.ext)):
             if g.degree != r or g not in pc_ext:
                 continue
             ok = True

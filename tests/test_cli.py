@@ -62,12 +62,17 @@ def test_decompose_splits_equal_degree_block_over_large_field(capsys):
 
 
 def test_decompose_runs_one_primary_analysis(capsys, monkeypatch):
-    calls = []
-    analyse = matrix.primary_components
+    # one primary analysis, and one charpoly inside it: the charpoly field
+    # is the product of the components' f^(m_f)
+    calls, charpolys = [], []
+    analyse, charpoly = matrix.primary_components, matrix.charpoly
     monkeypatch.setattr(matrix, "primary_components", lambda M: calls.append(M) or analyse(M))
+    monkeypatch.setattr(matrix, "charpoly", lambda M: charpolys.append(M) or charpoly(M))
     code, out = run_cli(["decompose", "--matrix", "3 3 : 1 2 0 0 0 1 2 1 0"], capsys)
-    assert code == 0 and len(calls) == 1
-    assert json.loads(out)["result"]["minpoly"]["coeffs"] == [0, 2, 2, 1]
+    assert code == 0 and len(calls) == 1 and len(charpolys) == 1
+    result = json.loads(out)["result"]
+    assert result["minpoly"]["coeffs"] == [0, 2, 2, 1]
+    assert result["charpoly"]["coeffs"] == [0, 2, 2, 1]
 
 
 def test_decompose_parse_error_exit_4(capsys):
@@ -761,15 +766,6 @@ def test_estimate_skips_the_exact_census_past_the_budget(capsys):
                          "--budget", "16"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["exact"] == {"num": "1", "den": "1"}
-
-
-def test_malformed_budget_env_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("NICENSUS_BUDGET", "abc")
-    code = cli.main(["census", "--spec", "all", "--d", "2", "--q", "2"])
-    captured = capsys.readouterr()
-    assert code == 4
-    assert captured.out == ""
-    assert "NICENSUS_BUDGET" in captured.err
 
 
 def test_census_flag_check_at_d0(capsys):

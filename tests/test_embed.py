@@ -178,7 +178,7 @@ def test_proposition_check_equals_the_per_divisor_oracle(tower_text, c):
     tower = embed.parse_tower(tower_text)
     direct = 0
     for X in matrix.all_matrices(c, tower.ext):
-        fs = [f for f, _ in poly.factorize(matrix.charpoly(embed.blow_up(X, tower))).factors]
+        fs = [f for f, _ in poly.factorize(matrix.charpoly(embed.blow_up(X, tower)))]
         reports = embed.proposition_check(X, tower)
         assert reports == tuple(proposition_report(X, f, tower) for f in fs)
         direct += sum(rep.direct for rep in reports)

@@ -208,7 +208,7 @@ def test_primary_cyclic_factors_equals_multiplicity_oracle():
     # test_minpoly_is_minimal_exhaustive checks minpoly on the same matrices
     for M in _oracle_matrices():
         mp = matrix.minpoly(M)
-        factors = poly.factorize(matrix.charpoly(M)).factors
+        factors = poly.factorize(matrix.charpoly(M))
         expected = tuple(f for f, m_f in factors if multiplicity_in(f, mp) == m_f)
         assert cyclic_factors(M) == expected, M
         assert tuple((f, m_f) for f, m_f, _ in matrix.primary_factors(M)) == factors, M
@@ -242,7 +242,7 @@ def test_minpoly_is_minimal_exhaustive():
         assert matrix.evaluate_poly_at(mp, M).is_zero
         assert (matrix.charpoly(M) % mp).is_zero
         # every monic proper divisor divides some mp / f for an irreducible f | mp
-        for f, _ in poly.factorize(mp).factors:
+        for f, _ in poly.factorize(mp):
             assert not matrix.evaluate_poly_at(mp // f, M).is_zero, M
 
 

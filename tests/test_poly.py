@@ -39,11 +39,11 @@ def all_polys_up_to(ctx, max_deg):
                 yield Poly.make(ctx, list(tail) + [lead])
 
 
-def recompose(fac, ctx):
-    """unit * prod(f ** e) of a Factorization."""
-    out = Poly.make(ctx, (fac.unit,))
-    for f, e in fac.factors:
-        out = out * f ** e
+def recompose(f, fac):
+    """f's leading coefficient times prod(g ** e) over its factorization fac."""
+    out = Poly.make(f.ctx, (f.coeffs[-1],))
+    for g, e in fac:
+        out = out * g ** e
     return out
 
 
@@ -51,12 +51,12 @@ def recompose(fac, ctx):
 def test_factorize_recompose_exhaustive(ctx):
     for f in all_polys_up_to(ctx, 6):
         fac = poly.factorize(f)
-        assert recompose(fac, ctx) == f
-        for g, e in fac.factors:
+        assert recompose(f, fac) == f
+        for g, e in fac:
             assert g.is_monic and e >= 1
             assert poly.is_irreducible(g)
         # factors pairwise distinct and canonically sorted
-        keys = [g.canonical_key() for g, _ in fac.factors]
+        keys = [g.canonical_key() for g, _ in fac]
         assert keys == sorted(keys) and len(keys) == len(set(keys))
 
 
@@ -67,8 +67,8 @@ def test_factorize_recompose_sampled_log_tier(p, k, coeffs):
     ctx = gf.field_create(p, k)
     f = Poly.make(ctx, [c % ctx.order for c in coeffs[:-1]] + [coeffs[-1] % (ctx.order - 1) + 1])
     fac = poly.factorize(f)
-    assert recompose(fac, ctx) == f
-    assert all(g.is_monic and poly.is_irreducible(g) for g, _ in fac.factors)
+    assert recompose(f, fac) == f
+    assert all(g.is_monic and poly.is_irreducible(g) for g, _ in fac)
 
 
 def test_factorize_is_pure():
@@ -119,8 +119,8 @@ def test_factorization_grid_is_pinned():
     count = 0
     for f in factorization_grid():
         fac = poly.factorize(f)
-        digest.update(repr((f.ctx.order, f.coeffs, fac.unit,
-                            [(g.coeffs, e) for g, e in fac.factors])).encode())
+        digest.update(repr((f.ctx.order, f.coeffs, f.coeffs[-1],
+                            [(g.coeffs, e) for g, e in fac])).encode())
         count += 1
     assert count == 3620
     assert digest.hexdigest() == FACTORIZATION_GRID_SHA256
@@ -190,7 +190,7 @@ def test_irr_enumerate_checks_budget_on_cached_degrees():
 def test_large_factor_agrees_with_factorize(ctx, max_deg):
     for deg in range(max_deg + 1):
         for f in all_monic(ctx, deg):
-            large = [g for g, _ in poly.factorize(f).factors if 2 * g.degree > deg]
+            large = [g for g, _ in poly.factorize(f) if 2 * g.degree > deg]
             assert poly.large_factor(f) == (large[0] if large else None)
 
 
@@ -232,7 +232,7 @@ def factored_monics(draw, ctx, lo, hi):
 def _check_large_factor(f, fac):
     large = [g for g in fac if 2 * g.degree > f.degree]
     assert poly.large_factor(f) == (large[0] if large else None)
-    assert poly.factorize(f).factors == tuple(sorted(fac.items(), key=lambda ge: ge[0].canonical_key()))
+    assert poly.factorize(f) == tuple(sorted(fac.items(), key=lambda ge: ge[0].canonical_key()))
 
 
 @pytest.mark.parametrize("ctx", [F4, F9, F16], ids=["F4", "F9", "F16"])
@@ -279,6 +279,27 @@ def test_large_factor_fails_rather_than_hangs_on_a_faulty_division(monkeypatch):
     try:
         with pytest.raises(AssertionError, match="did not end"):
             poly.large_factor(f)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_equal_degree_split_fails_rather_than_hangs_on_a_faulty_power(monkeypatch):
+    # A power kernel that returns 1 makes every odd-q draw b = 1 - 1 = 0,
+    # and gcd(g, 0) = g never splits g; the bound on draws turns that into
+    # an error.
+    def expire(signum, frame):
+        raise TimeoutError("_split_equal_degree still running after 5 s")
+
+    linear = [Poly.make(F3, (1, 1)), Poly.make(F3, (2, 1))]  # t + 1, t + 2
+    g = linear[0] * linear[1]
+    assert sorted(poly._split_equal_degree(g, 1), key=Poly.canonical_key) == linear
+    monkeypatch.setattr(poly, "_powmod_lists", lambda ctx, a, e, m: [1])
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(AssertionError, match="no split in 64 draws"):
+            poly._split_equal_degree(g, 1)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -336,11 +357,11 @@ def test_pow_mod_matches_repeated_multiplication(ctx):
 
 def test_factorize_examples():
     t = Poly.x(F2)
-    assert poly.factorize(t * t).factors == ((t, 2),)
+    assert poly.factorize(t * t) == ((t, 2),)
     f = Poly.make(F2, (1, 1, 1))
-    assert poly.factorize(f).factors == ((f, 1),)
+    assert poly.factorize(f) == ((f, 1),)
     fac = poly.factorize(Poly.make(F3, (2, 0, 1)))  # t^2 - 1
-    assert [(str(g), e) for g, e in fac.factors] == [("1+1*t", 1), ("2+1*t", 1)]
+    assert [(str(g), e) for g, e in fac] == [("1+1*t", 1), ("2+1*t", 1)]
     with pytest.raises(ZeroPolynomial):
         poly.factorize(Poly.zero(F2))
 
@@ -360,10 +381,10 @@ def test_char_p_squarefree_handling():
     # f = (t^2 + t + 1)^2 has zero derivative over F_2
     g = Poly.make(F2, (1, 1, 1))
     fac = poly.factorize(g * g)
-    assert fac.factors == ((g, 2),)
+    assert fac == ((g, 2),)
     fac = poly.factorize(g ** 4 * Poly.x(F2))
-    assert dict(fac.factors)[g] == 4
-    assert dict(fac.factors)[Poly.x(F2)] == 1
+    assert dict(fac)[g] == 4
+    assert dict(fac)[Poly.x(F2)] == 1
 
 
 def test_irr_count_anchors():

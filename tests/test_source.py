@@ -1,6 +1,6 @@
-"""The package source itself: every definition is used by the package, and
+"""The package source itself: every definition is used by the package,
 only the kernels that choose between the full tables and the generic code
-read those tables."""
+read those tables, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -71,3 +71,14 @@ def test_only_the_kernels_read_the_full_tables():
         if path.stem != "gf":
             readers.update(_table_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem))
     assert readers == TABLE_READERS
+
+
+def test_no_module_reads_the_environment():
+    # the arguments are the only configuration: no module names environ or
+    # getenv, as a name, an attribute, an import or a definition
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found.update(f"{path.stem}.{name}" for name in names & {"environ", "getenv"})
+    assert not found
