@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
-from dataclasses import dataclass
+import types
 from fractions import Fraction
 
 from . import embed, gf, matrix, poly
@@ -43,6 +42,7 @@ from .errors import (
     RangeError,
 )
 from .matrix import Mat
+from .values import record
 
 
 def omega(j, q):
@@ -76,8 +76,7 @@ def gaussian_binomial(d, i, q):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NISubsetSpec:
+class NISubsetSpec(record("NISubsetSpec", "name member closed_form", defaults=(None,))):
     """A named membership predicate on matrices.
 
     ``member`` must depend only on the invertible part and be invariant
@@ -91,9 +90,7 @@ class NISubsetSpec:
     triples), or to None where the family has no closed form.
     """
 
-    name: str
-    member: callable
-    closed_form: callable = None
+    __slots__ = ()
 
 
 def _member_all(X):
@@ -150,8 +147,6 @@ def _make_closed_form_pc_large_degree(b):
     return closed_form
 
 
-_SPEC_PATTERN = re.compile(r"^([a-z0-9-]+)(?:\((-?[0-9]+)\))?$")
-
 _PLAIN_SPECS = {
     "all": _member_all,
     "invertible": matrix.is_invertible,
@@ -174,16 +169,15 @@ def list_specs():
 
 
 def get_spec(name):
-    """Look up a built-in spec, e.g. "all" or "pc-large-degree(2)"."""
-    m = _SPEC_PATTERN.match(name.strip())
-    if m:
-        base, arg = m.group(1), m.group(2)
-        if arg is None and base in _PLAIN_SPECS:
-            return NISubsetSpec(base, _PLAIN_SPECS[base])
-        if arg is not None and base in _PARAMETRIC_SPECS:
-            member, closed_form = _PARAMETRIC_SPECS[base]
-            arg = int(arg)
-            return NISubsetSpec(f"{base}({arg})", member(arg), closed_form and closed_form(arg))
+    """Look up a built-in spec, e.g. "all" or "pc-large-degree(2)" (ASCII digits only)."""
+    base, paren, arg = name.strip().partition("(")
+    if not paren and base in _PLAIN_SPECS:
+        return NISubsetSpec(base, _PLAIN_SPECS[base])
+    digits = arg[1:-1] if arg.startswith("-") else arg[:-1]
+    if base in _PARAMETRIC_SPECS and arg.endswith(")") and digits.isascii() and digits.isdigit():
+        member, closed_form = _PARAMETRIC_SPECS[base]
+        arg = int(arg[:-1])
+        return NISubsetSpec(f"{base}({arg})", member(arg), closed_form and closed_form(arg))
     raise ParseError(f"unknown spec {name!r}; known: {', '.join(list_specs())}")
 
 
@@ -192,23 +186,17 @@ def get_spec(name):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerDimension:
-    i: int
-    n_i: int            # |N_i|
-    gl_i: int           # |GL(i, q)|
-    n_of_i: int         # |N(i)|
+class PerDimension(record("PerDimension", "i n_i gl_i n_of_i")):
+    """|N_i|, |GL(i, q)| and |N(i)| for one i."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FlagCensus:
-    spec_name: str
-    d: int
-    q: int
-    n_total: int                     # |N|
-    per_i: tuple                     # PerDimension for i = 0..d
-    lhs: Fraction                    # |N| / |GL(d, q)|
-    rhs: Fraction                    # flag-sum formula from the N_i
+class FlagCensus(record("FlagCensus", "spec_name d q n_total per_i lhs rhs")):
+    """|N|, a PerDimension for each i = 0..d, |N| / |GL(d, q)| (lhs) and the
+    flag-sum formula from the N_i (rhs)."""
+
+    __slots__ = ()
 
     @property
     def proportion_in_m(self):
@@ -358,16 +346,11 @@ def n_i_under_conjugated_flag(spec, d, ctx, g, budget=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorollarySums:
-    """Both telescoping sums: the full one and the 0-term-truncated one."""
+class CorollarySums(record("CorollarySums", "d q lhs_full rhs_full lhs_truncated rhs_truncated")):
+    """Both telescoping sums: the full one, sum_{i=0}^{d} q^-(d-i) / omega(d-i, q) against
+    1 / omega(d, q), and the one over i >= 1 against (1 - q^-d) / omega(d, q)."""
 
-    d: int
-    q: int
-    lhs_full: Fraction       # sum_{i=0}^{d} q^-(d-i) / omega(d-i, q)
-    rhs_full: Fraction       # 1 / omega(d, q)
-    lhs_truncated: Fraction  # same sum over i >= 1
-    rhs_truncated: Fraction  # (1 - q^-d) / omega(d, q)
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -391,10 +374,10 @@ def _check_constants(a, k):
     return a, k
 
 
-@dataclass(frozen=True)
-class LinearTransferBound:
-    tight: Fraction    # (a - 3k/d)(1 - q^-d)
-    relaxed: Fraction  # a - (a + 3k)/d
+class LinearTransferBound(record("LinearTransferBound", "tight relaxed")):
+    """(a - 3k/d)(1 - q^-d) and a - (a + 3k)/d."""
+
+    __slots__ = ()
 
 
 def transfer_bound_linear(a, k, d, q):
@@ -429,14 +412,11 @@ def fit_linear_k(per_i, a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NIAuditReport:
-    spec_name: str
-    d: int
-    q: int
-    matrices_checked: int
-    conjugations_checked: int
-    violations: tuple  # of (kind, witness Mat, conjugator Mat or None)
+class NIAuditReport(record("NIAuditReport", "spec_name d q matrices_checked "
+                                           "conjugations_checked violations")):
+    """``violations`` holds (kind, witness Mat, conjugator Mat or None) triples."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -454,15 +434,15 @@ def ni_verify(spec, d, ctx, budget=None):
     return ni_verify_all([spec], d, ctx, budget)[0]
 
 
-@dataclass
-class _Audit:
-    """One spec's state in an audit pass: verdicts, orbit marks and findings."""
+class _Audit(types.SimpleNamespace):
+    """One spec's state in an audit pass: verdicts, orbit marks and findings.
 
-    member: _Verdicts
-    # per matrix position: 0 while its orbit is unbuilt, else 1 + whether it is uniform
-    marks: bytearray
-    violations: list
-    conjugations: int = 0
+    ``marks`` holds, per matrix position, 0 while its orbit is unbuilt, else
+    1 + whether it is uniform."""
+
+    def __init__(self, member, marks, violations, conjugations=0):
+        super().__init__(member=member, marks=marks, violations=violations,
+                         conjugations=conjugations)
 
 
 def _orbit(X, pairs, index):

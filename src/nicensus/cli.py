@@ -16,12 +16,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, census, embed, estimate, gf, intervals, matrix, poly, quokka
 from .errors import NicensusError, NIViolation, ParseError
 from .intervals import RInterval
+from .values import record
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -257,11 +257,10 @@ def cmd_pc_test(args):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteCheck:
-    name: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    detail: str
+class SuiteCheck(record("SuiteCheck", "name status detail")):
+    """One check of a suite; ``status`` is "pass", "fail" or "inconclusive"."""
+
+    __slots__ = ()
 
 
 _AUDIT_SPECS = ("all", "invertible", "nilpotent-complement",

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import gf, matrix, poly
 from .errors import FieldMismatch, NonPrimeCharacteristic, NotASubfield, ParseError
 from .matrix import Mat
 from .poly import Poly
+from .values import Frozen, record
 
 
 # Regular representations kept, the least recently used evicted first.  One
@@ -43,18 +43,20 @@ from .poly import Poly
 _REP_CACHE_MAX = 1 << 12
 
 
-@dataclass(frozen=True, eq=False)
 class TowerCtx:
-    """K = F_{q^b} viewed as a b-dimensional F_q-algebra.
+    """K = F_{q^b} viewed as a b-dimensional F_q-algebra with power basis ``basis``.
 
     Compared and hashed by identity, like ``FieldCtx``: ``tower_for``
     builds one per (ext, b), and ``regular_rep`` is memoized by it.
     """
 
-    ext: gf.FieldCtx
-    b: int
-    base: gf.FieldCtx
-    basis: tuple          # power basis elements of ext
+    def __init__(self, ext, b, base, basis):
+        vars(self).update(ext=ext, b=b, base=base, basis=basis)
+
+    __setattr__ = __delattr__ = Frozen.__setattr__
+
+    def __repr__(self):
+        return f"TowerCtx(ext={self.ext!r}, b={self.b!r}, base={self.base!r}, basis={self.basis!r})"
 
     @property
     def q(self):
@@ -143,8 +145,8 @@ def blow_up(X, tower):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PCMembership:
+class PCMembership(record("PCMembership", "member witness_f witness_g r inv_dim",
+                          defaults=(None, None, None, None))):
     """Outcome of the large-degree primary cyclic test.
 
     When ``member`` is true, ``witness_f`` is the unique qualifying monic
@@ -152,11 +154,7 @@ class PCMembership:
     the unique Galois representative dividing the charpoly over K.
     """
 
-    member: bool
-    witness_f: Poly | None = None
-    witness_g: Poly | None = None
-    r: int | None = None
-    inv_dim: int | None = None
+    __slots__ = ()
 
 
 def _t_multiplicity(coeffs):
@@ -225,8 +223,7 @@ def pc_member_charpoly(X, tower):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(record("PropositionReport", "direct via_conditions f witness_g")):
     """Agreement record for one (X, f) instance.
 
     ``direct`` tests f-primary cyclicity on the blow-up; ``via_conditions``
@@ -236,10 +233,7 @@ class PropositionReport:
     condition vacuously false when b does not divide deg f).
     """
 
-    direct: bool
-    via_conditions: bool
-    f: Poly
-    witness_g: Poly | None
+    __slots__ = ()
 
     @property
     def agree(self):

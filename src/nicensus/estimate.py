@@ -25,11 +25,11 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, gf, intervals, matrix
 from .matrix import Mat
+from .values import record
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -170,15 +170,10 @@ def wilson_verdict(successes, n, bound, direction):
     return intervals.VIOLATED if violated else intervals.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class ProportionReport:
+class ProportionReport(record("ProportionReport", "n successes estimate ci_low ci_high")):
     """Sample count and its float Wilson interval (for display)."""
 
-    n: int
-    successes: int
-    estimate: float
-    ci_low: float
-    ci_high: float
+    __slots__ = ()
 
 
 def monte_carlo(predicate, d, ctx, n, seed, budget=None):

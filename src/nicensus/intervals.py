@@ -11,9 +11,10 @@ the relevant direction, and "inconclusive" otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .values import Frozen
 
 PRECISION_BITS = 96
 
@@ -30,16 +31,17 @@ def _as_fraction(x):
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class RInterval:
+class RInterval(Frozen):
     """Closed interval [lo, hi] with Fraction endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        set_lo, set_hi = self._set
+        set_lo(self, lo)
+        set_hi(self, hi)
 
     @staticmethod
     def point(x):

@@ -2,7 +2,7 @@
 
 Convention: matrices act on row vectors on the right (v -> v X), so the
 image of X is its row space and the kernel is the left null space.
-Entries are element ints; a Mat is an immutable tuple of row tuples.
+Entries are element ints; a Mat holds them as an immutable tuple of row tuples.
 
 Characteristic polynomials go through an exact similarity reduction to
 Hessenberg form followed by the leading-principal-minor recurrence.  On a
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import gf, poly
 from .errors import (
@@ -40,15 +39,19 @@ from .errors import (
     ParseError,
 )
 from .poly import Poly
+from .values import Frozen, record
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Square matrix over a fixed field context."""
+class Mat(Frozen):
+    """Square matrix over a fixed field context: ``rows`` holds n tuples of n element ints."""
 
-    ctx: gf.FieldCtx
-    n: int
-    rows: tuple  # tuple of n row tuples, each of n element ints
+    __slots__ = ("ctx", "n", "rows")
+
+    def __init__(self, ctx, n, rows):
+        set_ctx, set_n, set_rows = self._set
+        set_ctx(self, ctx)
+        set_n(self, n)
+        set_rows(self, rows)
 
     # -- constructors ---------------------------------------------------------
 
@@ -338,14 +341,11 @@ def evaluate_poly_at(f, M):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FittingSplit:
-    """V = V_inv + V_nil with X invertible on the first and nilpotent on the second."""
+class FittingSplit(record("FittingSplit", "inv_basis nil_basis x_inv x_nil")):
+    """V = V_inv + V_nil with X invertible on the first and nilpotent on the second:
+    bases of the image and the kernel of X^n, and the blocks X_inv and X_nil."""
 
-    inv_basis: tuple  # rows spanning the image of X^n
-    nil_basis: tuple  # rows spanning the kernel of X^n
-    x_inv: Mat
-    x_nil: Mat
+    __slots__ = ()
 
     @property
     def inv_dim(self):

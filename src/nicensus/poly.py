@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from . import gf
 from .errors import (
     FieldMismatch,
     ZeroPolynomial,
 )
+from .values import Frozen
 
 
 def _trim(coeffs):
@@ -172,12 +172,15 @@ def _pth_power(ctx, rows, x):
     return out
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial over a fixed field context."""
 
-    ctx: gf.FieldCtx
-    coeffs: tuple
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx, coeffs):
+        set_ctx, set_coeffs = self._set
+        set_ctx(self, ctx)
+        set_coeffs(self, coeffs)
 
     @staticmethod
     def make(ctx, coeffs):

@@ -2,11 +2,13 @@
 
 import ast
 import hashlib
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nicensus import census, cli, estimate, gf, matrix, quokka
 from nicensus.census import (
@@ -299,6 +301,48 @@ def test_get_spec_errors_and_listing():
     with pytest.raises(ParseError):
         get_spec("has-eigenvalue")  # parameter required
     assert "all" in census.list_specs()
+
+
+# The grammar get_spec matched before it parsed by hand, kept as its oracle.
+_OLD_SPEC_PATTERN = re.compile(r"^([a-z0-9-]+)(?:\((-?[0-9]+)\))?$")
+# str.isdigit accepts the Arabic-Indic three and the superscript two
+_SPEC_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-()+ \u0663\u00b2"
+# a name, an argument that may lack either parenthesis, and a tail
+_SPEC_TEXTS = st.tuples(
+    st.sampled_from(["", " ", "all", "separable", "has-eigenvalue", "pc-large-degree", "x"]),
+    st.sampled_from(["", "(", "(("]), st.text("-0123456789+ x\u0663\u00b2", max_size=4),
+    st.sampled_from(["", ")", "))", ") "]), st.text(_SPEC_ALPHABET, max_size=2)).map("".join)
+
+
+def _old_get_spec(name):
+    m = _OLD_SPEC_PATTERN.match(name.strip())
+    if m:
+        base, arg = m.group(1), m.group(2)
+        if arg is None and base in census._PLAIN_SPECS:
+            return NISubsetSpec(base, census._PLAIN_SPECS[base])
+        if arg is not None and base in census._PARAMETRIC_SPECS:
+            member, closed_form = census._PARAMETRIC_SPECS[base]
+            arg = int(arg)
+            return NISubsetSpec(f"{base}({arg})", member(arg), closed_form and closed_form(arg))
+    raise ParseError(f"unknown spec {name!r}; known: {', '.join(census.list_specs())}")
+
+
+def _spec_outcome(lookup, text):
+    try:
+        return lookup(text).name
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.text(_SPEC_ALPHABET) | _SPEC_TEXTS)
+@example(text="pc-large-degree(\u0663)")
+@example(text="has-eigenvalue(\u00b2)")
+@example(text="has-eigenvalue(-01)")
+@example(text="pc-large-degree(-)")
+@example(text=" pc-large-degree(2) ")
+def test_get_spec_accepts_exactly_the_old_pattern(text):
+    assert _spec_outcome(get_spec, text) == _spec_outcome(_old_get_spec, text)
 
 
 # ---------------------------------------------------------------------------

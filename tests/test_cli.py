@@ -258,6 +258,14 @@ def test_unknown_spec_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("spec", ["pc-large-degree(\u0663)", "has-eigenvalue(\u00b2)"])
+def test_non_ascii_spec_argument_exit_4(spec, capsys):
+    # int() reads the Arabic-Indic three as 3, but a spec's argument is ASCII
+    code = cli.main(["census", "--spec", spec, "--d", "2", "--q", "2"])
+    capsys.readouterr()
+    assert code == 4
+
+
 def test_usage_error_exit_4(capsys):
     code = cli.main(["census", "--d", "2"])
     capsys.readouterr()

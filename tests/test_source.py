@@ -82,3 +82,18 @@ def test_no_module_reads_the_environment():
             names = {getattr(node, field, None) for field in ("id", "attr", "name")}
             found.update(f"{path.stem}.{name}" for name in names & {"environ", "getenv"})
     assert not found
+
+
+def test_no_module_imports_dataclasses_or_re():
+    # the package imports without generating classes or compiling a pattern
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.partition(".")[0]}
+            else:
+                continue
+            found.update(f"{path.stem}:{name}" for name in names & {"dataclasses", "re"})
+    assert not found
